@@ -10,15 +10,21 @@ Integer row normalization (softmax and normalized sigmoid) uses a single
 reciprocal per row plus error-feedback rounding: the emitted Q8.8 codes of
 a row always sum to 256, i.e. exactly 1.0, while each individual entry
 stays within one code of its exact value.
+
+The kernels hold their integers in float64 (see :mod:`beamloc.fxp`): LUT
+indices come from exact power-of-two scaling and np.rint, which rounds
+ties to even, and a row's running ``numer * recip`` sum stays near 2**30.
+Only the per-row reciprocal is an int64 division.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
-from .fxp import SCALE, quantize, quantize_array, rne_div, rne_shift
+from .fxp import SCALE, quantize, quantize_array, rne_div
 
 
 class ActivationKind(enum.IntEnum):
@@ -65,9 +71,9 @@ _SIG_CODE_LIMIT = int(SIG_RANGE) * SCALE  # 4096
 
 def sigmoid_lut(codes: np.ndarray) -> np.ndarray:
     """Elementwise LUT sigmoid on Q8.8 codes (any integer dtype)."""
-    x = np.clip(np.asarray(codes, dtype=np.int64), -_SIG_CODE_LIMIT, _SIG_CODE_LIMIT)
-    idx = rne_shift(x, 3) + (SIG_SIZE // 2)
-    return SIG_TABLE[idx]
+    x = np.clip(np.asarray(codes, dtype=np.float64), -_SIG_CODE_LIMIT, _SIG_CODE_LIMIT)
+    # x/8 + 512 rounds to even like x/8 does, because 512 is even
+    return SIG_TABLE[np.rint(x / 8 + SIG_SIZE // 2).astype(np.intp)]
 
 
 def sigmoid_lut_eval(code: int) -> int:
@@ -83,7 +89,7 @@ EXP_ONE = 1 << 15
 EXP_STEPS_PER_UNIT = 64
 EXP_SIZE = int(SIG_RANGE) * EXP_STEPS_PER_UNIT + 1  # 1025
 _EXP_GRID = -SIG_RANGE + np.arange(EXP_SIZE) / EXP_STEPS_PER_UNIT
-EXP_TABLE = np.rint(np.exp(_EXP_GRID) * EXP_ONE).astype(np.int64)
+EXP_TABLE = np.rint(np.exp(_EXP_GRID) * EXP_ONE)
 
 _EXP_CODE_LIMIT = int(SIG_RANGE) * SCALE  # 4096
 _RECIP_BITS = 30
@@ -96,12 +102,10 @@ def _normalize_rows(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
     rounded cumulative sum at i and i-1, so row totals never drift.  Rows
     with a zero denominator emit zeros.
     """
-    safe = np.maximum(denom, 1)
-    recip = np.where(denom > 0, rne_div(np.int64(1) << _RECIP_BITS, safe), 0)
-    cum = np.cumsum(numer * recip, axis=1)
-    steps = rne_shift(cum, _RECIP_BITS - 8)
-    out = np.diff(steps, axis=1, prepend=0)
-    return out.astype(np.int16)
+    recip = np.where(denom > 0, rne_div(1 << _RECIP_BITS, np.maximum(denom, 1).astype(np.int64)), 0)
+    steps = np.rint(np.cumsum(numer * recip, axis=1) * 2.0 ** (8 - _RECIP_BITS))
+    steps[:, 1:] -= steps[:, :-1]
+    return steps.astype(np.int16)
 
 
 def softmax_int(scores: np.ndarray) -> np.ndarray:
@@ -110,23 +114,24 @@ def softmax_int(scores: np.ndarray) -> np.ndarray:
     Max subtraction happens on the raw codes, so a constant shift of a row
     changes nothing; the exp LUT then sees only non-positive inputs.
     """
-    x = np.asarray(scores, dtype=np.int64)
+    x = np.asarray(scores, dtype=np.float64)
     if x.size == 0:
         return np.zeros_like(x, dtype=np.int16)
-    diff = x - x.max(axis=1, keepdims=True)
-    idx = rne_shift(np.maximum(diff, -_EXP_CODE_LIMIT), 2) + (EXP_SIZE - 1)
-    e = EXP_TABLE[idx]
+    diff = np.maximum(x - x.max(axis=1, keepdims=True), -_EXP_CODE_LIMIT)
+    # diff/4 + 1024 rounds to even like diff/4 does, because 1024 is even
+    e = EXP_TABLE[np.rint(diff / 4 + (EXP_SIZE - 1)).astype(np.intp)]
     return _normalize_rows(e, e.sum(axis=1, keepdims=True))
 
 
 def row_normalize_int(codes: np.ndarray) -> np.ndarray:
     """Normalize non-negative Q8.8 rows to unit sum (normalized sigmoid)."""
-    q = np.asarray(codes, dtype=np.int64)
+    q = np.asarray(codes, dtype=np.float64)
     if q.size == 0:
         return np.zeros_like(q, dtype=np.int16)
     return _normalize_rows(q, q.sum(axis=1, keepdims=True))
 
 
+@functools.cache
 def sigmoid_bias_code(n: int) -> int:
     """Q8.8 code of the length-compensating bias -ln(n)."""
     return quantize(-float(np.log(n)))

@@ -14,6 +14,7 @@ floor sits under everything.  All randomness is seeded and reproducible.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -139,14 +140,21 @@ def write_fingerprints(path, fingerprints: np.ndarray) -> None:
 
 
 def read_fingerprints(path) -> np.ndarray:
+    """Load a fingerprint file; its size must match the header count.
+
+    A size mismatch (a truncated file, or a forged count) raises OSError,
+    before any payload is allocated.
+    """
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != FINGERPRINT_MAGIC:
-            raise ValueError(f"not a fingerprint file (magic {magic!r})")
-        (count,) = struct.unpack("<I", f.read(4))
-        payload = f.read(count * N_BEAMS * N_SUBCARRIERS * 4)
-    data = np.frombuffer(payload, dtype="<f4", count=count * N_BEAMS * N_SUBCARRIERS)
-    return data.reshape(count, N_BEAMS, N_SUBCARRIERS).astype(np.float64)
+        header = f.read(8)
+        if header[:4] != FINGERPRINT_MAGIC:
+            raise ValueError(f"not a fingerprint file (magic {header[:4]!r})")
+        count = int.from_bytes(header[4:], "little")  # a short header fails the size check
+        size, expected = os.fstat(f.fileno()).st_size, 8 + count * N_BEAMS * N_SUBCARRIERS * 4
+        if size != expected:
+            raise OSError(f"{path}: header promises {count} snapshot(s), {expected} bytes, not {size}")
+        payload = f.read(expected - 8)
+    return np.frombuffer(payload, dtype="<f4").reshape(count, N_BEAMS, N_SUBCARRIERS).astype(np.float64)
 
 
 def export_csv(path, fingerprints: np.ndarray) -> None:

@@ -57,6 +57,8 @@ class RunConfig:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.clock_hz <= 0:
             raise ConfigError("clock_hz must be positive")
+        if self.router_window is not None and self.router_window < 1:
+            raise ConfigError("router_window must be at least 1")
 
     def activation_kind(self) -> ActivationKind | None:
         return None if self.activation is None else activation_from_name(self.activation)

@@ -14,6 +14,7 @@ applied after the score dot products.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -309,12 +310,10 @@ class IntEngine(_EngineBase):
 
     def leaky_relu(self, x):
         # slope 0.3 quantizes to code 77, i.e. an effective 0.30078125
-        neg = requantize_array(x.astype(np.int64) * 77)
-        return np.where(x >= 0, x, neg)
+        return np.where(x >= 0, x, requantize_array(x * 77.0))
 
     def scale_scores(self, raw, gamma, d_k):
-        multiplier = quantize(gamma / math.sqrt(d_k))
-        return requantize_array(raw.astype(np.int64) * multiplier)
+        return requantize_array(raw * _score_multiplier(gamma, d_k))
 
     def activation_op(self, scores):
         kind = self.activation
@@ -333,6 +332,12 @@ class IntEngine(_EngineBase):
 
     def coords_of(self, out):
         return dequantize_array(out)
+
+
+@functools.cache
+def _score_multiplier(gamma: float, d_k: int) -> float:
+    """The folded Q8.8 code of gamma / sqrt(d_k), once per segment."""
+    return float(quantize(gamma / math.sqrt(d_k)))
 
 
 def make_engine(kind: str, bundle: ModelBundle, cfg: EngineConfig | None = None):

@@ -12,6 +12,21 @@ Model parameters fixed here (and documented in the README):
 * accumulator width: 40-bit signed, checked, never silently wrapped;
 * rounding: round-to-nearest, ties to even, on every requantization;
 * overflow policy: saturation to the Q8.8 code range, not wraparound.
+
+A k-term dot of int16 codes reaches magnitude k * 2**30 (plus an aligned
+bias below 2**23).  The projections, FFN and attention products have at
+most 128 terms, at most 2**37, well inside the 40-bit range of +-2**39.
+The coordinate head's first layer dots over 1536 terms, up to about
+2**40.6, so extreme weights and inputs can overflow there: that raises
+:class:`AccumulatorOverflow` (CLI exit 4), which is the contract, rather
+than a wider modeled accumulator.
+
+The vectorized kernels compute these exact integers in float64, which
+BLAS multiplies.  Every integer of magnitude below 2**53 is a float64, so
+each product (at most 2**30) and every partial sum of fewer than 2**23
+such terms is exact in any summation order, and scaling by 1/256 is
+exact.  Integer results therefore do not depend on the datatype that
+computes them.
 """
 
 from __future__ import annotations
@@ -29,8 +44,6 @@ VALUE_MIN = CODE_MIN / SCALE    # -128.0
 VALUE_MAX = CODE_MAX / SCALE    # +127.99609375
 ULP = 1.0 / SCALE               # 0.00390625, the minimum representable step
 
-# Accumulator headroom: a worst-case 128-term dot needs 16+16+7 = 39 bits,
-# so 40 signed bits hold every in-contract MAC chain.
 ACC_BITS = 40
 ACC_MAX = (1 << (ACC_BITS - 1)) - 1
 ACC_MIN = -(1 << (ACC_BITS - 1))
@@ -73,22 +86,18 @@ def requantize(acc: int) -> int:
 
 
 def quantize_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise quantize; np.rint rounds half to even."""
-    codes = np.clip(np.rint(np.asarray(x, dtype=np.float64) * SCALE), CODE_MIN, CODE_MAX)
+    """Elementwise quantize; np.rint rounds half to even.  Rejects NaN and inf."""
+    if not np.isfinite(x).all():
+        raise ValueError("cannot quantize non-finite values")
+    codes = np.asarray(x, dtype=np.float64) * SCALE
+    np.rint(codes, out=codes)
+    np.maximum(codes, CODE_MIN, out=codes)  # two ufuncs cost less than np.clip on small arrays
+    np.minimum(codes, CODE_MAX, out=codes)
     return codes.astype(np.int16)
 
 
 def dequantize_array(codes: np.ndarray) -> np.ndarray:
     return np.asarray(codes, dtype=np.float64) / SCALE
-
-
-def rne_shift(v: np.ndarray, bits: int) -> np.ndarray:
-    """Arithmetic right shift with round-to-nearest-even, exact on int64."""
-    v = np.asarray(v)
-    q = v >> bits
-    r = v & ((1 << bits) - 1)
-    half = 1 << (bits - 1)
-    return q + ((r > half) | ((r == half) & ((q & 1) == 1)))
 
 
 def rne_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -101,26 +110,33 @@ def rne_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def check_headroom(acc: np.ndarray) -> np.ndarray:
     if acc.size and (acc.max() > ACC_MAX or acc.min() < ACC_MIN):
-        raise AccumulatorOverflow(
-            f"accumulator range [{acc.min()}, {acc.max()}] exceeds {ACC_BITS} bits"
-        )
+        raise AccumulatorOverflow(f"accumulator [{acc.min():.0f}, {acc.max():.0f}] exceeds {ACC_BITS} bits")
     return acc
 
 
 def requantize_array(acc: np.ndarray) -> np.ndarray:
-    q = rne_shift(acc, FRAC_BITS)
-    return np.clip(q, CODE_MIN, CODE_MAX).astype(np.int16)
+    """Q16.16 accumulators -> Q8.8 codes: acc / 256 rounded half to even, saturated.
+
+    ``acc`` holds integers of magnitude below 2**53, in any numeric dtype;
+    the scaling is exact and np.rint rounds ties to even.
+    """
+    q = np.rint(acc * ULP)
+    np.clip(q, CODE_MIN, CODE_MAX, out=q)
+    return q.astype(np.int16)
 
 
 def qmatmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Integer matmul of Q8.8 codes, requantized back to Q8.8.
 
-    The int64 product accumulation is exact; the bias (Q8.8) is aligned to
-    the Q16.16 accumulator scale before the single requantization.
+    Operands and bias must be int16 codes, which keeps the float64 (BLAS)
+    accumulation exact; the bias is aligned to the Q16.16 accumulator
+    scale before the single requantization.
     """
-    acc = a.astype(np.int64) @ b.astype(np.int64)
+    if any(x is not None and x.dtype != np.int16 for x in (a, b, bias)):
+        raise TypeError(f"qmatmul takes int16 codes, got {a.dtype}, {b.dtype}, {getattr(bias, 'dtype', None)}")
+    acc = a.astype(np.float64) @ b.astype(np.float64)
     if bias is not None:
-        acc = acc + (bias.astype(np.int64) << FRAC_BITS)
+        acc += bias * float(SCALE)
     check_headroom(acc)
     return requantize_array(acc)
 

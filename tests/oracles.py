@@ -12,9 +12,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from beamloc.activations import ActivationKind, row_normalize_int, sigmoid_lut, softmax_int
-from beamloc.fxp import qmac, requantize, requantize_array, sat_add
+from beamloc import activations
+from beamloc.activations import (
+    _EXP_CODE_LIMIT,
+    _RECIP_BITS,
+    _SIG_CODE_LIMIT,
+    EXP_SIZE,
+    SIG_SIZE,
+    SIG_TABLE,
+    ActivationKind,
+)
+from beamloc.fxp import qmac, requantize, rne_div, sat_add
 from beamloc.sparsity import RowMask
+
+EXP_TABLE = activations.EXP_TABLE.astype(np.int64)
 
 
 def naive_idft_row(row):
@@ -72,6 +83,68 @@ def naive_matmul_q(a, b, bias=None):
     return np.array(out, dtype=np.int16)
 
 
+def rne_shift(v: np.ndarray, bits: int) -> np.ndarray:
+    """Arithmetic right shift with round-to-nearest-even, exact on int64."""
+    v = np.asarray(v)
+    q = v >> bits
+    r = v & ((1 << bits) - 1)
+    half = 1 << (bits - 1)
+    return q + ((r > half) | ((r == half) & ((q & 1) == 1)))
+
+
+def requantize_int64(acc):
+    """Vectorized requantize on int64 accumulators: shift, round, saturate."""
+    return np.clip(rne_shift(np.asarray(acc, dtype=np.int64), 8), -32768, 32767).astype(np.int16)
+
+
+# The int64 integer activations, as they stood before the float64 kernels.
+
+
+def sigmoid_lut(codes: np.ndarray) -> np.ndarray:
+    """Elementwise LUT sigmoid on Q8.8 codes (any integer dtype)."""
+    x = np.clip(np.asarray(codes, dtype=np.int64), -_SIG_CODE_LIMIT, _SIG_CODE_LIMIT)
+    idx = rne_shift(x, 3) + (SIG_SIZE // 2)
+    return SIG_TABLE[idx]
+
+
+def _normalize_rows(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Emit Q8.8 codes for numer/denom per row, one reciprocal per row.
+
+    Error-feedback rounding: entry i is the difference of the running
+    rounded cumulative sum at i and i-1, so row totals never drift.  Rows
+    with a zero denominator emit zeros.
+    """
+    safe = np.maximum(denom, 1)
+    recip = np.where(denom > 0, rne_div(np.int64(1) << _RECIP_BITS, safe), 0)
+    cum = np.cumsum(numer * recip, axis=1)
+    steps = rne_shift(cum, _RECIP_BITS - 8)
+    out = np.diff(steps, axis=1, prepend=0)
+    return out.astype(np.int16)
+
+
+def softmax_int(scores: np.ndarray) -> np.ndarray:
+    """Integer-only stable softmax over each row of Q8.8 codes.
+
+    Max subtraction happens on the raw codes, so a constant shift of a row
+    changes nothing; the exp LUT then sees only non-positive inputs.
+    """
+    x = np.asarray(scores, dtype=np.int64)
+    if x.size == 0:
+        return np.zeros_like(x, dtype=np.int16)
+    diff = x - x.max(axis=1, keepdims=True)
+    idx = rne_shift(np.maximum(diff, -_EXP_CODE_LIMIT), 2) + (EXP_SIZE - 1)
+    e = EXP_TABLE[idx]
+    return _normalize_rows(e, e.sum(axis=1, keepdims=True))
+
+
+def row_normalize_int(codes: np.ndarray) -> np.ndarray:
+    """Normalize non-negative Q8.8 rows to unit sum (normalized sigmoid)."""
+    q = np.asarray(codes, dtype=np.int64)
+    if q.size == 0:
+        return np.zeros_like(q, dtype=np.int16)
+    return _normalize_rows(q, q.sum(axis=1, keepdims=True))
+
+
 def softmax_highprec(row, dps=50):
     """Row softmax at high working precision (mpmath)."""
     import mpmath
@@ -103,10 +176,7 @@ def masked_dense_layer_int(x, seg, mask: RowMask, *, kind, bias_code, m_code,
         acc = a.astype(np.int64) @ b.astype(np.int64)
         if bias is not None:
             acc = acc + (bias.astype(np.int64) << 8)
-        q = acc >> 8
-        r = acc & 255
-        q = q + ((r > 128) | ((r == 128) & ((q & 1) == 1)))
-        return np.clip(q, -32768, 32767).astype(np.int16)
+        return requantize_int64(acc)
 
     # Dense projections over all rows, skipped rows included.
     q = mm(x, seg.w_q)
@@ -116,7 +186,7 @@ def masked_dense_layer_int(x, seg, mask: RowMask, *, kind, bias_code, m_code,
     for h in range(heads):
         cols = slice(h * d_k, (h + 1) * d_k)
         raw = mm(q[:, cols], k[:, cols].T)
-        scores = requantize_array(raw.astype(np.int64) * m_code)
+        scores = requantize_int64(raw.astype(np.int64) * m_code)
         sub = scores[np.ix_(kept, kept)]
         if kind in (ActivationKind.SOFTMAX_FLOAT, ActivationKind.SOFTMAX_INT):
             act_sub = softmax_int(sub)

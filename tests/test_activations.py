@@ -3,7 +3,9 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import oracles
 from beamloc import activations as act
 from beamloc.fxp import dequantize_array
 from oracles import softmax_highprec
@@ -16,6 +18,13 @@ def test_sigmoid_lut_anchors():
     # out-of-range inputs clamp to the boundary grid points
     assert act.sigmoid_lut_eval(-20 * 256) == act.sigmoid_lut_eval(-16 * 256)
     assert act.sigmoid_lut_eval(32767) == 256
+
+
+def test_sigmoid_lut_matches_int64_oracle():
+    # every int16 code and the biased scores below it, every rounding tie
+    codes = np.arange(-40000, 40000)
+    assert np.array_equal(act.sigmoid_lut(codes), oracles.sigmoid_lut(codes))
+    assert np.array_equal(act.sigmoid_lut(codes.astype(np.int32)), oracles.sigmoid_lut(codes))
 
 
 def test_sigmoid_lut_table_shape():
@@ -65,6 +74,46 @@ def test_softmax_int_rows_sum_to_one(codes):
     out = act.softmax_int(np.array([codes], dtype=np.int64))
     assert abs(int(out.sum()) - 256) <= 1
     assert np.all(out >= 0)
+
+
+def test_integer_row_kernels_match_int64_oracles():
+    # Softmax: every max-subtracted difference down past the LUT clamp
+    # (ties in the exp index included), all-equal and single-nonzero rows.
+    diffs = np.arange(-4224, 0).reshape(-1, 128)
+    scores = np.concatenate([np.zeros((len(diffs), 1), dtype=np.int64), diffs], axis=1)
+    special = np.zeros((4, 129), dtype=np.int64)
+    special[1] = -32768
+    special[2, 60] = 32767
+    special[3, 0] = -5
+    for rows in (scores, -scores[:, ::-1], special):
+        assert np.array_equal(act.softmax_int(rows), oracles.softmax_int(rows))
+    # Row normalization: rows [a, 512 - a] round exact ties at odd a, and
+    # zero, all-equal and single-nonzero rows.
+    a = np.arange(513)
+    rows = np.stack([a, 512 - a], axis=1)
+    assert np.array_equal(act.row_normalize_int(rows), oracles.row_normalize_int(rows))
+    special = np.zeros((4, 128), dtype=np.int64)
+    special[1] = 256
+    special[2, 77] = 3
+    special[3, 0] = 32767
+    assert np.array_equal(act.row_normalize_int(special), oracles.row_normalize_int(special))
+
+
+_ROWS = st.tuples(st.integers(1, 4), st.integers(1, 130))
+
+
+@given(arrays(np.int16, _ROWS, elements=st.integers(-32768, 32767) | st.integers(-16, 16)))
+@settings(max_examples=200, deadline=None)
+def test_softmax_int_matches_int64_oracle(scores):
+    assert np.array_equal(act.softmax_int(scores), oracles.softmax_int(scores))
+
+
+@given(arrays(np.int16, _ROWS, elements=st.integers(0, 32767) | st.integers(0, 2)))
+@settings(max_examples=200, deadline=None)
+def test_row_normalize_int_matches_int64_oracle(codes):
+    assert np.array_equal(act.row_normalize_int(codes), oracles.row_normalize_int(codes))
+    sig = act.sigmoid_lut(codes)
+    assert np.array_equal(act.row_normalize_int(sig), oracles.row_normalize_int(sig))
 
 
 def test_softmax_float_matches_highprec(rng):

@@ -10,7 +10,7 @@ from beamloc.fxp import dequantize_array, quantize, quantize_array
 from beamloc.router import RouterState
 from beamloc.sparsity import RowMask, SparsityConfig
 from beamloc.weights import random_bundle
-from oracles import masked_dense_layer_int, naive_matmul_float, naive_matmul_q
+from oracles import masked_dense_layer_int, naive_matmul_float, naive_matmul_q, requantize_int64
 
 
 def _engines(bundle, **cfg):
@@ -177,6 +177,19 @@ def test_leaky_slope_exact():
     assert out[0, 0] == -77
     assert dequantize_array(out)[0, 0] == -0.30078125
     assert out[0, 1] == zq[0, 1]
+    codes = np.arange(-32768, 32768).astype(np.int16)
+    expect = np.where(codes >= 0, codes, requantize_int64(codes.astype(np.int64) * 77))
+    assert np.array_equal(ie.leaky_relu(codes), expect)
+
+
+@pytest.mark.parametrize("gamma", [-1.9, -0.37, 0.0, 0.41, 1.9])
+def test_scale_scores_matches_int64_oracle(toy_bundle, gamma):
+    # every raw code, with negative multipliers and past both rails
+    ie = IntEngine(toy_bundle)
+    raw = np.arange(-32768, 32768).astype(np.int16).reshape(256, 256)
+    m = quantize(gamma / math.sqrt(2))
+    expect = requantize_int64(raw.astype(np.int64) * m)
+    assert np.array_equal(ie.scale_scores(raw, gamma, 2), expect)
 
 
 def test_fcnn_affine_when_positive(toy_bundle, rng):
@@ -271,18 +284,30 @@ def test_infer_routing_updates_state(full_bundle, s1_batch):
 
 
 def test_zero_fingerprint_bias_chase(full_bundle):
-    # Analytic forward pass of an all-zero input with masking disabled:
-    # attention contributes nothing anywhere (V = 0), so each encoder layer
-    # reduces to the FFN bias chase, then pool + head.
+    # Analytic forward pass of an all-zero input with masking disabled.
+    # Every row of a layer's input equals one row r (all zero into layer 1),
+    # so per head every score is the same s = gamma * q.k / sqrt(d_k) with
+    # q = r W_q, k = r W_k, every sigmoid-bias weight is w = sigma(s - ln n),
+    # and each head outputs n * w * v with v = r W_v.  In layer 1, v = 0 and
+    # attention adds nothing; layer 1 then emits the FFN bias chase c, so
+    # layer 2 attends over n copies of c, where v = c W_v is not zero.
+    assert full_bundle.activation == ActivationKind.SIGMOID_BIAS_LUT
     fe = FloatEngine(full_bundle, EngineConfig(scenario_override="S2"))
-    zero = np.zeros((128, 46))
-    res = fe.infer(zero)
+    n, d_k = full_bundle.n, full_bundle.d_k
+    res = fe.infer(np.zeros((n, full_bundle.d)))
 
-    x = np.zeros((128, 46))
+    r = np.zeros(full_bundle.d)
     for seg in full_bundle.segments["S2"]:
-        x = np.tile(np.maximum(x[0] @ seg.ffn_w1 + seg.ffn_b1, 0.0) @ seg.ffn_w2 + seg.ffn_b2,
-                    (128, 1))
-    pooled = fe.maxpool_flatten(x)
+        q, k, v = r @ seg.w_q, r @ seg.w_k, r @ seg.w_v
+        heads = []
+        for h in range(full_bundle.heads):
+            cols = slice(h * d_k, (h + 1) * d_k)
+            s = seg.gamma * (q[cols] @ k[cols]) / math.sqrt(d_k)
+            w = 1.0 / (1.0 + math.exp(-(s - math.log(n))))
+            heads.append(n * w * v[cols])
+        r = r + np.concatenate(heads) @ seg.w_o
+        r = np.maximum(r @ seg.ffn_w1 + seg.ffn_b1, 0.0) @ seg.ffn_w2 + seg.ffn_b2
+    pooled = fe.maxpool_flatten(np.tile(r, (n, 1)))
     head = full_bundle.fcnn["S2"]
     h = pooled @ head.w1 + head.b1
     h = np.where(h >= 0, h, 0.3 * h)

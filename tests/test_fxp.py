@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beamloc import fxp
-from oracles import naive_matmul_q, rational_requantize
+from oracles import naive_matmul_q, rational_requantize, requantize_int64
 
 
 def test_quantize_anchors():
@@ -23,6 +24,9 @@ def test_quantize_rejects_non_finite():
         fxp.quantize(float("nan"))
     with pytest.raises(ValueError):
         fxp.quantize(float("inf"))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            fxp.quantize_array(np.array([[0.5, bad], [1.0, 2.0]]))
 
 
 def test_dequantize_anchors():
@@ -128,11 +132,57 @@ def test_qmatmul_matches_triple_loop(rng):
         assert np.array_equal(fxp.qmatmul(a, b, bias), naive_matmul_q(a, b, bias))
 
 
+def test_requantize_array_ties_and_rails():
+    # acc = 256 q + r: exact ties (r = +-128) at odd and even q of both
+    # signs, their neighbours, and q past both saturation rails.
+    q = np.arange(-40000, 40000, dtype=np.int64)
+    for r in (-129, -128, -127, 0, 127, 128, 129):
+        acc = 256 * q + r
+        expect = requantize_int64(acc)
+        assert np.array_equal(fxp.requantize_array(acc.astype(np.float64)), expect)
+        for a, v in zip(acc[::997].tolist(), expect[::997].tolist()):
+            assert rational_requantize(a) == v
+
+
+# Full-range codes, plus small ones whose products land on exact ties.
+_CODES = st.one_of(
+    st.integers(-32768, 32767),
+    st.sampled_from([-32768, -384, -128, -1, 0, 1, 3, 128, 384, 32767]),
+)
+
+
+@st.composite
+def _qmatmul_operands(draw):
+    m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
+    a = draw(arrays(np.int16, (m, k), elements=_CODES))
+    b = draw(arrays(np.int16, (k, n), elements=_CODES))
+    bias = draw(st.none() | arrays(np.int16, n, elements=_CODES))
+    return a, b, bias
+
+
+@given(_qmatmul_operands())
+@settings(max_examples=300, deadline=None)
+def test_qmatmul_matches_triple_loop_everywhere(operands):
+    assert np.array_equal(fxp.qmatmul(*operands), naive_matmul_q(*operands))
+
+
 def test_qmatmul_headroom_check():
-    a = np.full((1, 600), 32767, dtype=np.int16)
-    b = np.full((600, 1), 32767, dtype=np.int16)
-    with pytest.raises(fxp.AccumulatorOverflow):
-        fxp.qmatmul(a, b)
+    # 1536 is the coordinate head's flattened length: overflow is its contract
+    for k in (600, 1536):
+        a = np.full((1, k), 32767, dtype=np.int16)
+        b = np.full((k, 1), 32767, dtype=np.int16)
+        with pytest.raises(fxp.AccumulatorOverflow):
+            fxp.qmatmul(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+def test_qmatmul_requires_int16_codes(dtype):
+    a = np.ones((2, 3), dtype=np.int16)
+    b = np.ones((3, 2), dtype=np.int16)
+    bias = np.ones(2, dtype=np.int16)
+    for args in ((a.astype(dtype), b, bias), (a, b.astype(dtype), bias), (a, b, bias.astype(dtype))):
+        with pytest.raises(TypeError):
+            fxp.qmatmul(*args)
 
 
 def test_sat_add_saturates():
