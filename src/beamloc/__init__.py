@@ -11,8 +11,8 @@ from .activations import ActivationKind
 from .channel import ScenarioProfile, default_profile, generate_fingerprints, preprocess
 from .config import RunConfig
 from .engine import EngineConfig, FloatEngine, InferResult, IntEngine, make_engine
-from .fxp import QTensor, dequantize, quantize
-from .perf import CycleReport, EngineSpec, PerfConfig, pipeline_report, stage_share
+from .fxp import dequantize, quantize
+from .perf import CycleReport, PerfConfig, pipeline_report, stage_share
 from .router import RouterState, route
 from .sparsity import RowMask, SparsityConfig, SparsityStats, build_row_mask, sparsity_stats, threshold_elements
 from .weights import ModelBundle, load_bundle, random_bundle, save_bundle
@@ -23,13 +23,11 @@ __all__ = [
     "ActivationKind",
     "CycleReport",
     "EngineConfig",
-    "EngineSpec",
     "FloatEngine",
     "InferResult",
     "IntEngine",
     "ModelBundle",
     "PerfConfig",
-    "QTensor",
     "RouterState",
     "RowMask",
     "RunConfig",

@@ -76,11 +76,6 @@ def sigmoid_lut(codes: np.ndarray) -> np.ndarray:
     return SIG_TABLE[np.rint(x / 8 + SIG_SIZE // 2).astype(np.intp)]
 
 
-def sigmoid_lut_eval(code: int) -> int:
-    """Scalar LUT lookup, for single Q8.8 values."""
-    return int(sigmoid_lut(np.array([code]))[0])
-
-
 # --------------------------------------------------------------------------
 # Exp LUT for the integer softmax: 1025 samples over [-16, 0], step 1/64,
 # Q1.15 outputs (exp(0) -> 32768 exactly).

@@ -20,8 +20,8 @@ import numpy as np
 from . import channel
 from .activations import ACTIVATION_NAMES, activation_from_name
 from .config import ConfigError, RunConfig, load_config
-from .engine import EngineConfig, FloatEngine, IntEngine
-from .fxp import AccumulatorOverflow, QTensor, quantize_array
+from .engine import EngineConfig, make_engine
+from .fxp import AccumulatorOverflow, quantize_array
 from .perf import mask_for_fraction, pipeline_report, stage_share
 from .router import RouterState
 from .sparsity import SWEEP_COLUMNS, SparsityConfig, sweep
@@ -39,14 +39,15 @@ def _write_json(path, payload: dict) -> None:
         f.write("\n")
 
 
-def _engine_cfg(cfg: RunConfig, engine_kind: str, sparsity: bool) -> EngineConfig:
-    return EngineConfig(
+def _engine(cfg: RunConfig, kind: str, bundle):
+    """The ``kind`` ("int" or "float") engine with the run's settings."""
+    return make_engine(kind, bundle, EngineConfig(
         activation=cfg.activation_kind(),
-        sparsity=dict(cfg.sparsity) if sparsity else None,
+        sparsity=dict(cfg.sparsity) if cfg.sparsity_enabled else None,
         scenario_override=cfg.scenario,
         delay_bin=cfg.delay_bin,
         ffn_residual=cfg.ffn_residual,
-    )
+    ))
 
 
 def _router_state(cfg: RunConfig, bundle) -> RouterState:
@@ -99,16 +100,11 @@ def _run_batch(engine, bundle, cfg, fps):
 def cmd_infer(cfg: RunConfig, args) -> int:
     bundle, fps = _load_inputs(cfg)
     kinds = ("int", "float") if cfg.engine == "both" else (cfg.engine,)
-    engines = {
-        kind: (IntEngine if kind == "int" else FloatEngine)(
-            bundle, _engine_cfg(cfg, kind, cfg.sparsity_enabled)
-        )
-        for kind in kinds
-    }
+    engines = {kind: _engine(cfg, kind, bundle) for kind in kinds}
     runs = {kind: _run_batch(engine, bundle, cfg, fps) for kind, engine in engines.items()}
     primary = runs[kinds[0]]
 
-    akind = cfg.activation_kind() or bundle.activation
+    akind = engines[kinds[0]].activation
     perf_cfg = cfg.perf_config(bundle)
     rows = []
     for i, res in enumerate(primary):
@@ -137,15 +133,12 @@ def _coords_runner(bundle, cfg: RunConfig, fps, engine_kind: str):
     """Closure for sweeps: SparsityConfig | None -> (count, 2) coordinates."""
 
     def run(scfg: SparsityConfig | None):
-        ecfg = EngineConfig(
-            activation=cfg.activation_kind(),
-            sparsity=None if scfg is None else {sc: scfg for sc in SCENARIOS},
-            scenario_override=cfg.scenario,
-            delay_bin=cfg.delay_bin,
-            ffn_residual=cfg.ffn_residual,
-        )
-        engine = (IntEngine if engine_kind == "int" else FloatEngine)(bundle, ecfg)
-        results = _run_batch(engine, bundle, cfg, fps)
+        if scfg is None:
+            cell = dataclasses.replace(cfg, sparsity_enabled=False)
+        else:
+            cell = dataclasses.replace(cfg, sparsity_enabled=True,
+                                       sparsity={sc: scfg for sc in SCENARIOS})
+        results = _run_batch(_engine(cell, engine_kind, bundle), bundle, cfg, fps)
         return np.array([r.coords for r in results])
 
     return run
@@ -161,7 +154,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     # Sparsity statistics match the executed engine's domain: quantized
     # snapshots for the integer engine, floats for the oracle.
     if engine_kind == "int":
-        stat_snapshots = [QTensor(quantize_array(fp)) for fp in fps]
+        stat_snapshots = [quantize_array(fp) for fp in fps]
     else:
         stat_snapshots = list(fps)
     rows = sweep(stat_snapshots, t_elems, t_rowcounts,
@@ -188,21 +181,15 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     bundle, fps = _load_inputs(cfg)
     rungs = []
     prev_coords = None
+    perf_cfg = cfg.perf_config(bundle)
     for rung in ABLATION_LADDER:
-        ecfg = EngineConfig(
-            activation=activation_from_name(rung["activation"]),
-            sparsity=dict(cfg.sparsity) if rung["sparsity"] else None,
-            scenario_override=cfg.scenario,
-            delay_bin=cfg.delay_bin,
-            ffn_residual=cfg.ffn_residual,
-        )
-        engine_cls = IntEngine if rung["engine"] == "int" else FloatEngine
-        results = _run_batch(engine_cls(bundle, ecfg), bundle, cfg, fps)
+        rung_cfg = dataclasses.replace(cfg, activation=rung["activation"],
+                                       sparsity_enabled=rung["sparsity"])
+        engine = _engine(rung_cfg, rung["engine"], bundle)
+        results = _run_batch(engine, bundle, cfg, fps)
         coords = np.array([r.coords for r in results])
-        akind = activation_from_name(rung["activation"])
-        perf_cfg = cfg.perf_config(bundle)
         cycles = [
-            pipeline_report(r.mask, r.scenario, akind, perf_cfg).total_cycles
+            pipeline_report(r.mask, r.scenario, engine.activation, perf_cfg).total_cycles
             for r in results
         ]
         entry = {

@@ -64,17 +64,12 @@ class RunConfig:
         return None if self.activation is None else activation_from_name(self.activation)
 
     def perf_config(self, bundle=None) -> PerfConfig:
-        from .perf import EngineSpec
-
         kwargs = dict(
             div_latency=self.div_latency,
+            pipeline_fill=self.pipeline_fill,
             clock_hz=self.clock_hz,
             c_overhead=self.c_overhead,
             layer_overhead=self.layer_overhead,
-            proj_engine=EngineSpec(46, "input_stationary", self.pipeline_fill),
-            score_engine=EngineSpec(23, "input_stationary", self.pipeline_fill),
-            slp_engine=EngineSpec(32, "output_stationary", self.pipeline_fill),
-            head_engine=EngineSpec(64, "output_stationary", self.pipeline_fill),
         )
         if bundle is not None:
             kwargs.update(n=bundle.n, d=bundle.d, d_ff=bundle.d_ff, d_h=bundle.d_h,

@@ -16,21 +16,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import activations as act
 from .activations import ActivationKind
-from .fxp import (
-    dequantize,
-    dequantize_array,
-    quantize,
-    quantize_array,
-    qmatmul,
-    requantize_array,
-    sat_add,
-)
+from .fxp import dequantize_array, quantize, quantize_array, qmatmul, requantize_array, sat_add
 from .router import RouterState, route
 from .sparsity import RowMask, SparsityConfig, build_row_mask, threshold_elements
 from .weights import ModelBundle, SCENARIOS
@@ -56,11 +48,12 @@ class InferResult:
     coords: np.ndarray  # (2,) float
     mask: RowMask
     logits: np.ndarray
-    trace: dict = field(default_factory=dict)
 
 
 class _EngineBase:
     """Structural flow shared by both engines; numeric primitives differ."""
+
+    is_integer = False
 
     def __init__(self, bundle: ModelBundle, cfg: EngineConfig | None = None):
         self.cfg = cfg or EngineConfig()
@@ -98,9 +91,6 @@ class _EngineBase:
     def activation_op(self, scores):
         raise NotImplementedError
 
-    def threshold(self, mat, t_elem):
-        raise NotImplementedError
-
     def coords_of(self, out):
         raise NotImplementedError
 
@@ -124,7 +114,7 @@ class _EngineBase:
     def head_output(self, a, vh):
         return self.matmul(a, vh)
 
-    def mha(self, x, seg, mask: RowMask | None = None, trace=None):
+    def mha(self, x, seg, mask: RowMask | None = None):
         """Multi-head attention over kept rows with residual pass-through.
 
         Skipped rows bypass every product and emit their input row
@@ -143,35 +133,23 @@ class _EngineBase:
             scores = self.attention_scores(q[:, cols], k[:, cols], seg.gamma)
             weights = self.activation_op(scores)
             heads.append(self.head_output(weights, v[:, cols]))
-            if trace is not None:
-                trace[f"scores{h}"] = scores
-                trace[f"attn{h}"] = weights
-                trace[f"head{h}"] = heads[-1]
         proj = self.matmul(np.concatenate(heads, axis=1), seg.w_o)
         out[kept] = self.residual_add(xk, proj)
-        if trace is not None:
-            trace.update(q=q, k=k, v=v, proj=proj, mha=out.copy(), kept=kept)
         return out
 
-    def ffn(self, x, seg, trace=None):
+    def ffn(self, x, seg):
         h1 = self.relu(self.matmul(x, seg.ffn_w1, seg.ffn_b1))
-        out = self.matmul(h1, seg.ffn_w2, seg.ffn_b2)
-        if trace is not None:
-            trace["ffn_h1"] = h1
-            trace["ffn_out"] = out
-        return out
+        return self.matmul(h1, seg.ffn_w2, seg.ffn_b2)
 
-    def encoder_layer(self, x, seg, mask: RowMask | None = None, trace=None):
-        y = self.mha(x, seg, mask, trace=trace)
+    def encoder_layer(self, x, seg, mask: RowMask | None = None):
+        y = self.mha(x, seg, mask)
         kept = np.flatnonzero(~mask.skip) if mask is not None else np.arange(x.shape[0])
         if kept.size:
-            ffn_out = self.ffn(y[kept], seg, trace=trace)
+            ffn_out = self.ffn(y[kept], seg)
             if self.cfg.ffn_residual:
                 ffn_out = self.residual_add(y[kept], ffn_out)
             y = y.copy()
             y[kept] = ffn_out
-        if trace is not None:
-            trace["layer_out"] = y.copy()
         return y
 
     def maxpool_flatten(self, x):
@@ -184,15 +162,14 @@ class _EngineBase:
         pooled = padded.reshape(n, (d + p) // k, k).max(axis=2)
         return pooled.reshape(-1)
 
-    def fcnn(self, v, params, trace=None):
+    def fcnn(self, v, params):
         h = self.leaky_relu(self.matmul(v.reshape(1, -1), params.w1, params.b1))
-        out = self.matmul(h, params.w2, params.b2)[0]
-        if trace is not None:
-            trace["fcnn_h"] = h[0]
-            trace["fcnn_out"] = out
-        return out
+        return self.matmul(h, params.w2, params.b2)[0]
 
-    def infer(self, fingerprint, state: RouterState | None = None, trace=None) -> InferResult:
+    def threshold(self, mat, t_elem):
+        return threshold_elements(mat, t_elem)
+
+    def infer(self, fingerprint, state: RouterState | None = None) -> InferResult:
         """Route, threshold/mask, run the folded encoder, pool, and regress.
 
         The row mask gates layer-1 computation only.  With a scenario
@@ -220,40 +197,29 @@ class _EngineBase:
             mat = mat0
             mask = RowMask.keep_all(mat0.shape[0])
 
-        if trace is not None:
-            trace.update(input=mat0, thresholded=mat, mask=mask, logits=logits)
-
         y = mat
         for i, seg in enumerate(self.bundle.layers(scenario)):
-            layer_trace = {} if trace is not None else None
-            y = self.encoder_layer(y, seg, mask if i == 0 else None, trace=layer_trace)
-            if trace is not None:
-                trace[f"layer{i + 1}"] = layer_trace
-        vec = self.maxpool_flatten(y)
-        out = self.fcnn(vec, self.bundle.fcnn[scenario], trace=trace)
-        if trace is not None:
-            trace["pooled"] = vec
+            y = self.encoder_layer(y, seg, mask if i == 0 else None)
+        out = self.fcnn(self.maxpool_flatten(y), self.bundle.fcnn[scenario])
         return InferResult(
             scenario=scenario,
             coords=self.coords_of(out),
             mask=mask,
-            logits=np.asarray(dequantize_array(logits) if self.is_integer else logits),
-            trace=trace if trace is not None else {},
+            logits=self.coords_of(logits),
         )
-
-    is_integer = False
 
 
 class FloatEngine(_EngineBase):
     """Float64 oracle; exact activations, unquantized constants."""
 
-    is_integer = False
-
     def _prepare_bundle(self, bundle):
         return bundle.dequantized()
 
     def prepare_input(self, fingerprint):
-        return np.array(fingerprint, dtype=np.float64)
+        x = np.array(fingerprint, dtype=np.float64)
+        if not np.isfinite(x).all():
+            raise ValueError("cannot run the float engine on non-finite values")
+        return x
 
     def matmul(self, x, w, bias=None):
         out = x @ w
@@ -280,9 +246,6 @@ class FloatEngine(_EngineBase):
         if kind == ActivationKind.SIGMOID_BIAS_LUT:
             return act.sigmoid(scores - math.log(self.bundle.n))
         return act.sigmoid_rows_normalized(scores)
-
-    def threshold(self, mat, t_elem):
-        return threshold_elements(mat, t_elem)
 
     def coords_of(self, out):
         return np.asarray(out, dtype=np.float64)
@@ -325,10 +288,6 @@ class IntEngine(_EngineBase):
             biased = scores.astype(np.int32) + act.sigmoid_bias_code(self.bundle.n)
             return act.sigmoid_lut(biased)
         return act.row_normalize_int(act.sigmoid_lut(scores))
-
-    def threshold(self, mat, t_elem):
-        t_code = quantize(t_elem)
-        return np.where(mat < t_code, np.int16(0), mat)
 
     def coords_of(self, out):
         return dequantize_array(out)

@@ -2,8 +2,8 @@
 
 Activations and weights are 16-bit signed codes interpreted as
 ``value = code / 256``.  Multiply-accumulate runs on exact integers at the
-Q16.16 product scale; :func:`requantize` folds an accumulator back to Q8.8
-with round-to-nearest-even and saturation.  Real zero maps to code zero,
+Q16.16 product scale; :func:`requantize_array` folds accumulators back to
+Q8.8 with round-to-nearest-even and saturation.  Real zero maps to code zero,
 which is what makes bit-exact zero detection (and therefore row skipping)
 possible downstream.
 
@@ -31,13 +31,10 @@ computes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 FRAC_BITS = 8
 SCALE = 1 << FRAC_BITS          # 256
-HALF = SCALE >> 1
 CODE_MIN = -(1 << 15)           # -32768
 CODE_MAX = (1 << 15) - 1        # +32767
 VALUE_MIN = CODE_MIN / SCALE    # -128.0
@@ -63,26 +60,6 @@ def quantize(x: float) -> int:
 
 def dequantize(code: int) -> float:
     return code / SCALE
-
-
-def qmac(acc: int, a: int, b: int) -> int:
-    """One exact multiply-accumulate step at Q16.16 scale."""
-    acc = acc + a * b
-    if not ACC_MIN <= acc <= ACC_MAX:
-        raise AccumulatorOverflow(f"accumulator {acc} exceeds {ACC_BITS} bits")
-    return acc
-
-
-def requantize(acc: int) -> int:
-    """Q16.16 accumulator -> Q8.8 code: shift right 8, RNE, saturate."""
-    q, r = divmod(acc, SCALE)  # floor semantics, 0 <= r < 256
-    if r > HALF or (r == HALF and q & 1):
-        q += 1
-    return min(max(q, CODE_MIN), CODE_MAX)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized counterparts used by the integer engine.
 
 
 def quantize_array(x: np.ndarray) -> np.ndarray:
@@ -145,32 +122,3 @@ def sat_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Saturating Q8.8 addition (residual connections)."""
     s = a.astype(np.int32) + b.astype(np.int32)
     return np.clip(s, CODE_MIN, CODE_MAX).astype(np.int16)
-
-
-@dataclass(frozen=True)
-class QTensor:
-    """Shape-tagged matrix of Q8.8 codes, immutable once constructed."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.data.ndim != 2:
-            raise ValueError(f"QTensor requires a 2-D array, got {self.data.ndim}-D")
-        if self.data.dtype != np.int16:
-            raise ValueError(f"QTensor requires int16 codes, got {self.data.dtype}")
-        self.data.setflags(write=False)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @classmethod
-    def from_real(cls, x: np.ndarray) -> "QTensor":
-        return cls(quantize_array(x))
-
-    def to_real(self) -> np.ndarray:
-        return dequantize_array(self.data)

@@ -17,13 +17,13 @@ calibrated runs are self-describing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .activations import ActivationKind
 from .sparsity import RowMask
-from .weights import SCENARIOS
+from .weights import SCENARIOS, SEGMENTS_PER_SCENARIO
 
 STAGES = (
     "slp", "sparsity_detect", "qkv", "scores", "activation",
@@ -32,22 +32,10 @@ STAGES = (
 
 LAYER_STAGES = ("qkv", "scores", "activation", "headmul", "wo", "ffn1", "ffn2")
 
-LAYERS_PER_SCENARIO = {"S1": 1, "S2": 2, "S3": 2}
-
-_ALLOWED_WIDTHS = frozenset({23, 32, 46, 64})
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    width: int
-    dataflow: str  # "input_stationary" | "output_stationary"
-    pipeline_fill: int = 6  # multiplier stage + log2(46)-deep adder tree
-
-    def __post_init__(self):
-        if self.width not in _ALLOWED_WIDTHS:
-            raise ValueError(f"PE width must be one of {sorted(_ALLOWED_WIDTHS)}")
-        if self.dataflow not in ("input_stationary", "output_stationary"):
-            raise ValueError(f"unknown dataflow {self.dataflow!r}")
+# Output-stationary stages retire one operand broadcast per cycle across
+# their lanes: 32 for the router SLP, 64 for the coordinate head.
+SLP_WIDTH = 32
+HEAD_WIDTH = 64
 
 
 @dataclass(frozen=True)
@@ -59,14 +47,11 @@ class PerfConfig:
     pool_k: int = 4
     pool_p: int = 2
     div_latency: int = 16          # integer divider latency per row division
+    pipeline_fill: int = 6         # multiplier stage + log2(46)-deep adder tree
     clock_hz: float = 1e8
     # Calibration constants; fitted values are echoed into every report.
     c_overhead: float = 1.0
     layer_overhead: int = 25000    # per-layer weight streaming + FSM control
-    proj_engine: EngineSpec = field(default_factory=lambda: EngineSpec(46, "input_stationary"))
-    score_engine: EngineSpec = field(default_factory=lambda: EngineSpec(23, "input_stationary"))
-    slp_engine: EngineSpec = field(default_factory=lambda: EngineSpec(32, "output_stationary"))
-    head_engine: EngineSpec = field(default_factory=lambda: EngineSpec(64, "output_stationary"))
 
     @property
     def flattened_len(self) -> int:
@@ -105,15 +90,15 @@ def stage_cycles(stage: str, n_eff: int, cfg: PerfConfig,
     """Cycles for one stage at the given effective row count."""
     if not 0 <= n_eff <= cfg.n:
         raise ValueError(f"n_eff must be in 0..{cfg.n}")
-    fill = cfg.proj_engine.pipeline_fill
+    fill = cfg.pipeline_fill
     if stage == "slp":
-        return (cfg.n * 3) // cfg.slp_engine.width + cfg.slp_engine.pipeline_fill
+        return (cfg.n * 3) // SLP_WIDTH + fill
     if stage == "sparsity_detect":
         return cfg.n  # one row per cycle
     if stage == "qkv":
         return _filled(3 * n_eff * cfg.d, fill)
     if stage == "scores":
-        return _filled(2 * n_eff * n_eff, cfg.score_engine.pipeline_fill)
+        return _filled(2 * n_eff * n_eff, fill)
     if stage == "activation":
         if n_eff == 0:
             return 0
@@ -124,7 +109,7 @@ def stage_cycles(stage: str, n_eff: int, cfg: PerfConfig,
             return n_eff * n_eff + cfg.div_latency * n_eff + fill
         return fill  # element-wise sigmoid overlaps with streaming
     if stage == "headmul":
-        return _filled(2 * n_eff * n_eff, cfg.score_engine.pipeline_fill)
+        return _filled(2 * n_eff * n_eff, fill)
     if stage == "wo":
         return _filled(n_eff * cfg.d, fill)
     if stage == "ffn1":
@@ -134,8 +119,7 @@ def stage_cycles(stage: str, n_eff: int, cfg: PerfConfig,
     if stage == "pool":
         return 0  # overlapped with the coordinate-head weight streaming
     if stage == "fcnn":
-        return ((cfg.flattened_len * cfg.d_h) // cfg.head_engine.width
-                + cfg.d_h * 2 + cfg.head_engine.pipeline_fill)
+        return (cfg.flattened_len * cfg.d_h) // HEAD_WIDTH + cfg.d_h * 2 + fill
     raise ValueError(f"unknown stage {stage!r}")
 
 
@@ -162,7 +146,7 @@ def pipeline_report(mask: RowMask | int, scenario: str,
         stages["slp"] = stage_cycles("slp", first_layer_rows, cfg, activation_kind)
         stages["sparsity_detect"] = stage_cycles("sparsity_detect", first_layer_rows, cfg, activation_kind)
         layer_totals = []
-        n_layers = LAYERS_PER_SCENARIO[scenario]
+        n_layers = len(SEGMENTS_PER_SCENARIO[scenario])
         for layer in range(n_layers):
             rows = first_layer_rows if layer == 0 else cfg.n
             per = _layer_cycles(rows, cfg, activation_kind)

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fxp import QTensor, quantize
+from .fxp import quantize
 
 
 @dataclass(frozen=True)
@@ -65,40 +65,39 @@ class SparsityStats:
     max_row_sparsity: float
 
 
-def threshold_elements(x, t_elem: float):
+def threshold_elements(x: np.ndarray, t_elem: float) -> np.ndarray:
     """Replace every element below the threshold with an exact zero.
 
-    Works on float fingerprints and on QTensors; the integer path compares
-    codes against quantize(t_elem), so detection happens entirely in the
-    quantized domain.
+    int16 Q8.8 codes compare against quantize(t_elem), so the integer path
+    detects entirely in the quantized domain; other arrays compare as reals.
     """
     if t_elem < 0:
         raise ValueError("t_elem must be >= 0")
-    if isinstance(x, QTensor):
-        t_code = quantize(t_elem)
-        return QTensor(np.where(x.data < t_code, np.int16(0), x.data))
     x = np.asarray(x)
+    if x.dtype == np.int16:
+        return np.where(x < quantize(t_elem), np.int16(0), x)
     return np.where(x < t_elem, 0.0, x)
 
 
-def build_row_mask(x, cfg: SparsityConfig) -> RowMask:
+def build_row_mask(x: np.ndarray, cfg: SparsityConfig) -> RowMask:
     """Count exact zeros per row of an already-thresholded matrix."""
-    data = x.data if isinstance(x, QTensor) else np.asarray(x)
-    zero_counts = (data == 0).sum(axis=1).astype(np.int64)
+    zero_counts = (np.asarray(x) == 0).sum(axis=1).astype(np.int64)
     return RowMask(skip=zero_counts > cfg.t_rowcount, zero_counts=zero_counts)
 
 
 def sparsity_stats(snapshots: Sequence[np.ndarray], cfg: SparsityConfig) -> SparsityStats:
-    """Element and row sparsity over a batch, after thresholding."""
+    """Element and row sparsity over a batch, after thresholding.
+
+    Pass int16 codes to measure what the integer engine skips.
+    """
     if len(snapshots) == 0:
         raise ValueError("need at least one snapshot")
     zeros = total = 0
     skip_fractions = []
     for snap in snapshots:
         t = threshold_elements(snap, cfg.t_elem)
-        data = t.data if isinstance(t, QTensor) else t
-        zeros += int((data == 0).sum())
-        total += data.size
+        zeros += int((t == 0).sum())
+        total += t.size
         skip_fractions.append(build_row_mask(t, cfg).skip_fraction)
     return SparsityStats(
         element_sparsity=zeros / total,

@@ -10,6 +10,7 @@ keeping the flag as metadata.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -194,6 +195,7 @@ def random_bundle(
 #   by u32 rows, u32 cols, u8 transposed-flag.
 
 _HEADER = struct.Struct("<4sHBB9H")
+_MATRIX = struct.Struct("<IIB")
 
 
 def _matrix_order(bundle: ModelBundle):
@@ -230,29 +232,42 @@ def save_bundle(path, bundle: ModelBundle) -> None:
                 mat2d = np.array([[quantize(float(mat2d[0, 0]))]], dtype=np.int16)
             stored_t = bundle.transposed.get(name, False)
             stored = mat2d.T if stored_t else mat2d
-            f.write(struct.pack("<IIB", stored.shape[0], stored.shape[1], int(stored_t)))
+            f.write(_MATRIX.pack(stored.shape[0], stored.shape[1], int(stored_t)))
             if bundle.dtype == "float32":
                 f.write(np.ascontiguousarray(stored, dtype="<f4").tobytes())
             else:
                 f.write(np.ascontiguousarray(stored, dtype="<i2").tobytes())
 
 
-def _read_matrix(f, dtype: str):
-    rows, cols, stored_t = struct.unpack("<IIB", f.read(9))
+def _read_matrix(f, dtype: str, size: int):
+    """One matrix; a header or payload past the file's ``size`` bytes raises OSError."""
+    header = f.read(_MATRIX.size)
+    if len(header) != _MATRIX.size:
+        raise OSError(f"{f.name}: truncated bundle, cut inside a matrix header")
+    rows, cols, stored_t = _MATRIX.unpack(header)
     count = rows * cols
+    nbytes = count * (4 if dtype == "float32" else 2)
+    if nbytes > size - f.tell():
+        raise OSError(f"{f.name}: a {rows}x{cols} matrix overruns the bundle's {size} bytes")
     if dtype == "float32":
-        data = np.frombuffer(f.read(count * 4), dtype="<f4", count=count).astype(np.float64)
+        data = np.frombuffer(f.read(nbytes), dtype="<f4", count=count).astype(np.float64)
     else:
-        data = np.frombuffer(f.read(count * 2), dtype="<i2", count=count).astype(np.int16)
+        data = np.frombuffer(f.read(nbytes), dtype="<i2", count=count).astype(np.int16)
     mat = data.reshape(rows, cols)
     return (mat.T.copy() if stored_t else mat), bool(stored_t)
 
 
 def load_bundle(path) -> ModelBundle:
+    """Load a bundle file.
+
+    A truncated file or a forged matrix shape raises OSError before the
+    matrix is allocated; a wrong magic or version raises ValueError.
+    """
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         header = f.read(_HEADER.size)
         if len(header) != _HEADER.size:
-            raise ValueError("truncated bundle header")
+            raise OSError(f"{path}: truncated bundle header")
         (magic, version, dtype_code, act, n, d, heads, d_ff, d_h,
          pool_k, pool_p, delay_bin, window) = _HEADER.unpack(header)
         if magic != BUNDLE_MAGIC:
@@ -264,7 +279,7 @@ def load_bundle(path) -> ModelBundle:
         transposed = {}
 
         def read(name):
-            mat, flag = _read_matrix(f, dtype)
+            mat, flag = _read_matrix(f, dtype, size)
             transposed[name] = flag
             return mat
 

@@ -22,7 +22,7 @@ from beamloc.activations import (
     SIG_TABLE,
     ActivationKind,
 )
-from beamloc.fxp import qmac, requantize, rne_div, sat_add
+from beamloc.fxp import ACC_BITS, ACC_MAX, ACC_MIN, AccumulatorOverflow, rne_div, sat_add
 from beamloc.sparsity import RowMask
 
 EXP_TABLE = activations.EXP_TABLE.astype(np.int64)
@@ -38,6 +38,27 @@ def naive_idft_row(row):
             acc += complex(row[k]) * cmath.exp(2j * cmath.pi * k * t / n)
         out.append(acc / n)
     return out
+
+
+def qmac(acc: int, a: int, b: int) -> int:
+    """One exact multiply-accumulate step at Q16.16 scale."""
+    acc = acc + a * b
+    if not ACC_MIN <= acc <= ACC_MAX:
+        raise AccumulatorOverflow(f"accumulator {acc} exceeds {ACC_BITS} bits")
+    return acc
+
+
+def requantize(acc: int) -> int:
+    """Q16.16 accumulator -> Q8.8 code: shift right 8, RNE, saturate."""
+    q, r = divmod(acc, 256)  # floor semantics, 0 <= r < 256
+    if r > 128 or (r == 128 and q & 1):
+        q += 1
+    return min(max(q, -32768), 32767)
+
+
+def sigmoid_lut_eval(code: int) -> int:
+    """Scalar LUT lookup of the package kernel, for single Q8.8 values."""
+    return int(activations.sigmoid_lut(np.array([code]))[0])
 
 
 def rational_requantize(acc: int) -> int:

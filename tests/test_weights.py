@@ -104,7 +104,7 @@ def test_load_rejects_garbage(tmp_path):
     with pytest.raises(ValueError):
         load_bundle(path)
     path.write_bytes(b"AX")
-    with pytest.raises(ValueError):
+    with pytest.raises(OSError):  # a short file is truncated, whatever its magic
         load_bundle(path)
 
 
