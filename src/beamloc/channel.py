@@ -14,11 +14,14 @@ floor sits under everything.  All randomness is seeded and reproducible.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .config import ConfigError
 
 N_BEAMS = 128
 N_SUBCARRIERS = 46
@@ -47,14 +50,18 @@ class ScenarioProfile:
     seed: int = 0
 
     def __post_init__(self):
+        """Out-of-range settings raise ConfigError, naming the setting."""
         if self.scenario not in PROFILE_DEFAULTS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
+            raise ConfigError(f"unknown scenario {self.scenario!r}")
         if not 1 <= self.dominant_beams <= N_BEAMS:
-            raise ValueError("dominant_beams must be in 1..128")
+            raise ConfigError(f"dominant_beams must be in 1..{N_BEAMS}, got {self.dominant_beams}")
         if not 1 <= self.dominant_delays <= N_SUBCARRIERS:
-            raise ValueError("dominant_delays must be in 1..46")
-        if self.diffuse_floor < 0:
-            raise ValueError("diffuse_floor must be >= 0")
+            raise ConfigError(
+                f"dominant_delays must be in 1..{N_SUBCARRIERS}, got {self.dominant_delays}")
+        if not (math.isfinite(self.diffuse_floor) and self.diffuse_floor >= 0):
+            raise ConfigError(f"diffuse_floor must be finite and >= 0, got {self.diffuse_floor}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def default_profile(scenario: str, seed: int = 0, **overrides) -> ScenarioProfile:
@@ -64,7 +71,19 @@ def default_profile(scenario: str, seed: int = 0, **overrides) -> ScenarioProfil
 
 
 def generate_channel(profile: ScenarioProfile) -> np.ndarray:
-    """One 128x46 complex frequency-domain snapshot, deterministic per seed."""
+    """One 128x46 complex frequency-domain snapshot, deterministic per seed.
+
+    The draws from ``np.random.default_rng(profile.seed)`` come in a fixed
+    order: the 128 lognormal beam gains, the real and then the imaginary
+    128x46 standard normals of the diffuse floor, and the dominant beams
+    (``choice`` without replacement).  Then, for each dominant beam in the
+    order drawn: its row gain, uniform in [0.6, 1.4); its
+    ``m = min(dominant_delays, delay spread)`` distinct taps (one
+    ``choice`` without replacement); and m (amplitude, phase) pairs,
+    amplitude first, uniform in [0.4, 1.0) and [0, 2*pi).  Each tap's term
+    is added to its row one at a time in the order drawn, so the bytes of
+    the result are fixed by the seed.
+    """
     rng = np.random.default_rng(profile.seed)
     beam_gain = rng.lognormal(0.0, _BEAM_GAIN_SIGMA[profile.scenario], size=(N_BEAMS, 1))
     h = profile.diffuse_floor * beam_gain * (
@@ -73,15 +92,28 @@ def generate_channel(profile: ScenarioProfile) -> np.ndarray:
     ) / np.sqrt(2.0)
 
     spread = _DELAY_SPREAD[profile.scenario]
+    m = min(profile.dominant_delays, spread)
     beams = rng.choice(N_BEAMS, size=profile.dominant_beams, replace=False)
+    # The bounded-integer draws of ``choice`` sit between the uniform ones,
+    # so only the draws loop over beams.  ``rng.random`` draws the doubles u
+    # that ``rng.uniform(low, high)`` would, and low + (high - low) * u is
+    # what ``uniform`` computes from them (for the phase, low = 0 adds nothing).
+    u_gain = np.empty(beams.size)
+    taus = np.empty((beams.size, m, 1), dtype=np.int64)
+    u = np.empty((beams.size, m, 2))
+    for i in range(beams.size):
+        u_gain[i] = rng.random()
+        taus[i, :, 0] = rng.choice(spread, size=m, replace=False)
+        rng.random(out=u[i])
+    amp = (0.6 + (1.4 - 0.6) * u_gain)[:, None] * (0.4 + (1.0 - 0.4) * u[..., 0])
+    phase = 2.0 * np.pi * u[..., 1:]
     k = np.arange(N_SUBCARRIERS)
-    for b in beams:
-        row_gain = rng.uniform(0.6, 1.4)
-        taus = rng.choice(spread, size=min(profile.dominant_delays, spread), replace=False)
-        for tau in taus:
-            amp = row_gain * rng.uniform(0.4, 1.0)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            h[b] += amp * np.exp(1j * (phase - 2.0 * np.pi * k * tau / N_SUBCARRIERS))
+    terms = 1j * (phase - 2.0 * np.pi * k * taus / N_SUBCARRIERS)
+    np.exp(terms, out=terms)
+    terms *= amp[..., None]
+    # Tap by tap, not terms.sum(axis=1): pairwise summation changes the bits.
+    for j in range(m):
+        h[beams] += terms[:, j]
     return h
 
 

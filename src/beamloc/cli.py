@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -67,6 +68,8 @@ def _load_inputs(cfg: RunConfig):
 
 
 def cmd_generate(cfg: RunConfig, args) -> int:
+    if args.count < 0:
+        raise ConfigError(f"count must be >= 0, got {args.count}")
     profile = channel.default_profile(
         args.scenario,
         seed=args.seed,
@@ -144,12 +147,24 @@ def _coords_runner(bundle, cfg: RunConfig, fps, engine_kind: str):
     return run
 
 
+def _grid(text: str, flag: str, parse) -> list:
+    """A comma-separated sweep grid; a value ``parse`` rejects is a config error."""
+    try:
+        return [parse(v) for v in text.split(",") if v]
+    except ValueError as e:
+        raise ConfigError(f"{flag}: {e}") from e
+
+
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    bundle, fps = _load_inputs(cfg)
-    t_elems = [float(v) for v in args.t_elem.split(",") if v]
-    t_rowcounts = [int(v) for v in args.t_rowcount.split(",") if v]
+    t_elems = _grid(args.t_elem, "--t-elem", float)
+    t_rowcounts = _grid(args.t_rowcount, "--t-rowcount", int)
     if not t_elems or not t_rowcounts:
         raise ConfigError("sweep grids must be non-empty")
+    if not all(math.isfinite(t) and t >= 0 for t in t_elems):
+        raise ConfigError(f"--t-elem values must be finite and >= 0, got {args.t_elem}")
+    if any(r < 0 for r in t_rowcounts):
+        raise ConfigError(f"--t-rowcount values must be >= 0, got {args.t_rowcount}")
+    bundle, fps = _load_inputs(cfg)
     engine_kind = "int" if cfg.engine == "both" else cfg.engine
     # Sparsity statistics match the executed engine's domain: quantized
     # snapshots for the integer engine, floats for the oracle.

@@ -75,6 +75,8 @@ class ModelBundle:
     def __post_init__(self):
         if self.dtype not in ("float32", "int16"):
             raise ValueError(f"bundle dtype must be float32 or int16, got {self.dtype}")
+        if self.heads < 1 or self.pool_k < 1:
+            raise ValueError(f"heads and pool_k must be >= 1, got {self.heads} and {self.pool_k}")
         if self.d % self.heads != 0:
             raise ValueError("feature width must divide evenly across heads")
         if (self.d + self.pool_p) % self.pool_k != 0:
@@ -261,7 +263,8 @@ def load_bundle(path) -> ModelBundle:
     """Load a bundle file.
 
     A truncated file or a forged matrix shape raises OSError before the
-    matrix is allocated; a wrong magic or version raises ValueError.
+    matrix is allocated, and so do bytes left after the last matrix; a
+    wrong magic, version or dtype code raises ValueError.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -274,6 +277,8 @@ def load_bundle(path) -> ModelBundle:
             raise ValueError(f"not a weight bundle (magic {magic!r})")
         if version != BUNDLE_VERSION:
             raise ValueError(f"unsupported bundle version {version}")
+        if dtype_code not in (0, 1):
+            raise ValueError(f"unknown bundle dtype code {dtype_code}")
         dtype = "float32" if dtype_code == 0 else "int16"
 
         transposed = {}
@@ -291,6 +296,8 @@ def load_bundle(path) -> ModelBundle:
             for m in _SEGMENT_MATS:
                 mat = read(f"{name}.{m}")
                 if m == "gamma":
+                    if mat.shape != (1, 1):
+                        raise OSError(f"{path}: {name}.gamma is {mat.shape}, not one value")
                     g = float(mat[0, 0])
                     vals[m] = g / 256.0 if dtype == "int16" else g
                 elif m.startswith("ffn_b"):
@@ -305,6 +312,8 @@ def load_bundle(path) -> ModelBundle:
                 w1=vals["w1"], b1=vals["b1"].reshape(-1),
                 w2=vals["w2"], b2=vals["b2"].reshape(-1),
             )
+        if f.tell() != size:
+            raise OSError(f"{path}: the matrices end at byte {f.tell()} of the bundle's {size}")
 
     segments = {
         "S1": (flat["S1"],),

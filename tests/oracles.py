@@ -22,6 +22,7 @@ from beamloc.activations import (
     SIG_TABLE,
     ActivationKind,
 )
+from beamloc.channel import _BEAM_GAIN_SIGMA, _DELAY_SPREAD, N_BEAMS, N_SUBCARRIERS
 from beamloc.fxp import ACC_BITS, ACC_MAX, ACC_MIN, AccumulatorOverflow, rne_div, sat_add
 from beamloc.sparsity import RowMask
 
@@ -38,6 +39,28 @@ def naive_idft_row(row):
             acc += complex(row[k]) * cmath.exp(2j * cmath.pi * k * t / n)
         out.append(acc / n)
     return out
+
+
+def generate_channel_loop(profile):
+    """``channel.generate_channel`` as one scalar draw and one row update per tap."""
+    rng = np.random.default_rng(profile.seed)
+    beam_gain = rng.lognormal(0.0, _BEAM_GAIN_SIGMA[profile.scenario], size=(N_BEAMS, 1))
+    h = profile.diffuse_floor * beam_gain * (
+        rng.standard_normal((N_BEAMS, N_SUBCARRIERS))
+        + 1j * rng.standard_normal((N_BEAMS, N_SUBCARRIERS))
+    ) / np.sqrt(2.0)
+
+    spread = _DELAY_SPREAD[profile.scenario]
+    beams = rng.choice(N_BEAMS, size=profile.dominant_beams, replace=False)
+    k = np.arange(N_SUBCARRIERS)
+    for b in beams:
+        row_gain = rng.uniform(0.6, 1.4)
+        taus = rng.choice(spread, size=min(profile.dominant_delays, spread), replace=False)
+        for tau in taus:
+            amp = row_gain * rng.uniform(0.4, 1.0)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            h[b] += amp * np.exp(1j * (phase - 2.0 * np.pi * k * tau / N_SUBCARRIERS))
+    return h
 
 
 def qmac(acc: int, a: int, b: int) -> int:

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from beamloc import channel
+from beamloc.config import ConfigError
 from beamloc.sparsity import SparsityConfig, sparsity_stats
-from oracles import naive_idft_row
+from oracles import generate_channel_loop, naive_idft_row
 
 
 def test_profile_validation():
@@ -15,6 +20,11 @@ def test_profile_validation():
         channel.ScenarioProfile("S1", 1, 47, 0.0)
     with pytest.raises(ValueError):
         channel.ScenarioProfile("S1", 1, 1, -0.1)
+    for floor in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="diffuse_floor"):
+            channel.ScenarioProfile("S1", 1, 1, floor)
+    with pytest.raises(ConfigError, match="seed"):
+        channel.ScenarioProfile("S1", 1, 1, 0.0, seed=-1)
 
 
 def test_generation_deterministic():
@@ -37,6 +47,30 @@ def test_dominant_rows_carry_power():
     row_power = np.square(fp).sum(axis=1)
     top4 = np.sort(row_power)[-4:].sum()
     assert top4 / row_power.sum() >= 0.90
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scenario=st.sampled_from(sorted(channel.PROFILE_DEFAULTS)),
+    seed=st.one_of(st.integers(0, 2**16), st.integers(2**32 - 2, 2**64)),
+    dominant_beams=st.integers(1, channel.N_BEAMS),
+    dominant_delays=st.integers(1, channel.N_SUBCARRIERS),
+    diffuse_floor=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+)
+def test_generate_channel_matches_loop_bytes(scenario, seed, dominant_beams,
+                                             dominant_delays, diffuse_floor):
+    p = channel.ScenarioProfile(scenario, dominant_beams, dominant_delays, diffuse_floor, seed)
+    assert channel.generate_channel(p).tobytes() == generate_channel_loop(p).tobytes()
+
+
+@pytest.mark.parametrize("scenario", sorted(channel.PROFILE_DEFAULTS))
+def test_fingerprint_file_matches_loop_bytes(tmp_path, scenario):
+    profile = channel.default_profile(scenario, seed=4242)
+    channel.write_fingerprints(tmp_path / "fast.bdfp", channel.generate_fingerprints(profile, 3))
+    loop = [channel.preprocess(generate_channel_loop(replace(profile, seed=profile.seed + i)))
+            for i in range(3)]
+    channel.write_fingerprints(tmp_path / "loop.bdfp", np.array(loop))
+    assert (tmp_path / "fast.bdfp").read_bytes() == (tmp_path / "loop.bdfp").read_bytes()
 
 
 def test_hann_window_shape():
@@ -128,6 +162,41 @@ def test_empty_fingerprint_file(tmp_path):
     path = tmp_path / "empty.bdfp"
     channel.write_fingerprints(path, np.zeros((0, 128, 46)))
     assert channel.read_fingerprints(path).shape == (0, 128, 46)
+
+
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _fuzz_read(path, data):
+    """read_fingerprints on ``data``: an array, ValueError or OSError, nothing else."""
+    path.write_bytes(data)
+    try:
+        channel.read_fingerprints(path)
+    except (ValueError, OSError):
+        pass
+
+
+@FUZZ
+@given(data=st.binary(max_size=64), keep_magic=st.booleans())
+def test_read_fuzz_arbitrary_bytes(tmp_path, data, keep_magic):
+    _fuzz_read(tmp_path / "fuzz.bdfp", (b"BDFP" if keep_magic else b"") + data)
+
+
+@FUZZ
+@given(count=st.integers(0, 2), cut=st.none() | st.floats(0.0, 1.0),
+       edits=st.lists(st.tuples(st.integers(0, 11) | st.integers(0, 1 << 16),
+                                st.integers(0, 255)), max_size=4))
+def test_read_fuzz_damaged_file(tmp_path, count, cut, edits):
+    # Small offsets hit the magic, the count and the first values.
+    path = tmp_path / "fuzz.bdfp"
+    channel.write_fingerprints(path, np.ones((count, 128, 46)))
+    data = bytearray(path.read_bytes())
+    for where, value in edits:
+        data[where % len(data)] = value
+    if cut is not None:
+        data = data[:round(cut * len(data))]
+    _fuzz_read(path, bytes(data))
 
 
 def test_csv_export(tmp_path):

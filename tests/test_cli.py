@@ -153,3 +153,67 @@ def test_sweep_statistics_match_the_engine_domain(inputs, tmp_path):
             stats = sparsity_stats(stat_snapshots, cfg)
             assert float(row["row_sparsity"]) == stats.row_sparsity
             assert float(row["element_sparsity"]) == stats.element_sparsity
+
+
+def test_bundle_with_trailing_bytes_is_an_io_error(inputs, tmp_path, capsys):
+    bundle, fps = inputs
+    path = tmp_path / "long.axlw"
+    path.write_bytes(bundle.read_bytes() + b"\x00")
+    assert _infer(path, fps, tmp_path / "out.json") == cli.EXIT_IO
+    assert "matrices end at byte" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix", ["S1.w_q", "FCNN_S3.b2"])
+def test_forged_smaller_bundle_row_count_is_an_io_error(inputs, tmp_path, capsys, matrix):
+    bundle, fps = inputs
+    forged = bytearray(bundle.read_bytes())
+    if matrix == "S1.w_q":  # after the router's 3x128 weights and 1x3 bias
+        offset, shape = FIRST_MATRIX + 3 * 128 * 4 + 9 + 3 * 4, (46, 46)
+    else:  # the last matrix, a 1x2 float32 bias
+        offset, shape = len(forged) - 9 - 2 * 4, (1, 2)
+    assert struct.unpack_from("<II", forged, offset) == shape
+    struct.pack_into("<I", forged, offset, shape[0] - 1)
+    path = tmp_path / "forged.axlw"
+    path.write_bytes(bytes(forged))
+    assert _infer(path, fps, tmp_path / "out.json") == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error")
+    if matrix == "FCNN_S3.b2":
+        assert "matrices end at byte" in err
+
+
+@pytest.mark.parametrize("flags, setting", [
+    (["--diffuse-floor", "nan"], "diffuse_floor"),
+    (["--diffuse-floor", "inf"], "diffuse_floor"),
+    (["--diffuse-floor", "-0.5"], "diffuse_floor"),
+    (["--dominant-beams", "0"], "dominant_beams"),
+    (["--dominant-beams", "129"], "dominant_beams"),
+    (["--dominant-delays", "0"], "dominant_delays"),
+    (["--dominant-delays", "47"], "dominant_delays"),
+    (["--count", "-1"], "count"),
+    (["--seed", "-1"], "seed"),
+])
+def test_bad_generator_setting_is_a_config_error(tmp_path, capsys, flags, setting):
+    out = tmp_path / "caps.bdfp"
+    assert cli.main(["generate", "--count", "2", "--out", str(out), *flags]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and setting in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, setting", [
+    (["--t-elem=-1"], "--t-elem"),
+    (["--t-elem", "abc"], "--t-elem"),
+    (["--t-elem", "nan"], "--t-elem"),
+    (["--t-elem", "0.01,inf"], "--t-elem"),
+    (["--t-rowcount=-3"], "--t-rowcount"),
+    (["--t-rowcount", "8,x"], "--t-rowcount"),
+])
+def test_bad_sweep_grid_is_a_config_error(inputs, tmp_path, capsys, flags, setting):
+    bundle, fps = inputs
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--bundle", str(bundle), "--fingerprints", str(fps),
+                     "--scenario", "S1", "--out", str(out), *flags]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and setting in err
+    assert not out.exists()

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from beamloc.activations import ActivationKind
 from beamloc.fxp import dequantize, quantize
@@ -119,3 +123,95 @@ def test_bundle_validation(full_bundle):
         dataclasses.replace(full_bundle, pool_k=5)
     with pytest.raises(ValueError):
         dataclasses.replace(full_bundle, dtype="int8")
+
+
+@pytest.fixture(scope="module")
+def toy_files(tmp_path_factory, toy_bundle):
+    """The toy bundle's file bytes, float (False) and quantized (True)."""
+    root = tmp_path_factory.mktemp("toy")
+    files = {}
+    for quantized in (False, True):
+        save_bundle(root / "toy.axlw", toy_bundle.quantized() if quantized else toy_bundle)
+        files[quantized] = (root / "toy.axlw").read_bytes()
+    return files
+
+
+def _fuzz_load(path, data):
+    """load_bundle on ``data``: a bundle, ValueError or OSError, nothing else."""
+    path.write_bytes(data)
+    try:
+        load_bundle(path)
+    except (ValueError, OSError):
+        pass
+
+
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(data=st.binary(max_size=200), keep_header=st.booleans())
+def test_load_fuzz_arbitrary_bytes(tmp_path, toy_files, data, keep_header):
+    # With keep_header the bytes follow a valid file header, so the matrix
+    # reader sees them.
+    head = toy_files[False][:26] if keep_header else b""
+    _fuzz_load(tmp_path / "fuzz.axlw", head + data)
+
+
+def _matrix_headers(data):
+    """Offsets of the (rows, cols, transposed) headers of a well-formed bundle."""
+    offsets, pos = [], 26
+    item = 4 if data[6] == 0 else 2
+    while pos < len(data):
+        offsets.append(pos)
+        rows, cols, _ = struct.unpack_from("<IIB", data, pos)
+        pos += 9 + rows * cols * item
+    return offsets
+
+
+DIM = st.one_of(st.integers(0, 70), st.integers(0, 2**32 - 1))
+
+
+@FUZZ
+@given(quantized=st.booleans(), cut=st.none() | st.floats(0.0, 1.0),
+       edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=3),
+       header=st.lists(st.tuples(st.integers(0, 10), st.integers(0, 3) | st.integers(0, 65535)),
+                       max_size=2),
+       shapes=st.lists(st.tuples(st.integers(0, 58), DIM, DIM), max_size=2))
+def test_load_fuzz_damaged_file(tmp_path, toy_files, quantized, cut, edits, header, shapes):
+    # Forged matrix shapes, forged header fields (dtype and activation
+    # bytes, then the nine u16 sizes) and byte edits anywhere.
+    data = bytearray(toy_files[quantized])
+    offsets = _matrix_headers(data)
+    assert len(offsets) == 2 + 5 * 9 + 3 * 4  # router, five segments, three heads
+    for index, rows, cols in shapes:
+        struct.pack_into("<II", data, offsets[index], rows, cols)
+    for field, value in header:
+        if field < 2:
+            data[6 + field] = value & 0xFF
+        else:
+            struct.pack_into("<H", data, 8 + 2 * (field - 2), value)
+    for where, value in edits:
+        data[where % len(data)] = value
+    if cut is not None:
+        data = data[:round(cut * len(data))]
+    _fuzz_load(tmp_path / "fuzz.axlw", bytes(data))
+
+
+@pytest.mark.parametrize("offset, value, error", [
+    (6, b"\x05", ValueError),         # dtype code
+    (12, b"\x00\x00", ValueError),    # heads
+    (18, b"\x00\x00", ValueError),    # pool_k
+    ("gamma", struct.pack("<II", 0, 0), OSError),
+    ("gamma", struct.pack("<II", 1, 0), OSError),
+])
+def test_load_rejects_forged_header_values(tmp_path, toy_files, offset, value, error):
+    data = bytearray(toy_files[False])
+    if offset == "gamma":  # S1.gamma follows slp_w, slp_b, w_q, w_k, w_v and w_o
+        offset = _matrix_headers(data)[6]
+        assert struct.unpack_from("<II", data, offset) == (1, 1)
+    data[offset:offset + len(value)] = value
+    path = tmp_path / "forged.axlw"
+    path.write_bytes(bytes(data))
+    with pytest.raises(error):
+        load_bundle(path)
