@@ -25,7 +25,7 @@ from .engine import EngineConfig, make_engine
 from .fxp import AccumulatorOverflow, quantize_array
 from .perf import mask_for_fraction, pipeline_report, stage_share
 from .router import RouterState
-from .sparsity import SWEEP_COLUMNS, SparsityConfig, sweep
+from .sparsity import SWEEP_COLUMNS, SparsityConfig, output_deviation, sweep
 from .weights import SCENARIOS, load_bundle
 
 EXIT_OK = 0
@@ -60,6 +60,8 @@ def _load_inputs(cfg: RunConfig):
     if cfg.bundle is None or cfg.fingerprints is None:
         raise ConfigError("this command requires --bundle and --fingerprints")
     bundle = load_bundle(cfg.bundle)
+    if cfg.delay_bin is not None and cfg.delay_bin >= bundle.d:
+        raise ConfigError(f"delay_bin must be below the bundle's d = {bundle.d}, got {cfg.delay_bin}")
     fps = channel.read_fingerprints(cfg.fingerprints)
     return bundle, fps
 
@@ -216,11 +218,7 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
             "mean_row_sparsity": float(np.mean([r.mask.skip_fraction for r in results])),
         }
         if prev_coords is not None:
-            diff = coords - prev_coords
-            base = np.sqrt(np.mean(np.square(prev_coords)))
-            entry["deviation_vs_previous"] = float(
-                np.sqrt(np.mean(np.square(diff))) / base if base > 0 else np.sqrt(np.mean(np.square(diff)))
-            )
+            entry["deviation_vs_previous"] = output_deviation(coords, prev_coords)
             entry["cycle_delta_vs_previous"] = entry["mean_cycles"] - rungs[-1]["mean_cycles"]
         prev_coords = coords
         rungs.append(entry)
@@ -230,7 +228,9 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
 
 
 def cmd_perf(cfg: RunConfig, args) -> int:
-    fractions = [float(v) for v in args.fractions.split(",") if v]
+    fractions = _grid(args.fractions, "--fractions", float)
+    if not all(0 <= f <= 1 for f in fractions):
+        raise ConfigError(f"--fractions values must be in [0, 1], got {args.fractions}")
     scenario = cfg.scenario or "S1"
     akind = cfg.activation_kind()
     if akind is None:
@@ -276,7 +276,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--router-window", type=int)
     p.add_argument("--delay-bin", type=int)
     p.add_argument("--ffn-residual", action="store_true")
-    p.add_argument("--seed", type=int)
     p.add_argument("--clock-hz", type=float)
     p.add_argument("--div-latency", type=int)
     p.add_argument("--pipeline-fill", type=int)
@@ -286,7 +285,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 _OVERRIDE_FIELDS = (
     "bundle", "fingerprints", "engine", "scenario", "activation", "router_window",
-    "delay_bin", "seed", "clock_hz", "div_latency", "pipeline_fill",
+    "delay_bin", "clock_hz", "div_latency", "pipeline_fill",
     "c_overhead", "layer_overhead",
 )
 

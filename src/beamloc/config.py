@@ -9,7 +9,8 @@ uses the quantization-constrained threshold with zero count 28).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field
 
 from .activations import ACTIVATION_NAMES, ActivationKind, activation_from_name
 from .perf import PerfConfig
@@ -29,6 +30,14 @@ DEFAULT_SPARSITY = {
 _ENGINES = ("float", "int", "both")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     bundle: str | None = None
@@ -39,9 +48,8 @@ class RunConfig:
     sparsity_enabled: bool = True
     sparsity: dict = field(default_factory=lambda: dict(DEFAULT_SPARSITY))
     router_window: int | None = None
-    delay_bin: int | None = None
+    delay_bin: int | None = None         # checked against the bundle's d on load
     ffn_residual: bool = False
-    seed: int = 0
     clock_hz: float = 1e8
     div_latency: int = 16
     pipeline_fill: int = 6
@@ -55,10 +63,21 @@ class RunConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.activation is not None and self.activation not in ACTIVATION_NAMES.values():
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.clock_hz <= 0:
-            raise ConfigError("clock_hz must be positive")
-        if self.router_window is not None and self.router_window < 1:
-            raise ConfigError("router_window must be at least 1")
+        for name in ("bundle", "fingerprints"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a path, got {getattr(self, name)!r}")
+        for name in ("sparsity_enabled", "ffn_residual"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name, low in (("router_window", 1), ("delay_bin", 0), ("div_latency", 0),
+                          ("pipeline_fill", 0), ("layer_overhead", 0)):
+            value = getattr(self, name)
+            if value is not None and not (_is_int(value) and value >= low):
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("clock_hz", "c_overhead"):
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be a finite number above 0, got {value!r}")
 
     def activation_kind(self) -> ActivationKind | None:
         return None if self.activation is None else activation_from_name(self.activation)
@@ -88,17 +107,30 @@ class RunConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+def _sparsity_from_dict(raw) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"sparsity must map scenarios to thresholds, got {raw!r}")
+    parsed = {}
+    for sc, v in raw.items():
+        if sc not in DEFAULT_SPARSITY:
+            raise ConfigError(f"sparsity: unknown scenario {sc!r}")
+        if not isinstance(v, dict) or set(v) != {"t_elem", "t_rowcount"}:
+            raise ConfigError(f"sparsity.{sc} must hold exactly t_elem and t_rowcount, got {v!r}")
+        if not (_is_number(v["t_elem"]) and _is_int(v["t_rowcount"])):
+            raise ConfigError(f"sparsity.{sc} needs a number t_elem and an integer t_rowcount, "
+                              f"got {v!r}")
+        try:
+            parsed[sc] = SparsityConfig(t_elem=float(v["t_elem"]), t_rowcount=v["t_rowcount"])
+        except ValueError as e:
+            raise ConfigError(f"sparsity.{sc}: {e}") from e
+    return parsed
+
+
 def config_from_dict(data: dict) -> RunConfig:
     data = dict(data)
-    raw_sparsity = data.pop("sparsity", None)
-    cfg = RunConfig(**data)
-    if raw_sparsity is not None:
-        parsed = {
-            sc: SparsityConfig(t_elem=float(v["t_elem"]), t_rowcount=int(v["t_rowcount"]))
-            for sc, v in raw_sparsity.items()
-        }
-        cfg = replace(cfg, sparsity=parsed)
-    return cfg
+    if "sparsity" in data:
+        data["sparsity"] = _sparsity_from_dict(data["sparsity"])
+    return RunConfig(**data)
 
 
 def load_config(path) -> RunConfig:

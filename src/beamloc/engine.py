@@ -186,8 +186,6 @@ class _EngineBase:
             if state is None:
                 state = RouterState.create(self.bundle.router_window)
             scenario = route(state, np.asarray(logits, dtype=np.float64))
-        if scenario not in self.bundle.segments:
-            raise ValueError(f"bundle has no segments for scenario {scenario}")
 
         scfg = self.cfg.sparsity_for(scenario)
         if scfg is not None:

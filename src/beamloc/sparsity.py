@@ -8,6 +8,7 @@ survive; a row with exactly ``t_rowcount`` zeros is kept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,8 +23,8 @@ class SparsityConfig:
     t_rowcount: int
 
     def __post_init__(self):
-        if self.t_elem < 0:
-            raise ValueError("t_elem must be >= 0")
+        if not (math.isfinite(self.t_elem) and self.t_elem >= 0):
+            raise ValueError(f"t_elem must be finite and >= 0, got {self.t_elem}")
         if self.t_rowcount < 0:
             raise ValueError("t_rowcount must be >= 0")
 

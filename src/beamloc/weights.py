@@ -2,17 +2,19 @@
 
 A bundle holds the scenario router (SLP), five encoder segments (one for
 the single-layer scenario, two each for the deeper ones), and one
-coordinate head per scenario.  Files carry either float32 values (oracle
-bundles) or int16 Q8.8 codes (integer bundles); selected matrices may be
-stored transposed for column-wise access, which the loader undoes while
-keeping the flag as metadata.
+coordinate head per scenario.  ``_SHAPES`` declares every parameter's
+shape once; the generator, the quantized and float views, the writer and
+the loader all follow it.  Files carry either float32 values (oracle
+bundles) or int16 Q8.8 codes (integer bundles).  The writer stores the
+attention projections transposed for column-wise access; the loader undoes
+whatever transpose a file's flags record.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,34 +25,33 @@ BUNDLE_MAGIC = b"AXLW"
 BUNDLE_VERSION = 1
 
 SCENARIOS = ("S1", "S2", "S3")
-SEGMENT_ORDER = ("S1", "S21", "S22", "S31", "S32")
 SEGMENTS_PER_SCENARIO = {"S1": ("S1",), "S2": ("S21", "S22"), "S3": ("S31", "S32")}
 
-_SEGMENT_MATS = ("w_q", "w_k", "w_v", "w_o", "gamma", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")
-_HEAD_MATS = ("w1", "b1", "w2", "b2")
+# The sizes a file header carries, in order.
+_SIZES = ("n", "d", "heads", "d_ff", "d_h", "pool_k", "pool_p", "delay_bin", "router_window")
 # Stored transposed to support column-wise streaming access.
-_TRANSPOSED_BY_DEFAULT = ("w_q", "w_k", "w_v", "w_o")
+_STORED_TRANSPOSED = ("w_q", "w_k", "w_v", "w_o")
 
 
 @dataclass(frozen=True)
 class EncoderSegment:
-    w_q: np.ndarray   # (d, d)
+    w_q: np.ndarray
     w_k: np.ndarray
     w_v: np.ndarray
     w_o: np.ndarray
     gamma: float      # per-layer score scale, folded with 1/sqrt(d_k)
-    ffn_w1: np.ndarray  # (d, d_ff)
-    ffn_b1: np.ndarray  # (d_ff,)
-    ffn_w2: np.ndarray  # (d_ff, d)
-    ffn_b2: np.ndarray  # (d,)
+    ffn_w1: np.ndarray
+    ffn_b1: np.ndarray
+    ffn_w2: np.ndarray
+    ffn_b2: np.ndarray
 
 
 @dataclass(frozen=True)
 class HeadParams:
-    w1: np.ndarray  # (flattened, d_h)
-    b1: np.ndarray  # (d_h,)
-    w2: np.ndarray  # (d_h, 2)
-    b2: np.ndarray  # (2,)
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,10 @@ class ModelBundle:
     delay_bin: int
     router_window: int
     dtype: str  # "float32" | "int16"
-    slp_w: np.ndarray  # (3, n)
-    slp_b: np.ndarray  # (3,)
+    slp_w: np.ndarray
+    slp_b: np.ndarray
     segments: dict
     fcnn: dict
-    transposed: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dtype not in ("float32", "int16"):
@@ -105,24 +105,14 @@ class ModelBundle:
         return self.segments[scenario]
 
     def _convert(self, fn, gamma_fn, dtype: str) -> "ModelBundle":
-        segments = {
-            sc: tuple(
-                EncoderSegment(
-                    w_q=fn(seg.w_q), w_k=fn(seg.w_k), w_v=fn(seg.w_v), w_o=fn(seg.w_o),
-                    gamma=gamma_fn(seg.gamma),
-                    ffn_w1=fn(seg.ffn_w1), ffn_b1=fn(seg.ffn_b1),
-                    ffn_w2=fn(seg.ffn_w2), ffn_b2=fn(seg.ffn_b2),
-                )
-                for seg in segs
-            )
-            for sc, segs in self.segments.items()
-        }
-        fcnn = {
-            sc: HeadParams(w1=fn(h.w1), b1=fn(h.b1), w2=fn(h.w2), b2=fn(h.b2))
-            for sc, h in self.fcnn.items()
-        }
-        return replace(self, dtype=dtype, slp_w=fn(self.slp_w), slp_b=fn(self.slp_b),
-                       segments=segments, fcnn=fcnn)
+        def convert(obj):
+            return {name: fn(getattr(obj, name)) if shape else gamma_fn(getattr(obj, name))
+                    for name, shape in _SHAPES[type(obj)].items()}
+
+        segments = {sc: tuple(EncoderSegment(**convert(seg)) for seg in segs)
+                    for sc, segs in self.segments.items()}
+        fcnn = {sc: HeadParams(**convert(head)) for sc, head in self.fcnn.items()}
+        return replace(self, dtype=dtype, segments=segments, fcnn=fcnn, **convert(self))
 
     def quantized(self) -> "ModelBundle":
         """Q8.8 view of a float bundle (identity on int bundles)."""
@@ -135,6 +125,32 @@ class ModelBundle:
         if self.dtype == "float32":
             return self
         return self._convert(dequantize_array, lambda g: g, "float32")
+
+
+# Every learned parameter's shape in ModelBundle size names (an int is a
+# fixed size), grouped by the dataclass that holds it.  Files store the
+# groups in this order: the router, each segment in SEGMENTS_PER_SCENARIO
+# order, then the heads in SCENARIOS order.  The generator draws the
+# segments, then the heads, then the router.
+_SHAPES = {
+    ModelBundle: {"slp_w": (3, "n"), "slp_b": (3,)},
+    EncoderSegment: {
+        "w_q": ("d", "d"), "w_k": ("d", "d"), "w_v": ("d", "d"), "w_o": ("d", "d"),
+        "gamma": (),
+        "ffn_w1": ("d", "d_ff"), "ffn_b1": ("d_ff",), "ffn_w2": ("d_ff", "d"), "ffn_b2": ("d",),
+    },
+    HeadParams: {"w1": ("flattened_len", "d_h"), "b1": ("d_h",), "w2": ("d_h", 2), "b2": (2,)},
+}
+
+
+def _resolve(sizes: dict) -> dict:
+    """``_SHAPES`` with every size name replaced by its value under ``sizes``."""
+    if sizes["pool_k"] < 1:
+        raise ValueError(f"pool_k must be >= 1, got {sizes['pool_k']}")
+    dims = {**sizes, "flattened_len": sizes["n"] * (sizes["d"] + sizes["pool_p"]) // sizes["pool_k"]}
+    return {cls: {name: tuple(dims[s] if isinstance(s, str) else s for s in shape)
+                  for name, shape in table.items()}
+            for cls, table in _SHAPES.items()}
 
 
 def random_bundle(
@@ -158,91 +174,62 @@ def random_bundle(
     float bundle is byte-exact.
     """
     rng = np.random.default_rng(seed)
+    sizes = dict(n=n, d=d, heads=heads, d_ff=d_ff, d_h=d_h, pool_k=pool_k, pool_p=pool_p,
+                 delay_bin=delay_bin, router_window=router_window)
+    shapes = _resolve(sizes)
 
-    def mat(*shape):
-        return rng.uniform(-scale, scale, size=shape).astype(np.float32).astype(np.float64)
+    def draw(cls):
+        out = {}
+        for name, shape in shapes[cls].items():
+            x = rng.uniform(-scale, scale, size=shape).astype(np.float32).astype(np.float64)
+            out[name] = x if shape else float(x)
+        return out
 
-    def segment():
-        return EncoderSegment(
-            w_q=mat(d, d), w_k=mat(d, d), w_v=mat(d, d), w_o=mat(d, d),
-            gamma=float(np.float32(rng.uniform(-scale, scale))),
-            ffn_w1=mat(d, d_ff), ffn_b1=mat(d_ff),
-            ffn_w2=mat(d_ff, d), ffn_b2=mat(d),
-        )
-
-    flattened = n * (d + pool_p) // pool_k
-    segments = {sc: tuple(segment() for _ in SEGMENTS_PER_SCENARIO[sc]) for sc in SCENARIOS}
-    fcnn = {
-        sc: HeadParams(w1=mat(flattened, d_h), b1=mat(d_h), w2=mat(d_h, 2), b2=mat(2))
-        for sc in SCENARIOS
-    }
-    transposed = {}
-    for name in SEGMENT_ORDER:
-        for m in _SEGMENT_MATS:
-            transposed[f"{name}.{m}"] = m in _TRANSPOSED_BY_DEFAULT
-    return ModelBundle(
-        n=n, d=d, heads=heads, d_ff=d_ff, d_h=d_h, pool_k=pool_k, pool_p=pool_p,
-        activation=activation, delay_bin=delay_bin, router_window=router_window,
-        dtype="float32", slp_w=mat(3, n), slp_b=mat(3),
-        segments=segments, fcnn=fcnn, transposed=transposed,
-    )
+    segments = {sc: tuple(EncoderSegment(**draw(EncoderSegment)) for _ in SEGMENTS_PER_SCENARIO[sc])
+                for sc in SCENARIOS}
+    fcnn = {sc: HeadParams(**draw(HeadParams)) for sc in SCENARIOS}
+    return ModelBundle(**sizes, activation=activation, dtype="float32",
+                       segments=segments, fcnn=fcnn, **draw(ModelBundle))
 
 
 # --------------------------------------------------------------------------
 # Binary format (little-endian):
 #   magic "AXLW", u16 version, u8 dtype (0 = float32, 1 = int16),
-#   u8 activation kind, u16 x 9: n, d, heads, d_ff, d_h, pool_k, pool_p,
-#   delay_bin, router_window; then matrices in the fixed order
-#   SLP, S1, S21, S22, S31, S32, FCNN_S1, FCNN_S2, FCNN_S3, each prefixed
-#   by u32 rows, u32 cols, u8 transposed-flag.
+#   u8 activation kind, u16 x 9: the _SIZES; then every parameter in
+#   _SHAPES file order, each prefixed by u32 rows, u32 cols, u8 transposed
+#   flag.  A vector is one row and gamma a 1x1 matrix (its Q8.8 code in
+#   int16 files).  The writer sets the flag on _STORED_TRANSPOSED and
+#   stores those matrices transposed; the loader undoes any flagged matrix.
 
 _HEADER = struct.Struct("<4sHBB9H")
 _MATRIX = struct.Struct("<IIB")
 
 
-def _matrix_order(bundle: ModelBundle):
-    yield "slp_w", bundle.slp_w
-    yield "slp_b", bundle.slp_b
-    flat_segments = dict(zip(SEGMENT_ORDER[:1], bundle.segments["S1"]))
-    flat_segments.update(zip(("S21", "S22"), bundle.segments["S2"]))
-    flat_segments.update(zip(("S31", "S32"), bundle.segments["S3"]))
-    for name in SEGMENT_ORDER:
-        seg = flat_segments[name]
-        for m in _SEGMENT_MATS:
-            value = getattr(seg, m)
-            if m == "gamma":
-                value = np.array([[value]], dtype=np.float64)
-            yield f"{name}.{m}", value
-    for sc in SCENARIOS:
-        head = bundle.fcnn[sc]
-        for m in _HEAD_MATS:
-            yield f"FCNN_{sc}.{m}", getattr(head, m)
-
-
 def save_bundle(path, bundle: ModelBundle) -> None:
+    """Write ``bundle``, storing the _STORED_TRANSPOSED matrices transposed."""
+    int16 = bundle.dtype == "int16"
+    groups = [bundle, *(seg for sc in SCENARIOS for seg in bundle.segments[sc]),
+              *(bundle.fcnn[sc] for sc in SCENARIOS)]
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(
-            BUNDLE_MAGIC, BUNDLE_VERSION,
-            0 if bundle.dtype == "float32" else 1,
-            int(bundle.activation),
-            bundle.n, bundle.d, bundle.heads, bundle.d_ff, bundle.d_h,
-            bundle.pool_k, bundle.pool_p, bundle.delay_bin, bundle.router_window,
-        ))
-        for name, value in _matrix_order(bundle):
-            mat2d = np.atleast_2d(np.asarray(value))
-            if name.endswith(".gamma") and bundle.dtype == "int16":
-                mat2d = np.array([[quantize(float(mat2d[0, 0]))]], dtype=np.int16)
-            stored_t = bundle.transposed.get(name, False)
-            stored = mat2d.T if stored_t else mat2d
-            f.write(_MATRIX.pack(stored.shape[0], stored.shape[1], int(stored_t)))
-            if bundle.dtype == "float32":
-                f.write(np.ascontiguousarray(stored, dtype="<f4").tobytes())
-            else:
-                f.write(np.ascontiguousarray(stored, dtype="<i2").tobytes())
+        f.write(_HEADER.pack(BUNDLE_MAGIC, BUNDLE_VERSION, int(int16), int(bundle.activation),
+                             *(getattr(bundle, s) for s in _SIZES)))
+        for obj in groups:
+            for name, shape in _SHAPES[type(obj)].items():
+                value = getattr(obj, name)
+                if not shape and int16:
+                    value = quantize(value)
+                stored_t = name in _STORED_TRANSPOSED
+                mat = np.atleast_2d(value).T if stored_t else np.atleast_2d(value)
+                f.write(_MATRIX.pack(mat.shape[0], mat.shape[1], stored_t))
+                f.write(np.ascontiguousarray(mat, dtype="<i2" if int16 else "<f4").tobytes())
 
 
-def _read_matrix(f, dtype: str, size: int):
-    """One matrix; a header or payload past the file's ``size`` bytes raises OSError."""
+def _read_matrix(f, dtype: str, size: int, name: str, shape: tuple):
+    """The parameter ``name`` of the given shape, read from ``f``.
+
+    A header or payload past the file's ``size`` bytes raises OSError, and
+    so does a matrix whose shape, once untransposed, is not ``shape``.
+    """
     header = f.read(_MATRIX.size)
     if len(header) != _MATRIX.size:
         raise OSError(f"{f.name}: truncated bundle, cut inside a matrix header")
@@ -251,28 +238,37 @@ def _read_matrix(f, dtype: str, size: int):
     nbytes = count * (4 if dtype == "float32" else 2)
     if nbytes > size - f.tell():
         raise OSError(f"{f.name}: a {rows}x{cols} matrix overruns the bundle's {size} bytes")
+    got = (cols, rows) if stored_t else (rows, cols)
+    want = (1,) * (2 - len(shape)) + shape
+    if got != want:
+        raise OSError(f"{f.name}: {name} is a {got[0]}x{got[1]} matrix "
+                      f"where the header's sizes give {want}")
     if dtype == "float32":
         data = np.frombuffer(f.read(nbytes), dtype="<f4", count=count).astype(np.float64)
     else:
         data = np.frombuffer(f.read(nbytes), dtype="<i2", count=count).astype(np.int16)
     mat = data.reshape(rows, cols)
-    return (mat.T.copy() if stored_t else mat), bool(stored_t)
+    if stored_t:
+        mat = mat.T.copy()
+    if not shape:  # gamma
+        return dequantize(float(mat[0, 0])) if dtype == "int16" else float(mat[0, 0])
+    return mat.reshape(shape)
 
 
 def load_bundle(path) -> ModelBundle:
     """Load a bundle file.
 
-    A truncated file or a forged matrix shape raises OSError before the
-    matrix is allocated, and so do bytes left after the last matrix; a
-    wrong magic, version or dtype code raises ValueError.
+    A truncated file, a matrix whose shape disagrees with the header's
+    sizes, or bytes left after the last matrix raise OSError before the
+    matrix is allocated; a wrong magic, version or dtype code, or a header
+    ``heads`` or ``pool_k`` below 1, raises ValueError.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         header = f.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise OSError(f"{path}: truncated bundle header")
-        (magic, version, dtype_code, act, n, d, heads, d_ff, d_h,
-         pool_k, pool_p, delay_bin, window) = _HEADER.unpack(header)
+        magic, version, dtype_code, act, *values = _HEADER.unpack(header)
         if magic != BUNDLE_MAGIC:
             raise ValueError(f"not a weight bundle (magic {magic!r})")
         if version != BUNDLE_VERSION:
@@ -280,49 +276,19 @@ def load_bundle(path) -> ModelBundle:
         if dtype_code not in (0, 1):
             raise ValueError(f"unknown bundle dtype code {dtype_code}")
         dtype = "float32" if dtype_code == 0 else "int16"
+        sizes = dict(zip(_SIZES, values))
+        shapes = _resolve(sizes)
 
-        transposed = {}
+        def read(cls, prefix=""):
+            return {name: _read_matrix(f, dtype, size, prefix + name, shape)
+                    for name, shape in shapes[cls].items()}
 
-        def read(name):
-            mat, flag = _read_matrix(f, dtype, size)
-            transposed[name] = flag
-            return mat
-
-        slp_w = read("slp_w")
-        slp_b = read("slp_b").reshape(-1)
-        flat = {}
-        for name in SEGMENT_ORDER:
-            vals = {}
-            for m in _SEGMENT_MATS:
-                mat = read(f"{name}.{m}")
-                if m == "gamma":
-                    if mat.shape != (1, 1):
-                        raise OSError(f"{path}: {name}.gamma is {mat.shape}, not one value")
-                    g = float(mat[0, 0])
-                    vals[m] = g / 256.0 if dtype == "int16" else g
-                elif m.startswith("ffn_b"):
-                    vals[m] = mat.reshape(-1)
-                else:
-                    vals[m] = mat
-            flat[name] = EncoderSegment(**vals)
-        fcnn = {}
-        for sc in SCENARIOS:
-            vals = {m: read(f"FCNN_{sc}.{m}") for m in _HEAD_MATS}
-            fcnn[sc] = HeadParams(
-                w1=vals["w1"], b1=vals["b1"].reshape(-1),
-                w2=vals["w2"], b2=vals["b2"].reshape(-1),
-            )
+        router = read(ModelBundle)
+        segments = {sc: tuple(EncoderSegment(**read(EncoderSegment, f"{seg}."))
+                              for seg in SEGMENTS_PER_SCENARIO[sc])
+                    for sc in SCENARIOS}
+        fcnn = {sc: HeadParams(**read(HeadParams, f"FCNN_{sc}.")) for sc in SCENARIOS}
         if f.tell() != size:
             raise OSError(f"{path}: the matrices end at byte {f.tell()} of the bundle's {size}")
-
-    segments = {
-        "S1": (flat["S1"],),
-        "S2": (flat["S21"], flat["S22"]),
-        "S3": (flat["S31"], flat["S32"]),
-    }
-    return ModelBundle(
-        n=n, d=d, heads=heads, d_ff=d_ff, d_h=d_h, pool_k=pool_k, pool_p=pool_p,
-        activation=ActivationKind(act), delay_bin=delay_bin, router_window=window,
-        dtype=dtype, slp_w=slp_w, slp_b=slp_b, segments=segments, fcnn=fcnn,
-        transposed=transposed,
-    )
+    return ModelBundle(**sizes, activation=ActivationKind(act), dtype=dtype,
+                       segments=segments, fcnn=fcnn, **router)

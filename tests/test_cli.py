@@ -179,7 +179,21 @@ def test_forged_smaller_bundle_row_count_is_an_io_error(inputs, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("i/o error")
     if matrix == "FCNN_S3.b2":
-        assert "matrices end at byte" in err
+        assert "FCNN_S3.b2 is a 0x2 matrix where the header's sizes give (1, 2)" in err
+
+
+def test_forged_bundle_size_is_an_io_error(inputs, tmp_path, capsys):
+    bundle, fps = inputs
+    forged = bytearray(bundle.read_bytes())
+    d_h = 8 + 2 * 4  # the fifth u16 size: n, d, heads, d_ff, d_h
+    assert struct.unpack_from("<H", forged, d_h) == (64,)
+    struct.pack_into("<H", forged, d_h, 32)
+    path = tmp_path / "forged.axlw"
+    path.write_bytes(bytes(forged))
+    assert _infer(path, fps, tmp_path / "out.json") == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "FCNN_S1.w1 is a 1536x64 matrix where the header's sizes give (1536, 32)" in err
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("flags, setting", [
@@ -217,3 +231,72 @@ def test_bad_sweep_grid_is_a_config_error(inputs, tmp_path, capsys, flags, setti
     err = capsys.readouterr().err
     assert err.startswith("config error") and setting in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, setting", [
+    (["--clock-hz", "0"], "clock_hz"),
+    (["--clock-hz", "nan"], "clock_hz"),
+    (["--clock-hz", "inf"], "clock_hz"),
+    (["--c-overhead=-1"], "c_overhead"),
+    (["--c-overhead", "nan"], "c_overhead"),
+    (["--div-latency=-50"], "div_latency"),
+    (["--pipeline-fill=-1000"], "pipeline_fill"),
+    (["--layer-overhead=-100000"], "layer_overhead"),
+    (["--fractions", "abc"], "--fractions"),
+    (["--fractions", "0,2"], "--fractions"),
+    (["--fractions", "nan"], "--fractions"),
+])
+def test_bad_perf_setting_is_a_config_error(tmp_path, capsys, flags, setting):
+    out = tmp_path / "perf.json"
+    assert cli.main(["perf", "--out", str(out), *flags]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and setting in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delay_bin", ["46", "99", "-1"])
+def test_bad_delay_bin_is_a_config_error(inputs, tmp_path, capsys, delay_bin):
+    bundle, fps = inputs
+    out = tmp_path / "out.json"
+    assert _infer(bundle, fps, out, f"--delay-bin={delay_bin}") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "delay_bin" in err
+    assert not out.exists()
+    assert _infer(bundle, fps, out, "--delay-bin=45") == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("fields, setting", [
+    ({"sparsity": {"S1": {"t_elem": float("nan"), "t_rowcount": 41}}}, "t_elem"),
+    ({"sparsity": {"S1": {"t_elem": 0.039}}}, "t_rowcount"),
+    ({"sparsity": {"S1": {"t_elem": 0.039, "t_rowcount": 2.5}}}, "t_rowcount"),
+    ({"sparsity": [1]}, "sparsity"),
+    ({"sparsity": {"S9": {"t_elem": 0.1, "t_rowcount": 3}}}, "S9"),
+    ({"sparsity_enabled": "no"}, "sparsity_enabled"),
+    ({"router_window": 2.5}, "router_window"),
+    ({"pipeline_fill": 2.5}, "pipeline_fill"),
+    ({"clock_hz": "fast"}, "clock_hz"),
+    ({"seed": 0}, "seed"),
+    ({"bundle": 5}, "bundle"),
+])
+def test_bad_config_file_is_a_config_error(tmp_path, capsys, fields, setting):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(fields))
+    assert cli.main(["show-config", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and setting in err
+
+
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--engine", "both", "--scenario", "S2", "--activation", "softmax-int", "--no-sparsity",
+     "--router-window", "5", "--delay-bin", "3", "--ffn-residual", "--clock-hz", "2e8",
+     "--div-latency", "8", "--pipeline-fill", "3", "--c-overhead", "1.5",
+     "--layer-overhead", "100"],
+])
+def test_show_config_round_trips_through_a_config_file(tmp_path, capsys, flags):
+    assert cli.main(["show-config", *flags]) == cli.EXIT_OK
+    shown = capsys.readouterr().out
+    path = tmp_path / "run.json"
+    path.write_text(shown)
+    assert cli.main(["show-config", "--config", str(path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == shown

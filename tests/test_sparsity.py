@@ -147,6 +147,9 @@ def test_config_validation():
         SparsityConfig(-0.1, 0)
     with pytest.raises(ValueError):
         SparsityConfig(0.1, -1)
+    for t_elem in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t_elem"):
+            SparsityConfig(t_elem, 0)
 
 
 def test_keep_all_mask():

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -79,8 +80,10 @@ def test_file_roundtrip_float(tmp_path, toy_bundle):
                 assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
             assert sa.gamma == pytest.approx(sb.gamma)
         assert np.array_equal(back.fcnn[sc].w1, toy_bundle.fcnn[sc].w1)
-    assert back.transposed["S1.w_q"] is True
-    assert back.transposed["S1.ffn_w1"] is False
+    # The four projections of every segment are stored transposed.
+    data = path.read_bytes()
+    flags = [data[offset + 8] for offset in _matrix_headers(data)]
+    assert flags == [0, 0] + [1, 1, 1, 1, 0, 0, 0, 0, 0] * 5 + [0] * 12
 
 
 def test_file_roundtrip_int(tmp_path, toy_bundle):
@@ -100,6 +103,23 @@ def test_file_rewrite_is_byte_identical(tmp_path, toy_bundle):
     save_bundle(p2, toy_bundle)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes()[:4] == b"AXLW"
+
+
+# save_bundle(random_bundle(seed=7)) and its quantized() view: (bytes, SHA-256).
+SEED7_FILES = {
+    False: (1473341, "12d38f20643cdc052c6fc00ae5478db3d21b611e76809331e20bb98030c5583d"),
+    True: (736949, "0e8f76d2ccd2b4d46db96c0a9c89289917bd11f6422e7b1713da37a44fb19f78"),
+}
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_seed7_bundle_bytes_are_pinned(tmp_path, full_bundle, quantized):
+    path, again = tmp_path / "b.axlw", tmp_path / "again.axlw"
+    save_bundle(path, full_bundle.quantized() if quantized else full_bundle)
+    data = path.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == SEED7_FILES[quantized]
+    save_bundle(again, load_bundle(path))
+    assert again.read_bytes() == data
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -215,3 +235,49 @@ def test_load_rejects_forged_header_values(tmp_path, toy_files, offset, value, e
     path.write_bytes(bytes(data))
     with pytest.raises(error):
         load_bundle(path)
+
+
+SIZE_OFFSETS = {name: 8 + 2 * i for i, name in enumerate(
+    ("n", "d", "heads", "d_ff", "d_h", "pool_k", "pool_p", "delay_bin", "router_window"))}
+
+
+@pytest.mark.parametrize("size, value, matrix", [
+    ("n", 9, "slp_w"),              # the toy bundle: n 8, d 4, d_ff 6, d_h 5, pool 2 + 0
+    ("d", 6, "S1.w_q"),
+    ("d_ff", 7, "S1.ffn_w1"),
+    ("d_h", 4, "FCNN_S1.w1"),
+    ("pool_k", 4, "FCNN_S1.w1"),
+    ("pool_p", 2, "FCNN_S1.w1"),
+])
+@pytest.mark.parametrize("quantized", [False, True])
+def test_load_checks_shapes_against_header_sizes(tmp_path, toy_files, size, value, matrix, quantized):
+    data = bytearray(toy_files[quantized])
+    struct.pack_into("<H", data, SIZE_OFFSETS[size], value)
+    path = tmp_path / "forged.axlw"
+    path.write_bytes(bytes(data))
+    with pytest.raises(OSError, match=f"{matrix} is a .* where the header's sizes give"):
+        load_bundle(path)
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_load_honours_a_stored_transpose_flag(tmp_path, toy_bundle, toy_files, quantized):
+    # Rewrite S1.ffn_w1 (the eighth matrix) transposed, with its flag set.
+    data = toy_files[quantized]
+    offset = _matrix_headers(data)[7]
+    rows, cols, flag = struct.unpack_from("<IIB", data, offset)
+    assert (rows, cols, flag) == (toy_bundle.d, toy_bundle.d_ff, 0)
+    item = "<f4" if not quantized else "<i2"
+    end = offset + 9 + rows * cols * np.dtype(item).itemsize
+    payload = np.frombuffer(data[offset + 9:end], dtype=item).reshape(rows, cols)
+    path = tmp_path / "t.axlw"
+    path.write_bytes(data[:offset] + struct.pack("<IIB", cols, rows, 1)
+                     + np.ascontiguousarray(payload.T).tobytes() + data[end:])
+    (tmp_path / "plain.axlw").write_bytes(data)
+    plain, back = load_bundle(tmp_path / "plain.axlw"), load_bundle(path)
+    for sc in SCENARIOS:
+        for sa, sb in zip(back.segments[sc], plain.segments[sc]):
+            for name in ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2"):
+                assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
+                assert getattr(sa, name).dtype == getattr(sb, name).dtype
+            assert sa.gamma == sb.gamma
+    assert back.segments["S1"][0].ffn_w1.shape == (toy_bundle.d, toy_bundle.d_ff)
