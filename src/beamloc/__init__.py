@@ -14,7 +14,7 @@ from .engine import EngineConfig, FloatEngine, InferResult, IntEngine, make_engi
 from .fxp import dequantize, quantize
 from .perf import CycleReport, PerfConfig, pipeline_report, stage_share
 from .router import RouterState, route
-from .sparsity import RowMask, SparsityConfig, SparsityStats, build_row_mask, sparsity_stats, threshold_elements
+from .sparsity import RowMask, SparsityConfig, build_row_mask, sparsity_stats, threshold_elements
 from .weights import ModelBundle, load_bundle, random_bundle, save_bundle
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ __all__ = [
     "RunConfig",
     "ScenarioProfile",
     "SparsityConfig",
-    "SparsityStats",
     "build_row_mask",
     "default_profile",
     "dequantize",

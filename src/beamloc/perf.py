@@ -17,9 +17,8 @@ calibrated runs are self-describing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
-
-import numpy as np
 
 from .activations import ActivationKind
 from .sparsity import RowMask
@@ -38,6 +37,14 @@ SLP_WIDTH = 32
 HEAD_WIDTH = 64
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 @dataclass(frozen=True)
 class PerfConfig:
     n: int = 128
@@ -52,6 +59,22 @@ class PerfConfig:
     # Calibration constants; fitted values are echoed into every report.
     c_overhead: float = 1.0
     layer_overhead: int = 25000    # per-layer weight streaming + FSM control
+
+    def __post_init__(self):
+        for name in ("div_latency", "pipeline_fill", "layer_overhead"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        for name in ("clock_hz", "c_overhead"):
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
+        # Every report divides by its total.  The smallest is S1 with no rows
+        # kept, one layer doing no work; its compute rounds half to even.
+        floor = sum(stage_cycles(s, 0, self) for s in ("slp", "sparsity_detect", "fcnn"))
+        if self.layer_overhead == 0 and floor * self.c_overhead <= 0.5:
+            raise ValueError(f"c_overhead = {self.c_overhead} and layer_overhead = "
+                             f"{self.layer_overhead} round the smallest pipeline to 0 cycles")
 
     @property
     def flattened_len(self) -> int:
@@ -191,14 +214,3 @@ def stage_share(report: CycleReport) -> dict:
     fcnn = s["slp"] + s["sparsity_detect"] + s["pool"] + s["fcnn"]
     total = report.compute_cycles
     return {"mha": mha / total, "ffn": ffn / total, "fcnn": fcnn / total}
-
-
-def mask_for_fraction(fraction: float, n: int = 128) -> RowMask:
-    """Synthetic mask with round(fraction * n) rows skipped."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    n_skip = int(round(fraction * n))
-    skip = np.zeros(n, dtype=bool)
-    skip[:n_skip] = True
-    zc = np.where(skip, n, 0).astype(np.int64)
-    return RowMask(skip=skip, zero_counts=zc)

@@ -10,7 +10,7 @@ cannot flap the selection.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ N_CLASSES = len(SCENARIOS)
 
 @dataclass
 class RouterState:
-    window: deque = field(default_factory=lambda: deque(maxlen=15))
+    window: deque
     current: int = 0  # index into SCENARIOS
 
     @classmethod

@@ -1,4 +1,4 @@
-"""Element thresholding, row-skip masks, sparsity statistics, and sweeps.
+"""Element thresholding, row-skip masks and sparsity statistics.
 
 Threshold relations are strict, exactly as the control logic applies them:
 an element is zeroed when ``x < t_elem`` and a row is skipped when its
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,13 +59,6 @@ class RowMask:
         return cls(np.zeros(n_rows, dtype=bool), np.zeros(n_rows, dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class SparsityStats:
-    element_sparsity: float
-    row_sparsity: float
-    max_row_sparsity: float
-
-
 def threshold_elements(x: np.ndarray, t_elem: float) -> np.ndarray:
     """Replace every element below the threshold with an exact zero.
 
@@ -86,41 +79,21 @@ def build_row_mask(x: np.ndarray, cfg: SparsityConfig) -> RowMask:
     return RowMask(skip=zero_counts > cfg.t_rowcount, zero_counts=zero_counts)
 
 
-def sparsity_stats(snapshots: Sequence[np.ndarray], cfg: SparsityConfig) -> SparsityStats:
-    """Element and row sparsity over a batch, after thresholding.
+def sparsity_stats(masks: Sequence[RowMask], width: int) -> dict:
+    """Element and row sparsity of a batch, read from the row masks it ran with.
 
-    Pass int16 codes to measure what the integer engine skips.
+    A mask's zero counts are the exact zeros of its thresholded rows, each
+    ``width`` long, in the domain the engine thresholded: codes or reals.
     """
-    if len(snapshots) == 0:
-        raise ValueError("need at least one snapshot")
-    zeros = total = 0
-    skip_fractions = []
-    for snap in snapshots:
-        t = threshold_elements(snap, cfg.t_elem)
-        zeros += int((t == 0).sum())
-        total += t.size
-        skip_fractions.append(build_row_mask(t, cfg).skip_fraction)
-    return SparsityStats(
-        element_sparsity=zeros / total,
-        row_sparsity=float(np.mean(skip_fractions)),
-        max_row_sparsity=float(np.max(skip_fractions)),
-    )
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    t_elem: float
-    t_rowcount: int
-    element_sparsity: float
-    row_sparsity: float
-    max_row_sparsity: float
-    output_deviation: float
-
-
-SWEEP_COLUMNS = (
-    "t_elem", "t_rowcount", "element_sparsity", "row_sparsity",
-    "max_row_sparsity", "output_deviation",
-)
+    if len(masks) == 0:
+        raise ValueError("need at least one mask")
+    zeros = sum(int(m.zero_counts.sum()) for m in masks)
+    skip_fractions = [m.skip_fraction for m in masks]
+    return {
+        "element_sparsity": zeros / (sum(m.n_rows for m in masks) * width),
+        "row_sparsity": float(np.mean(skip_fractions)),
+        "max_row_sparsity": float(np.max(skip_fractions)),
+    }
 
 
 def _rms(x: np.ndarray) -> float:
@@ -132,34 +105,3 @@ def output_deviation(coords: np.ndarray, baseline: np.ndarray) -> float:
     dev = _rms(coords - baseline)
     ref = _rms(baseline)
     return dev / ref if ref > 0 else dev
-
-
-def sweep(
-    snapshots: Sequence[np.ndarray],
-    t_elem_grid: Sequence[float],
-    t_rowcount_grid: Sequence[int],
-    run_engine: Callable[[SparsityConfig | None], np.ndarray],
-) -> list[SweepRow]:
-    """Grid sweep of (t_elem, t_rowcount) against an unmasked baseline.
-
-    ``run_engine(cfg)`` must return predicted (x, y) coordinates of shape
-    (len(snapshots), 2); cfg=None means no thresholding and no masking.
-    """
-    if len(t_elem_grid) == 0 or len(t_rowcount_grid) == 0:
-        raise ValueError("sweep grids must be non-empty")
-    baseline = np.asarray(run_engine(None))
-    rows = []
-    for t_elem in t_elem_grid:
-        for t_rowcount in t_rowcount_grid:
-            cfg = SparsityConfig(t_elem=float(t_elem), t_rowcount=int(t_rowcount))
-            stats = sparsity_stats(snapshots, cfg)
-            coords = np.asarray(run_engine(cfg))
-            rows.append(SweepRow(
-                t_elem=float(t_elem),
-                t_rowcount=int(t_rowcount),
-                element_sparsity=stats.element_sparsity,
-                row_sparsity=stats.row_sparsity,
-                max_row_sparsity=stats.max_row_sparsity,
-                output_deviation=output_deviation(coords, baseline),
-            ))
-    return rows

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from beamloc import channel
 from beamloc.config import ConfigError
-from beamloc.sparsity import SparsityConfig, sparsity_stats
+from beamloc.sparsity import SparsityConfig, build_row_mask, sparsity_stats, threshold_elements
 from oracles import generate_channel_loop, naive_idft_row
 
 
@@ -214,6 +214,7 @@ def test_scenario_element_sparsity_ordering():
     cfg = SparsityConfig(t_elem=0.02, t_rowcount=28)
     s1 = channel.generate_fingerprints(channel.default_profile("S1", seed=3), 6)
     s3 = channel.generate_fingerprints(channel.default_profile("S3", seed=3), 6)
-    st1 = sparsity_stats(list(s1), cfg)
-    st3 = sparsity_stats(list(s3), cfg)
-    assert st1.element_sparsity > st3.element_sparsity
+    st1, st3 = (
+        sparsity_stats([build_row_mask(threshold_elements(s, cfg.t_elem), cfg) for s in snaps], 46)
+        for snaps in (s1, s3))
+    assert st1["element_sparsity"] > st3["element_sparsity"]

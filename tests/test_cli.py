@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import struct
 
@@ -9,9 +10,8 @@ from beamloc import channel, cli
 from beamloc.activations import activation_from_name
 from beamloc.config import DEFAULT_SPARSITY, RunConfig
 from beamloc.engine import EngineConfig, make_engine
-from beamloc.fxp import quantize_array
+from beamloc.fxp import quantize, quantize_array
 from beamloc.perf import pipeline_report
-from beamloc.sparsity import SparsityConfig, sparsity_stats
 from beamloc.weights import load_bundle, random_bundle, save_bundle
 
 
@@ -132,27 +132,76 @@ def test_ablate_rungs_follow_the_ladder(inputs, tmp_path):
             pipeline_report(m, "S1", kind, perf_cfg).total_cycles for m in masks]
 
 
-def _sweep_rows(bundle, fps, out, engine):
+def _sweep_rows(bundle, fps, out, engine, *flags):
     assert cli.main(["sweep", "--bundle", str(bundle), "--fingerprints", str(fps),
-                     "--engine", engine, "--scenario", "S1", "--t-elem", "0.01,0.1",
-                     "--t-rowcount", "8,40", "--out", str(out)]) == cli.EXIT_OK
+                     "--engine", engine, "--scenario", "S1", *flags,
+                     "--out", str(out)]) == cli.EXIT_OK
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# config: ")
     return list(csv.DictReader(lines[1:]))
 
 
 def test_sweep_statistics_match_the_engine_domain(inputs, tmp_path):
+    # An independent recount: the integer engine thresholds Q8.8 codes
+    # against the quantized cutoff, the float oracle float64 amplitudes.
     bundle, fps = inputs
     snapshots = channel.read_fingerprints(fps)
-    domains = {"float": list(snapshots), "int": [quantize_array(fp) for fp in snapshots]}
-    for engine, stat_snapshots in domains.items():
-        rows = _sweep_rows(bundle, fps, tmp_path / f"{engine}.csv", engine)
+    domains = {
+        "float": (list(snapshots), lambda t_elem: t_elem),
+        "int": ([quantize_array(fp) for fp in snapshots], quantize),
+    }
+    for engine, (values, cutoff) in domains.items():
+        rows = _sweep_rows(bundle, fps, tmp_path / f"{engine}.csv", engine,
+                           "--t-elem", "0.01,0.1", "--t-rowcount", "8,40")
         assert len(rows) == 4
         for row in rows:
-            cfg = SparsityConfig(float(row["t_elem"]), int(row["t_rowcount"]))
-            stats = sparsity_stats(stat_snapshots, cfg)
-            assert float(row["row_sparsity"]) == stats.row_sparsity
-            assert float(row["element_sparsity"]) == stats.element_sparsity
+            t_elem, t_rowcount = float(row["t_elem"]), int(row["t_rowcount"])
+            zeros = [(v < cutoff(t_elem)) | (v == 0) for v in values]
+            skipped = [float(np.mean(z.sum(axis=1) > t_rowcount)) for z in zeros]
+            assert float(row["element_sparsity"]) == \
+                sum(int(z.sum()) for z in zeros) / sum(z.size for z in zeros)
+            assert float(row["row_sparsity"]) == float(np.mean(skipped))
+            assert float(row["max_row_sparsity"]) == max(skipped)
+
+
+@pytest.mark.parametrize("engine", ["int", "float"])
+def test_sweep_cell_that_masks_nothing_has_no_deviation(inputs, tmp_path, engine):
+    bundle, fps = inputs
+    row, = _sweep_rows(bundle, fps, tmp_path / "sweep.csv", engine,
+                       "--t-elem", "0", "--t-rowcount", "46")
+    assert float(row["row_sparsity"]) == 0.0
+    assert float(row["output_deviation"]) == 0.0
+
+
+def test_sweep_writes_one_row_per_grid_cell(inputs, tmp_path):
+    bundle, fps = inputs
+    rows = _sweep_rows(bundle, fps, tmp_path / "sweep.csv", "int",
+                       "--t-elem", "0,0.5", "--t-rowcount", "0,8,46")
+    assert [(r["t_elem"], r["t_rowcount"]) for r in rows] == [
+        (t, c) for t in ("0.0", "0.5") for c in ("0", "8", "46")]
+    assert list(rows[0]) == ["t_elem", "t_rowcount", "element_sparsity", "row_sparsity",
+                             "max_row_sparsity", "output_deviation"]
+
+
+# SHA-256 of whole sweep CSVs, config line included, on the module's inputs
+# with relative paths.  The statistics columns are exact; the float engine's
+# output_deviation also depends on the BLAS build's float64 summation order.
+SWEEP_CSV_SHA256 = {
+    "int": "3c71a06d26c8428d4e1da999a1b9e0dcf141eef2dc2cbe05b74b9f0eeb192578",
+    "float": "6f34e0255f54eb0cf91b561b53380d1db25f8cd1a987bec620b57eb221c98ca2",
+    "int --scenario S3": "d4f1e8137d9d2ab414154b0f6c7dc02cf430c803fc3927a686e68d3c8b81b608",
+    "float --scenario S3": "fb20e9cb4388bb635bd0d34fd8ed50576bbe571b3ebfc67a896f0ee82cf4910c",
+}
+
+
+@pytest.mark.parametrize("flags", list(SWEEP_CSV_SHA256))
+def test_sweep_csv_bytes_are_pinned(inputs, tmp_path, monkeypatch, flags):
+    bundle, fps = inputs
+    monkeypatch.chdir(bundle.parent)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--bundle", bundle.name, "--fingerprints", fps.name,
+                     "--engine", *flags.split(), "--out", str(out)]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_CSV_SHA256[flags]
 
 
 def test_bundle_with_trailing_bytes_is_an_io_error(inputs, tmp_path, capsys):
@@ -222,6 +271,7 @@ def test_bad_generator_setting_is_a_config_error(tmp_path, capsys, flags, settin
     (["--t-elem", "0.01,inf"], "--t-elem"),
     (["--t-rowcount=-3"], "--t-rowcount"),
     (["--t-rowcount", "8,x"], "--t-rowcount"),
+    (["--t-rowcount", ","], "--t-rowcount"),
 ])
 def test_bad_sweep_grid_is_a_config_error(inputs, tmp_path, capsys, flags, setting):
     bundle, fps = inputs
@@ -245,6 +295,7 @@ def test_bad_sweep_grid_is_a_config_error(inputs, tmp_path, capsys, flags, setti
     (["--fractions", "abc"], "--fractions"),
     (["--fractions", "0,2"], "--fractions"),
     (["--fractions", "nan"], "--fractions"),
+    (["--c-overhead", "1e-9", "--layer-overhead", "0"], "c_overhead = 1e-09 and layer_overhead = 0"),
 ])
 def test_bad_perf_setting_is_a_config_error(tmp_path, capsys, flags, setting):
     out = tmp_path / "perf.json"

@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from beamloc.activations import ActivationKind
 from beamloc.config import RunConfig
-from beamloc.perf import LAYER_STAGES, mask_for_fraction, pipeline_report, stage_cycles, stage_share
+from beamloc.perf import LAYER_STAGES, PerfConfig, pipeline_report, stage_cycles, stage_share
+from beamloc.weights import SCENARIOS
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +22,8 @@ def perf_cfg():
     ("S3", ActivationKind.SIGMOID_NORM_LUT, 0.5, 213820, 1.3801),
 ])
 def test_pinned_cycle_counts(perf_cfg, scenario, kind, fraction, cycles, speedup):
-    report = pipeline_report(mask_for_fraction(fraction, perf_cfg.n), scenario, kind, perf_cfg)
+    n_kept = perf_cfg.n - int(round(fraction * perf_cfg.n))
+    report = pipeline_report(n_kept, scenario, kind, perf_cfg)
     assert report.total_cycles == cycles
     assert report.speedup_vs_dense == pytest.approx(speedup, abs=5e-5)
 
@@ -44,7 +48,7 @@ def test_stage_without_work_pays_no_fill(perf_cfg):
 def test_stage_shares_sum_to_one(perf_cfg):
     for scenario in ("S1", "S2", "S3"):
         for fraction in (0.0, 0.5, 1.0):
-            report = pipeline_report(mask_for_fraction(fraction), scenario,
+            report = pipeline_report(128 - int(round(fraction * 128)), scenario,
                                      ActivationKind.SOFTMAX_INT, perf_cfg)
             assert math.isclose(sum(stage_share(report).values()), 1.0)
 
@@ -59,3 +63,52 @@ def test_invalid_inputs_rejected(perf_cfg):
             stage_cycles("qkv", n_eff, perf_cfg)
         with pytest.raises(ValueError):
             pipeline_report(n_eff, "S1", ActivationKind.SIGMOID_LUT, perf_cfg)
+
+
+@pytest.mark.parametrize("kwargs, setting", [
+    ({"clock_hz": 0}, "clock_hz"),
+    ({"clock_hz": float("inf")}, "clock_hz"),
+    ({"c_overhead": -1.0}, "c_overhead"),
+    ({"c_overhead": "1"}, "c_overhead"),
+    ({"div_latency": -1}, "div_latency"),
+    ({"pipeline_fill": 2.5}, "pipeline_fill"),
+    ({"layer_overhead": True}, "layer_overhead"),
+    ({"c_overhead": 0.5 / 1816, "layer_overhead": 0}, "c_overhead = .* and layer_overhead = 0"),
+])
+def test_bad_perf_config_rejected(kwargs, setting):
+    with pytest.raises(ValueError, match=setting):
+        PerfConfig(**kwargs)
+
+
+def test_smallest_pipeline_may_take_one_cycle():
+    # S1 with no rows kept computes 1816 cycles; 0.5 / 1816 rounds to 0
+    cfg = PerfConfig(c_overhead=0.51 / 1816, layer_overhead=0)
+    assert pipeline_report(0, "S1", ActivationKind.SIGMOID_LUT, cfg).total_cycles == 1
+
+
+@st.composite
+def perf_configs(draw):
+    """Any valid PerfConfig; a draw that rounds a pipeline to 0 cycles is invalid."""
+    try:
+        return PerfConfig(
+            div_latency=draw(st.integers(0, 64)),
+            pipeline_fill=draw(st.integers(0, 32)),
+            clock_hz=draw(st.floats(1e3, 1e10)),
+            c_overhead=draw(st.floats(1e-6, 10.0)),
+            layer_overhead=draw(st.integers(0, 100_000) | st.just(0)),
+        )
+    except ValueError:
+        reject()
+
+
+@given(perf_configs(), st.sampled_from(SCENARIOS), st.sampled_from(list(ActivationKind)),
+       st.integers(0, 128))
+@settings(max_examples=300, deadline=None)
+def test_pipeline_report_properties(cfg, scenario, kind, n_eff):
+    report = pipeline_report(n_eff, scenario, kind, cfg)
+    assert report.compute_cycles == sum(report.stages.values())
+    assert report.speedup_vs_dense >= 1.0
+    assert abs(sum(stage_share(report).values()) - 1.0) <= 1e-12
+    if n_eff > 0:
+        fewer = pipeline_report(n_eff - 1, scenario, kind, cfg)
+        assert fewer.total_cycles <= report.total_cycles

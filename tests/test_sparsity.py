@@ -11,7 +11,6 @@ from beamloc.sparsity import (
     build_row_mask,
     output_deviation,
     sparsity_stats,
-    sweep,
     threshold_elements,
 )
 
@@ -109,37 +108,41 @@ def test_monotone_in_thresholds(mat, t_small, t_big, t_row):
         assert np.all(skip_low_t | ~skip_high_t)
 
 
+def _masks(snapshots, cfg):
+    return [build_row_mask(threshold_elements(s, cfg.t_elem), cfg) for s in snapshots]
+
+
 def test_stats_half_zero_rows():
     snap = np.concatenate([np.zeros((64, 46)), np.ones((64, 46))])
-    stats = sparsity_stats([snap], SparsityConfig(0.0, 0))
-    assert stats.row_sparsity == 0.5
-    assert stats.element_sparsity == 0.5
-    assert stats.max_row_sparsity == 0.5
+    stats = sparsity_stats(_masks([snap], SparsityConfig(0.0, 0)), 46)
+    assert stats["row_sparsity"] == 0.5
+    assert stats["element_sparsity"] == 0.5
+    assert stats["max_row_sparsity"] == 0.5
 
 
 def test_stats_zero_matrix():
-    stats = sparsity_stats([np.zeros((128, 46))], SparsityConfig(0.0, 0))
-    assert stats.element_sparsity == 1.0
-    assert stats.row_sparsity == 1.0
+    stats = sparsity_stats(_masks([np.zeros((128, 46))], SparsityConfig(0.0, 0)), 46)
+    assert stats["element_sparsity"] == 1.0
+    assert stats["row_sparsity"] == 1.0
 
 
 def test_stats_against_recount(rng):
     snaps = [np.abs(rng.standard_normal((128, 46))) for _ in range(4)]
     cfg = SparsityConfig(0.5, 20)
-    stats = sparsity_stats(snaps, cfg)
+    stats = sparsity_stats(_masks(snaps, cfg), 46)
     zeros = sum(int((s < 0.5).sum()) for s in snaps)
-    assert stats.element_sparsity == pytest.approx(zeros / (4 * 128 * 46))
+    assert stats["element_sparsity"] == pytest.approx(zeros / (4 * 128 * 46))
     fractions = []
     for s in snaps:
         t = np.where(s < 0.5, 0.0, s)
         fractions.append(np.mean((t == 0).sum(axis=1) > 20))
-    assert stats.row_sparsity == pytest.approx(np.mean(fractions))
-    assert stats.max_row_sparsity == pytest.approx(max(fractions))
+    assert stats["row_sparsity"] == pytest.approx(np.mean(fractions))
+    assert stats["max_row_sparsity"] == pytest.approx(max(fractions))
 
 
 def test_stats_empty_input_rejected():
     with pytest.raises(ValueError):
-        sparsity_stats([], SparsityConfig(0.0, 0))
+        sparsity_stats([], 46)
 
 
 def test_config_validation():
@@ -155,41 +158,6 @@ def test_config_validation():
 def test_keep_all_mask():
     mask = RowMask.keep_all(128)
     assert mask.n_kept == 128 and mask.skip_fraction == 0.0
-
-
-def _fake_runner(snapshots):
-    """Deterministic stand-in engine: coordinates from kept-row mass."""
-
-    def run(cfg):
-        coords = []
-        for s in snapshots:
-            if cfg is None:
-                t = s
-                mask = np.zeros(s.shape[0], dtype=bool)
-            else:
-                t = threshold_elements(s, cfg.t_elem)
-                mask = build_row_mask(t, cfg).skip
-            kept = t[~mask]
-            coords.append([kept.sum(), np.square(kept).sum()])
-        return np.array(coords)
-
-    return run
-
-
-def test_sweep_degenerate_point_has_no_deviation(rng):
-    snaps = [np.abs(rng.standard_normal((16, 46))) for _ in range(3)]
-    rows = sweep(snaps, [0.0], [46], _fake_runner(snaps))
-    assert len(rows) == 1
-    assert rows[0].row_sparsity == 0.0
-    assert rows[0].output_deviation == 0.0
-
-
-def test_sweep_grid_shape_and_validation(rng):
-    snaps = [np.abs(rng.standard_normal((16, 46))) for _ in range(2)]
-    rows = sweep(snaps, [0.0, 0.5], [0, 8, 46], _fake_runner(snaps))
-    assert len(rows) == 6
-    with pytest.raises(ValueError):
-        sweep(snaps, [], [0], _fake_runner(snaps))
 
 
 def test_output_deviation_normalization():
