@@ -25,7 +25,6 @@ from .engine import EngineConfig, make_engine
 # quantize_array is unused here, but the benchmark's tracer wraps cli.quantize_array.
 from .fxp import AccumulatorOverflow, quantize_array  # noqa: F401
 from .perf import pipeline_report, stage_share
-from .router import RouterState
 from .sparsity import SparsityConfig, output_deviation
 from .weights import SCENARIOS, load_bundle
 
@@ -48,13 +47,9 @@ def _engine(cfg: RunConfig, kind: str, bundle):
         sparsity=dict(cfg.sparsity) if cfg.sparsity_enabled else None,
         scenario_override=cfg.scenario,
         delay_bin=cfg.delay_bin,
+        router_window=cfg.router_window,
         ffn_residual=cfg.ffn_residual,
     ))
-
-
-def _router_state(cfg: RunConfig, bundle) -> RouterState:
-    window = cfg.router_window if cfg.router_window is not None else bundle.router_window
-    return RouterState.create(window)
 
 
 def _load_inputs(cfg: RunConfig):
@@ -94,20 +89,11 @@ def cmd_generate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _run_batch(engine, bundle, cfg, fps):
-    """Sequential pass over the fingerprint file; routing is stateful."""
-    state = _router_state(cfg, bundle)
-    results = []
-    for fp in fps:
-        results.append(engine.infer(fp, state=state))
-    return results
-
-
 def cmd_infer(cfg: RunConfig, args) -> int:
     bundle, fps = _load_inputs(cfg)
     kinds = ("int", "float") if cfg.engine == "both" else (cfg.engine,)
     engines = {kind: _engine(cfg, kind, bundle) for kind in kinds}
-    runs = {kind: _run_batch(engine, bundle, cfg, fps) for kind, engine in engines.items()}
+    runs = {kind: engine.run(fps) for kind, engine in engines.items()}
     primary = runs[kinds[0]]
 
     akind = engines[kinds[0]].activation
@@ -136,19 +122,19 @@ def cmd_infer(cfg: RunConfig, args) -> int:
 
 
 def _grid(text: str, flag: str, parse) -> list:
-    """A comma-separated sweep grid; a value ``parse`` rejects is a config error."""
+    """A non-empty comma-separated grid; a value ``parse`` rejects is a config error."""
     try:
-        return [parse(v) for v in text.split(",") if v]
+        values = [parse(v) for v in text.split(",") if v]
     except ValueError as e:
         raise ConfigError(f"{flag}: {e}") from e
+    if not values:
+        raise ConfigError(f"{flag}: grids must be non-empty")
+    return values
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     t_elems = _grid(args.t_elem, "--t-elem", float)
     t_rowcounts = _grid(args.t_rowcount, "--t-rowcount", int)
-    if not t_elems or not t_rowcounts:
-        flag = "--t-rowcount" if t_elems else "--t-elem"
-        raise ConfigError(f"{flag}: sweep grids must be non-empty")
     if not all(math.isfinite(t) and t >= 0 for t in t_elems):
         raise ConfigError(f"--t-elem values must be finite and >= 0, got {args.t_elem}")
     if any(r < 0 for r in t_rowcounts):
@@ -158,7 +144,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
     def run(**changes):
         cell = dataclasses.replace(cfg, **changes)
-        return _run_batch(_engine(cell, engine_kind, bundle), bundle, cfg, fps)
+        return _engine(cell, engine_kind, bundle).run(fps)
 
     baseline = np.array([r.coords for r in run(sparsity_enabled=False)])
     rows = []
@@ -197,7 +183,7 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
         rung_cfg = dataclasses.replace(cfg, activation=rung["activation"],
                                        sparsity_enabled=rung["sparsity"])
         engine = _engine(rung_cfg, rung["engine"], bundle)
-        results = _run_batch(engine, bundle, cfg, fps)
+        results = engine.run(fps)
         coords = np.array([r.coords for r in results])
         cycles = [
             pipeline_report(r.mask, r.scenario, engine.activation, perf_cfg).total_cycles
@@ -267,10 +253,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--engine", choices=("float", "int", "both"))
     p.add_argument("--scenario", choices=SCENARIOS, help="bypass the router")
     p.add_argument("--activation", choices=sorted(ACTIVATION_NAMES.values()))
-    p.add_argument("--no-sparsity", action="store_true", help="disable thresholding and masking")
+    p.add_argument("--no-sparsity", dest="sparsity_enabled", action="store_const", const=False,
+                   help="disable thresholding and masking")
     p.add_argument("--router-window", type=int)
     p.add_argument("--delay-bin", type=int)
-    p.add_argument("--ffn-residual", action="store_true")
+    p.add_argument("--ffn-residual", action="store_const", const=True)
     p.add_argument("--clock-hz", type=float)
     p.add_argument("--div-latency", type=int)
     p.add_argument("--pipeline-fill", type=int)
@@ -278,24 +265,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--layer-overhead", type=int)
 
 
-_OVERRIDE_FIELDS = (
-    "bundle", "fingerprints", "engine", "scenario", "activation", "router_window",
-    "delay_bin", "clock_hz", "div_latency", "pipeline_fill",
-    "c_overhead", "layer_overhead",
-)
-
-
 def _build_config(args) -> RunConfig:
+    """The config file's settings (or the defaults), overridden by every flag given."""
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    updates = {}
-    for name in _OVERRIDE_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = value
-    if getattr(args, "no_sparsity", False):
-        updates["sparsity_enabled"] = False
-    if getattr(args, "ffn_residual", False):
-        updates["ffn_residual"] = True
+    updates = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+               if getattr(args, f.name, None) is not None}
     try:
         return dataclasses.replace(cfg, **updates)
     except ValueError as e:

@@ -1,10 +1,10 @@
 """Float-oracle and integer-only Q8.8 inference engines.
 
 Both engines share one structural flow and differ only in their numeric
-primitives.  Masked execution contract: a skipped row contributes nothing
-as query, key, or value; its layer-1 output is its (thresholded) input
-row, carried through the residual path.  The second encoder layer, when a
-scenario has one, always processes all rows.
+primitives.  The masked-execution contract lives in ``encoder_layer``: a
+skipped row contributes nothing as query, key, or value; its layer-1 output
+is its (thresholded) input row, carried through the residual path.  The
+second encoder layer, when a scenario has one, always processes all rows.
 
 The integer engine requantizes once per matrix product (round-to-nearest-
 even, saturating), evaluates sigmoid variants through the Q8.8 LUT, and
@@ -24,7 +24,7 @@ from . import activations as act
 from .activations import ActivationKind
 from .fxp import dequantize_array, quantize, quantize_array, qmatmul, requantize_array, sat_add
 from .router import RouterState, route
-from .sparsity import RowMask, SparsityConfig, build_row_mask, threshold_elements
+from .sparsity import RowMask, build_row_mask, threshold_elements
 from .weights import ModelBundle, SCENARIOS
 
 
@@ -34,12 +34,8 @@ class EngineConfig:
     sparsity: dict | None = None                 # scenario -> SparsityConfig
     scenario_override: str | None = None
     delay_bin: int | None = None
+    router_window: int | None = None
     ffn_residual: bool = False
-
-    def sparsity_for(self, scenario: str) -> SparsityConfig | None:
-        if self.sparsity is None:
-            return None
-        return self.sparsity.get(scenario)
 
 
 @dataclass
@@ -47,54 +43,24 @@ class InferResult:
     scenario: str
     coords: np.ndarray  # (2,) float
     mask: RowMask
-    logits: np.ndarray
 
 
 class _EngineBase:
-    """Structural flow shared by both engines; numeric primitives differ."""
+    """Structural flow shared by both engines.
+
+    Subclasses provide the numeric primitives: ``_prepare_bundle``,
+    ``prepare_input``, ``matmul``, ``residual_add``, ``relu``,
+    ``leaky_relu``, ``scale_scores``, ``activation_op`` and ``coords_of``.
+    """
 
     is_integer = False
 
     def __init__(self, bundle: ModelBundle, cfg: EngineConfig | None = None):
-        self.cfg = cfg or EngineConfig()
+        self.cfg = cfg = cfg or EngineConfig()
         self.bundle = self._prepare_bundle(bundle)
-        self.activation = (
-            self.cfg.activation if self.cfg.activation is not None else bundle.activation
-        )
-        self.delay_bin = (
-            self.cfg.delay_bin if self.cfg.delay_bin is not None else bundle.delay_bin
-        )
-
-    # -- numeric primitives, provided by subclasses --------------------------
-
-    def _prepare_bundle(self, bundle):
-        raise NotImplementedError
-
-    def prepare_input(self, fingerprint):
-        raise NotImplementedError
-
-    def matmul(self, x, w, bias=None):
-        raise NotImplementedError
-
-    def residual_add(self, a, b):
-        raise NotImplementedError
-
-    def relu(self, x):
-        raise NotImplementedError
-
-    def leaky_relu(self, x):
-        raise NotImplementedError
-
-    def scale_scores(self, raw, gamma, d_k):
-        raise NotImplementedError
-
-    def activation_op(self, scores):
-        raise NotImplementedError
-
-    def coords_of(self, out):
-        raise NotImplementedError
-
-    # -- operations ----------------------------------------------------------
+        self.activation = bundle.activation if cfg.activation is None else cfg.activation
+        self.delay_bin = bundle.delay_bin if cfg.delay_bin is None else cfg.delay_bin
+        self.router_window = bundle.router_window if cfg.router_window is None else cfg.router_window
 
     def slp_logits(self, x):
         """Class logits from one delay-bin column: W x + b."""
@@ -114,18 +80,9 @@ class _EngineBase:
     def head_output(self, a, vh):
         return self.matmul(a, vh)
 
-    def mha(self, x, seg, mask: RowMask | None = None):
-        """Multi-head attention over kept rows with residual pass-through.
-
-        Skipped rows bypass every product and emit their input row
-        unchanged; kept rows get input + concat(heads) @ w_o.
-        """
-        kept = np.flatnonzero(~mask.skip) if mask is not None else np.arange(x.shape[0])
-        out = x.copy()
-        if kept.size == 0:
-            return out
-        xk = x[kept]
-        q, k, v = self.qkv_project(xk, seg)
+    def mha(self, x, seg):
+        """Multi-head attention over every row of ``x``: x + concat(heads) @ w_o."""
+        q, k, v = self.qkv_project(x, seg)
         d_k = self.bundle.d_k
         heads = []
         for h in range(self.bundle.heads):
@@ -134,23 +91,26 @@ class _EngineBase:
             weights = self.activation_op(scores)
             heads.append(self.head_output(weights, v[:, cols]))
         proj = self.matmul(np.concatenate(heads, axis=1), seg.w_o)
-        out[kept] = self.residual_add(xk, proj)
-        return out
+        return self.residual_add(x, proj)
 
     def ffn(self, x, seg):
         h1 = self.relu(self.matmul(x, seg.ffn_w1, seg.ffn_b1))
         return self.matmul(h1, seg.ffn_w2, seg.ffn_b2)
 
     def encoder_layer(self, x, seg, mask: RowMask | None = None):
-        y = self.mha(x, seg, mask)
-        kept = np.flatnonzero(~mask.skip) if mask is not None else np.arange(x.shape[0])
+        """One encoder layer over the rows ``mask`` keeps (every row without one).
+
+        The kept rows are gathered once, run through ``mha`` and ``ffn`` and
+        scattered back; skipped rows, and all rows when every one is skipped,
+        pass through unchanged.
+        """
+        kept = np.arange(x.shape[0]) if mask is None else np.flatnonzero(~mask.skip)
+        out = x.copy()
         if kept.size:
-            ffn_out = self.ffn(y[kept], seg)
-            if self.cfg.ffn_residual:
-                ffn_out = self.residual_add(y[kept], ffn_out)
-            y = y.copy()
-            y[kept] = ffn_out
-        return y
+            y = self.mha(x[kept], seg)
+            ffn_out = self.ffn(y, seg)
+            out[kept] = self.residual_add(y, ffn_out) if self.cfg.ffn_residual else ffn_out
+        return out
 
     def maxpool_flatten(self, x):
         """Per-row zero-pad to d + p, max over width-k windows, flatten."""
@@ -176,35 +136,33 @@ class _EngineBase:
         override the router is bypassed: logits are still produced but the
         voting state is untouched.
         """
-        mat0 = self.prepare_input(fingerprint)
-        logits = self.slp_logits(mat0[:, self.delay_bin])
+        mat = self.prepare_input(fingerprint)
+        logits = self.slp_logits(mat[:, self.delay_bin])
         if self.cfg.scenario_override is not None:
             scenario = self.cfg.scenario_override
             if scenario not in SCENARIOS:
                 raise ValueError(f"unknown scenario {scenario!r}")
         else:
             if state is None:
-                state = RouterState.create(self.bundle.router_window)
+                state = RouterState.create(self.router_window)
             scenario = route(state, np.asarray(logits, dtype=np.float64))
 
-        scfg = self.cfg.sparsity_for(scenario)
+        scfg = (self.cfg.sparsity or {}).get(scenario)
         if scfg is not None:
-            mat = self.threshold(mat0, scfg.t_elem)
+            mat = self.threshold(mat, scfg.t_elem)
             mask = build_row_mask(mat, scfg)
         else:
-            mat = mat0
-            mask = RowMask.keep_all(mat0.shape[0])
+            mask = RowMask.keep_all(mat.shape[0])
 
-        y = mat
         for i, seg in enumerate(self.bundle.layers(scenario)):
-            y = self.encoder_layer(y, seg, mask if i == 0 else None)
-        out = self.fcnn(self.maxpool_flatten(y), self.bundle.fcnn[scenario])
-        return InferResult(
-            scenario=scenario,
-            coords=self.coords_of(out),
-            mask=mask,
-            logits=self.coords_of(logits),
-        )
+            mat = self.encoder_layer(mat, seg, mask if i == 0 else None)
+        out = self.fcnn(self.maxpool_flatten(mat), self.bundle.fcnn[scenario])
+        return InferResult(scenario=scenario, coords=self.coords_of(out), mask=mask)
+
+    def run(self, fps) -> list[InferResult]:
+        """``infer`` over the snapshots in order; routing is stateful across them."""
+        state = RouterState.create(self.router_window)
+        return [self.infer(fp, state) for fp in fps]
 
 
 class FloatEngine(_EngineBase):

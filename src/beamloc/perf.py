@@ -71,10 +71,16 @@ class PerfConfig:
                 raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
         # Every report divides by its total.  The smallest is S1 with no rows
         # kept, one layer doing no work; its compute rounds half to even.
-        floor = sum(stage_cycles(s, 0, self) for s in ("slp", "sparsity_detect", "fcnn"))
+        floor = _pipeline_stages(0, "S1", ActivationKind.SIGMOID_LUT, self)[2]
         if self.layer_overhead == 0 and floor * self.c_overhead <= 0.5:
             raise ValueError(f"c_overhead = {self.c_overhead} and layer_overhead = "
                              f"{self.layer_overhead} round the smallest pipeline to 0 cycles")
+        # The densest is a two-layer scenario, all rows kept, under softmax.
+        densest = max(_pipeline_stages(self.n, sc, ActivationKind.SOFTMAX_INT, self)[2]
+                      for sc in SCENARIOS)
+        if not math.isfinite(densest * self.c_overhead):
+            raise ValueError(f"c_overhead = {self.c_overhead} overflows the densest "
+                             f"pipeline's {densest} compute cycles")
 
     @property
     def flattened_len(self) -> int:
@@ -150,6 +156,21 @@ def _layer_cycles(n_eff: int, cfg: PerfConfig, kind: ActivationKind) -> dict:
     return {s: stage_cycles(s, n_eff, cfg, kind) for s in LAYER_STAGES}
 
 
+def _pipeline_stages(first_layer_rows: int, scenario: str, kind: ActivationKind,
+                     cfg: PerfConfig) -> tuple[dict, tuple, int]:
+    """Cycles per stage, per layer and in all: layer 1 on the kept rows, any second dense."""
+    stages = {s: 0 for s in STAGES}
+    for s in ("slp", "sparsity_detect", "pool", "fcnn"):
+        stages[s] = stage_cycles(s, first_layer_rows, cfg, kind)
+    layer_totals = []
+    for layer in range(len(SEGMENTS_PER_SCENARIO[scenario])):
+        per = _layer_cycles(first_layer_rows if layer == 0 else cfg.n, cfg, kind)
+        for s, c in per.items():
+            stages[s] += c
+        layer_totals.append(sum(per.values()))
+    return stages, tuple(layer_totals), sum(stages.values())
+
+
 def pipeline_report(mask: RowMask | int, scenario: str,
                     activation_kind: ActivationKind, cfg: PerfConfig | None = None) -> CycleReport:
     """Full-inference cycle count, latency, speedup, and throughput.
@@ -163,27 +184,10 @@ def pipeline_report(mask: RowMask | int, scenario: str,
     n_eff = mask if isinstance(mask, int) else mask.n_kept
     if not 0 <= n_eff <= cfg.n:
         raise ValueError(f"effective rows must be in 0..{cfg.n}")
-
-    def build(first_layer_rows: int):
-        stages = {s: 0 for s in STAGES}
-        stages["slp"] = stage_cycles("slp", first_layer_rows, cfg, activation_kind)
-        stages["sparsity_detect"] = stage_cycles("sparsity_detect", first_layer_rows, cfg, activation_kind)
-        layer_totals = []
-        n_layers = len(SEGMENTS_PER_SCENARIO[scenario])
-        for layer in range(n_layers):
-            rows = first_layer_rows if layer == 0 else cfg.n
-            per = _layer_cycles(rows, cfg, activation_kind)
-            for s, c in per.items():
-                stages[s] += c
-            layer_totals.append(sum(per.values()))
-        stages["pool"] = stage_cycles("pool", first_layer_rows, cfg, activation_kind)
-        stages["fcnn"] = stage_cycles("fcnn", first_layer_rows, cfg, activation_kind)
-        compute = sum(stages.values())
-        total = round(compute * cfg.c_overhead) + n_layers * cfg.layer_overhead
-        return stages, tuple(layer_totals), compute, total
-
-    stages, layer_totals, compute, total = build(n_eff)
-    _, _, _, dense_total = build(cfg.n)
+    stages, layer_totals, compute = _pipeline_stages(n_eff, scenario, activation_kind, cfg)
+    dense = _pipeline_stages(cfg.n, scenario, activation_kind, cfg)[2]
+    total, dense_total = (round(c * cfg.c_overhead) + len(layer_totals) * cfg.layer_overhead
+                          for c in (compute, dense))
     latency = total / cfg.clock_hz
     return CycleReport(
         scenario=scenario,

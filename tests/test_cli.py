@@ -272,6 +272,7 @@ def test_bad_generator_setting_is_a_config_error(tmp_path, capsys, flags, settin
     (["--t-rowcount=-3"], "--t-rowcount"),
     (["--t-rowcount", "8,x"], "--t-rowcount"),
     (["--t-rowcount", ","], "--t-rowcount"),
+    (["--t-elem", ","], "--t-elem"),
 ])
 def test_bad_sweep_grid_is_a_config_error(inputs, tmp_path, capsys, flags, setting):
     bundle, fps = inputs
@@ -296,6 +297,8 @@ def test_bad_sweep_grid_is_a_config_error(inputs, tmp_path, capsys, flags, setti
     (["--fractions", "0,2"], "--fractions"),
     (["--fractions", "nan"], "--fractions"),
     (["--c-overhead", "1e-9", "--layer-overhead", "0"], "c_overhead = 1e-09 and layer_overhead = 0"),
+    (["--c-overhead", "1e308"], "c_overhead = 1e+308 overflows"),
+    (["--fractions", ","], "--fractions"),
 ])
 def test_bad_perf_setting_is_a_config_error(tmp_path, capsys, flags, setting):
     out = tmp_path / "perf.json"
@@ -351,3 +354,18 @@ def test_show_config_round_trips_through_a_config_file(tmp_path, capsys, flags):
     path.write_text(shown)
     assert cli.main(["show-config", "--config", str(path)]) == cli.EXIT_OK
     assert capsys.readouterr().out == shown
+
+
+def test_flags_override_the_config_file_and_only_when_given(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"ffn_residual": True, "sparsity_enabled": False,
+                                "router_window": 5}))
+    parser = cli.build_parser()
+    cfg = cli._build_config(parser.parse_args(["show-config", "--config", str(path)]))
+    assert (cfg.ffn_residual, cfg.sparsity_enabled, cfg.router_window) == (True, False, 5)
+    path.write_text(json.dumps({"ffn_residual": False, "sparsity_enabled": True,
+                                "router_window": 5}))
+    cfg = cli._build_config(parser.parse_args([
+        "show-config", "--config", str(path), "--ffn-residual", "--no-sparsity",
+        "--router-window", "3"]))
+    assert (cfg.ffn_residual, cfg.sparsity_enabled, cfg.router_window) == (True, False, 3)

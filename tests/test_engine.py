@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from beamloc.activations import ActivationKind, sigmoid_bias_code
+from beamloc.channel import default_profile, generate_fingerprints
+from beamloc.config import DEFAULT_SPARSITY
 from beamloc.engine import EngineConfig, FloatEngine, IntEngine, make_engine
 from beamloc.fxp import dequantize_array, quantize, quantize_array
 from beamloc.router import RouterState
-from beamloc.sparsity import RowMask, SparsityConfig
+from beamloc.sparsity import RowMask, build_row_mask
 from beamloc.weights import random_bundle
 from oracles import masked_dense_layer_int, naive_matmul_float, naive_matmul_q, requantize, requantize_int64
 
@@ -119,13 +121,19 @@ def test_head_output_matches_oracle(rng, toy_bundle):
         assert np.array_equal(ie.head_output(aq, vq), naive_matmul_q(aq, vq))
 
 
-def test_mha_all_rows_skipped_is_pure_residual(toy_bundle):
-    fe, ie = _engines(toy_bundle)
-    mask = _mask([True] * 8)
-    x = np.arange(32, dtype=np.float64).reshape(8, 4) / 16
-    assert np.array_equal(fe.mha(x, toy_bundle.segments["S1"][0], mask), x)
-    xq = quantize_array(x)
-    assert np.array_equal(ie.mha(xq, ie.bundle.segments["S1"][0], mask), xq)
+def test_encoder_layer_passes_skipped_rows_through(toy_bundle):
+    skip = np.array([True, False, False, True, True, False, True, False])
+    for kind in ("float", "int"):
+        for ffn_residual in (False, True):
+            engine = make_engine(kind, toy_bundle, EngineConfig(ffn_residual=ffn_residual))
+            seg = engine.bundle.segments["S1"][0]
+            x = engine.prepare_input(np.arange(32, dtype=np.float64).reshape(8, 4) / 16)
+            # every row skipped: attention and FFN both leave the input as it is
+            assert np.array_equal(engine.encoder_layer(x, seg, _mask([True] * 8)), x)
+            got = engine.encoder_layer(x, seg, _mask(skip))
+            assert np.array_equal(got[skip], x[skip])
+            # the kept rows see only each other
+            assert np.array_equal(got[~skip], engine.encoder_layer(x[~skip], seg))
 
 
 def test_mha_zero_wo_is_residual_only(toy_bundle, rng):
@@ -322,20 +330,37 @@ def test_engine_agreement_without_sparsity(full_bundle, s1_batch):
         assert np.max(np.abs(cf - ci)) < 0.05  # loose sanity; tight bound in acceptance
 
 
-def test_mask_equivalence_toy_spot_checks(toy_bundle, rng):
-    ie = IntEngine(toy_bundle)
-    seg = ie.bundle.segments["S1"][0]
-    m_code = quantize(toy_bundle.segments["S1"][0].gamma / math.sqrt(2))
-    bias_code = sigmoid_bias_code(8)
-    for bits in ([0] * 8, [1] * 8, [1, 0, 1, 0, 1, 0, 1, 0], [0, 0, 1, 1, 0, 0, 1, 1]):
-        mask = _mask(bits)
-        x = quantize_array(rng.uniform(0, 1.5, size=(8, 4)))
-        got = ie.encoder_layer(x, seg, mask)
-        ref = masked_dense_layer_int(
-            x, seg, mask, kind=toy_bundle.activation, bias_code=bias_code,
-            m_code=m_code, heads=2,
-        )
-        assert np.array_equal(got, ref)
+def _check_against_masked_dense(ie, x, seg, mask):
+    ref = masked_dense_layer_int(
+        x, seg, mask, kind=ie.activation, bias_code=sigmoid_bias_code(ie.bundle.n),
+        m_code=quantize(seg.gamma / math.sqrt(ie.bundle.d_k)), heads=ie.bundle.heads,
+    )
+    assert np.array_equal(ie.encoder_layer(x, seg, mask), ref)
+
+
+def test_mask_equivalence_toy_spot_checks(toy_bundle, full_bundle, rng):
+    for kind in ActivationKind:
+        ie = IntEngine(toy_bundle, EngineConfig(activation=kind))
+        seg = ie.bundle.segments["S1"][0]
+        for bits in ([0] * 8, [1] * 8, [1, 0, 1, 0, 1, 0, 1, 0], [0, 0, 1, 1, 0, 0, 1, 1]):
+            x = quantize_array(rng.uniform(0, 1.5, size=(8, 4)))
+            _check_against_masked_dense(ie, x, seg, _mask(bits))
+    # The default operating point's masks, from each scenario's own snapshots,
+    # on the first encoder layer of its model.  These S1 snapshots skip 47 to
+    # 58 rows each; at S3's operating point two of the four skip one row.
+    for scenario in ("S1", "S3"):
+        scfg = DEFAULT_SPARSITY[scenario]
+        fps = generate_fingerprints(default_profile(scenario, seed=3), 4)
+        for kind in ActivationKind:
+            ie = IntEngine(full_bundle, EngineConfig(activation=kind))
+            seg = ie.bundle.layers(scenario)[0]
+            skipped = 0
+            for fp in fps:
+                x = ie.threshold(ie.prepare_input(fp), scfg.t_elem)
+                mask = build_row_mask(x, scfg)
+                skipped += mask.n_skipped
+                _check_against_masked_dense(ie, x, seg, mask)
+            assert skipped > 0
 
 
 def test_encoder_folding_is_bit_exact(full_bundle, s1_batch):
@@ -347,6 +372,19 @@ def test_encoder_folding_is_bit_exact(full_bundle, s1_batch):
     fresh1 = IntEngine(full_bundle).encoder_layer(x, segs[0])
     fresh2 = IntEngine(full_bundle).encoder_layer(fresh1, segs[1])
     assert np.array_equal(once, fresh2)
+
+
+@pytest.mark.parametrize("window", [3, None])
+def test_run_is_one_routed_pass(full_bundle, window):
+    fps = np.concatenate([generate_fingerprints(default_profile(sc, seed=9), 4)
+                          for sc in ("S1", "S3", "S1")])
+    ie = IntEngine(full_bundle, EngineConfig(router_window=window))
+    state = RouterState.create(full_bundle.router_window if window is None else window)
+    expect = [ie.infer(fp, state) for fp in fps]
+    got = ie.run(fps)
+    assert [r.scenario for r in got] == [r.scenario for r in expect]
+    for a, b in zip(got, expect):
+        assert np.array_equal(a.coords, b.coords) and np.array_equal(a.mask.skip, b.mask.skip)
 
 
 def test_ffn_residual_flag(toy_bundle, rng):

@@ -74,10 +74,28 @@ def test_invalid_inputs_rejected(perf_cfg):
     ({"pipeline_fill": 2.5}, "pipeline_fill"),
     ({"layer_overhead": True}, "layer_overhead"),
     ({"c_overhead": 0.5 / 1816, "layer_overhead": 0}, "c_overhead = .* and layer_overhead = 0"),
+    ({"c_overhead": 1e308}, r"c_overhead = 1e\+308 overflows"),
 ])
 def test_bad_perf_config_rejected(kwargs, setting):
     with pytest.raises(ValueError, match=setting):
         PerfConfig(**kwargs)
+
+
+def test_paper_operating_points():
+    # The abstract's numbers under a fit of the two calibration constants.
+    # It does not say which scenario and activation each belongs to; assumed:
+    # 0.51 ms and 1961 positions/s are S1 under sigmoid-bias at its 65% row
+    # sparsity, 2.11 ms is S2 (two dense layers) under softmax-int, and the
+    # "about 2x" speedup is S1 at 65% against S1 dense.
+    cfg = PerfConfig(c_overhead=0.471, layer_overhead=40082)
+    kept = cfg.n - int(round(0.65 * cfg.n))
+    sparse = pipeline_report(kept, "S1", ActivationKind.SIGMOID_BIAS_LUT, cfg)
+    assert sparse.latency_s == pytest.approx(0.510e-3, rel=0.01)
+    assert sparse.throughput_pos_per_s == pytest.approx(1961, rel=0.01)
+    dense = pipeline_report(cfg.n, "S2", ActivationKind.SOFTMAX_INT, cfg)
+    assert dense.latency_s == pytest.approx(2.11e-3, rel=0.01)
+    for kind in (ActivationKind.SIGMOID_BIAS_LUT, ActivationKind.SOFTMAX_INT):
+        assert 1.7 <= pipeline_report(kept, "S1", kind, cfg).speedup_vs_dense <= 2.1
 
 
 def test_smallest_pipeline_may_take_one_cycle():
