@@ -44,12 +44,16 @@ def _engine(cfg: RunConfig, kind: str, bundle):
     """The ``kind`` ("int" or "float") engine with the run's settings."""
     return make_engine(kind, bundle, EngineConfig(
         activation=cfg.activation_kind(),
-        sparsity=dict(cfg.sparsity) if cfg.sparsity_enabled else None,
         scenario_override=cfg.scenario,
         delay_bin=cfg.delay_bin,
         router_window=cfg.router_window,
         ffn_residual=cfg.ffn_residual,
     ))
+
+
+def _thresholds(cfg: RunConfig) -> dict | None:
+    """The run's scenario -> SparsityConfig map, or None to threshold nothing."""
+    return cfg.sparsity if cfg.sparsity_enabled else None
 
 
 def _load_inputs(cfg: RunConfig):
@@ -93,7 +97,7 @@ def cmd_infer(cfg: RunConfig, args) -> int:
     bundle, fps = _load_inputs(cfg)
     kinds = ("int", "float") if cfg.engine == "both" else (cfg.engine,)
     engines = {kind: _engine(cfg, kind, bundle) for kind in kinds}
-    runs = {kind: engine.run(fps) for kind, engine in engines.items()}
+    runs = {kind: engine.run(fps, _thresholds(cfg)) for kind, engine in engines.items()}
     primary = runs[kinds[0]]
 
     akind = engines[kinds[0]].activation
@@ -140,18 +144,13 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     if any(r < 0 for r in t_rowcounts):
         raise ConfigError(f"--t-rowcount values must be >= 0, got {args.t_rowcount}")
     bundle, fps = _load_inputs(cfg)
-    engine_kind = "int" if cfg.engine == "both" else cfg.engine
-
-    def run(**changes):
-        cell = dataclasses.replace(cfg, **changes)
-        return _engine(cell, engine_kind, bundle).run(fps)
-
-    baseline = np.array([r.coords for r in run(sparsity_enabled=False)])
+    engine = _engine(cfg, "int" if cfg.engine == "both" else cfg.engine, bundle)
+    baseline = np.array([r.coords for r in engine.run(fps)])
     rows = []
     for t_elem in t_elems:
         for t_rowcount in t_rowcounts:
             scfg = SparsityConfig(t_elem=t_elem, t_rowcount=t_rowcount)
-            results = run(sparsity_enabled=True, sparsity={sc: scfg for sc in SCENARIOS})
+            results = engine.run(fps, dict.fromkeys(SCENARIOS, scfg))
             coords = np.array([r.coords for r in results])
             rows.append({"t_elem": t_elem, "t_rowcount": t_rowcount,
                          **sparsity.sparsity_stats([r.mask for r in results], fps.shape[-1]),
@@ -183,7 +182,7 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
         rung_cfg = dataclasses.replace(cfg, activation=rung["activation"],
                                        sparsity_enabled=rung["sparsity"])
         engine = _engine(rung_cfg, rung["engine"], bundle)
-        results = engine.run(fps)
+        results = engine.run(fps, _thresholds(rung_cfg))
         coords = np.array([r.coords for r in results])
         cycles = [
             pipeline_report(r.mask, r.scenario, engine.activation, perf_cfg).total_cycles

@@ -86,12 +86,7 @@ class RunConfig:
             raise ConfigError(str(e)) from e
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["sparsity"] = {
-            sc: {"t_elem": c.t_elem, "t_rowcount": c.t_rowcount}
-            for sc, c in self.sparsity.items()
-        }
-        return out
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

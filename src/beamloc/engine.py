@@ -1,20 +1,21 @@
 """Float-oracle and integer-only Q8.8 inference engines.
 
-Both engines share one structural flow and differ only in their numeric
-primitives.  The masked-execution contract lives in ``encoder_layer``: a
-skipped row contributes nothing as query, key, or value; its layer-1 output
-is its (thresholded) input row, carried through the residual path.  The
-second encoder layer, when a scenario has one, always processes all rows.
+Both engines share one structural flow and differ only in seven numeric
+primitives: ``_prepare_bundle``, ``prepare_input``, ``matmul``,
+``residual_add``, ``scale``, ``activation_op`` and ``coords_of``.  The
+masked-execution contract lives in ``encoder_layer``: a skipped row
+contributes nothing as query, key, or value; its layer-1 output is its
+(thresholded) input row, carried through the residual path.  The second
+encoder layer, when a scenario has one, always processes all rows.
 
 The integer engine requantizes once per matrix product (round-to-nearest-
 even, saturating), evaluates sigmoid variants through the Q8.8 LUT, and
-folds ``gamma / sqrt(d_k)`` into a single precomputed Q8.8 multiplier
-applied after the score dot products.
+scales by a constant (``gamma / sqrt(d_k)``, the leaky-ReLU slope) with one
+multiply by its Q8.8 code and a requantize.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,6 @@ from .weights import ModelBundle, SCENARIOS
 @dataclass(frozen=True)
 class EngineConfig:
     activation: ActivationKind | None = None     # None: use the bundle's
-    sparsity: dict | None = None                 # scenario -> SparsityConfig
     scenario_override: str | None = None
     delay_bin: int | None = None
     router_window: int | None = None
@@ -48,9 +48,9 @@ class InferResult:
 class _EngineBase:
     """Structural flow shared by both engines.
 
-    Subclasses provide the numeric primitives: ``_prepare_bundle``,
-    ``prepare_input``, ``matmul``, ``residual_add``, ``relu``,
-    ``leaky_relu``, ``scale_scores``, ``activation_op`` and ``coords_of``.
+    Subclasses provide the seven numeric primitives: ``_prepare_bundle``,
+    ``prepare_input``, ``matmul``, ``residual_add``, ``scale`` (``x`` times
+    a real constant), ``activation_op`` and ``coords_of``.
     """
 
     is_integer = False
@@ -74,8 +74,7 @@ class _EngineBase:
         )
 
     def attention_scores(self, qh, kh, gamma):
-        raw = self.matmul(qh, kh.T)
-        return self.scale_scores(raw, gamma, qh.shape[1])
+        return self.scale(self.matmul(qh, kh.T), gamma / math.sqrt(qh.shape[1]))
 
     def head_output(self, a, vh):
         return self.matmul(a, vh)
@@ -94,7 +93,7 @@ class _EngineBase:
         return self.residual_add(x, proj)
 
     def ffn(self, x, seg):
-        h1 = self.relu(self.matmul(x, seg.ffn_w1, seg.ffn_b1))
+        h1 = np.maximum(self.matmul(x, seg.ffn_w1, seg.ffn_b1), 0)
         return self.matmul(h1, seg.ffn_w2, seg.ffn_b2)
 
     def encoder_layer(self, x, seg, mask: RowMask | None = None):
@@ -122,6 +121,9 @@ class _EngineBase:
         pooled = padded.reshape(n, (d + p) // k, k).max(axis=2)
         return pooled.reshape(-1)
 
+    def leaky_relu(self, x):
+        return np.where(x >= 0, x, self.scale(x, 0.3))
+
     def fcnn(self, v, params):
         h = self.leaky_relu(self.matmul(v.reshape(1, -1), params.w1, params.b1))
         return self.matmul(h, params.w2, params.b2)[0]
@@ -129,25 +131,25 @@ class _EngineBase:
     def threshold(self, mat, t_elem):
         return threshold_elements(mat, t_elem)
 
-    def infer(self, fingerprint, state: RouterState | None = None) -> InferResult:
+    def infer(self, fingerprint, state: RouterState | None = None,
+              sparsity: dict | None = None) -> InferResult:
         """Route, threshold/mask, run the folded encoder, pool, and regress.
 
+        ``sparsity`` maps scenarios to thresholds; one it omits keeps all rows.
         The row mask gates layer-1 computation only.  With a scenario
         override the router is bypassed: logits are still produced but the
         voting state is untouched.
         """
         mat = self.prepare_input(fingerprint)
         logits = self.slp_logits(mat[:, self.delay_bin])
-        if self.cfg.scenario_override is not None:
-            scenario = self.cfg.scenario_override
-            if scenario not in SCENARIOS:
-                raise ValueError(f"unknown scenario {scenario!r}")
-        else:
-            if state is None:
-                state = RouterState.create(self.router_window)
+        scenario = self.cfg.scenario_override
+        if scenario is None:
+            state = RouterState.create(self.router_window) if state is None else state
             scenario = route(state, np.asarray(logits, dtype=np.float64))
+        elif scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario {scenario!r}")
 
-        scfg = (self.cfg.sparsity or {}).get(scenario)
+        scfg = (sparsity or {}).get(scenario)
         if scfg is not None:
             mat = self.threshold(mat, scfg.t_elem)
             mask = build_row_mask(mat, scfg)
@@ -159,10 +161,10 @@ class _EngineBase:
         out = self.fcnn(self.maxpool_flatten(mat), self.bundle.fcnn[scenario])
         return InferResult(scenario=scenario, coords=self.coords_of(out), mask=mask)
 
-    def run(self, fps) -> list[InferResult]:
+    def run(self, fps, sparsity: dict | None = None) -> list[InferResult]:
         """``infer`` over the snapshots in order; routing is stateful across them."""
         state = RouterState.create(self.router_window)
-        return [self.infer(fp, state) for fp in fps]
+        return [self.infer(fp, state, sparsity) for fp in fps]
 
 
 class FloatEngine(_EngineBase):
@@ -184,14 +186,8 @@ class FloatEngine(_EngineBase):
     def residual_add(self, a, b):
         return a + b
 
-    def relu(self, x):
-        return np.maximum(x, 0.0)
-
-    def leaky_relu(self, x):
-        return np.where(x >= 0.0, x, 0.3 * x)
-
-    def scale_scores(self, raw, gamma, d_k):
-        return raw * (gamma / math.sqrt(d_k))
+    def scale(self, x, c):
+        return x * c
 
     def activation_op(self, scores):
         kind = self.activation
@@ -224,15 +220,9 @@ class IntEngine(_EngineBase):
     def residual_add(self, a, b):
         return sat_add(a, b)
 
-    def relu(self, x):
-        return np.maximum(x, np.int16(0))
-
-    def leaky_relu(self, x):
-        # slope 0.3 quantizes to code 77, i.e. an effective 0.30078125
-        return np.where(x >= 0, x, requantize_array(x * 77.0))
-
-    def scale_scores(self, raw, gamma, d_k):
-        return requantize_array(raw * _score_multiplier(gamma, d_k))
+    def scale(self, x, c):
+        # c's Q8.8 code: leaky-ReLU's 0.3 is 77, an effective 0.30078125
+        return requantize_array(x * float(quantize(c)))
 
     def activation_op(self, scores):
         kind = self.activation
@@ -247,12 +237,6 @@ class IntEngine(_EngineBase):
 
     def coords_of(self, out):
         return dequantize_array(out)
-
-
-@functools.cache
-def _score_multiplier(gamma: float, d_k: int) -> float:
-    """The folded Q8.8 code of gamma / sqrt(d_k), once per segment."""
-    return float(quantize(gamma / math.sqrt(d_k)))
 
 
 def make_engine(kind: str, bundle: ModelBundle, cfg: EngineConfig | None = None):

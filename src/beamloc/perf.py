@@ -18,6 +18,7 @@ calibrated runs are self-describing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, asdict
 
 from .activations import ActivationKind
@@ -69,18 +70,30 @@ class PerfConfig:
             value = getattr(self, name)
             if not (_is_number(value) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
-        # Every report divides by its total.  The smallest is S1 with no rows
-        # kept, one layer doing no work; its compute rounds half to even.
-        floor = _pipeline_stages(0, "S1", ActivationKind.SIGMOID_LUT, self)[2]
-        if self.layer_overhead == 0 and floor * self.c_overhead <= 0.5:
-            raise ValueError(f"c_overhead = {self.c_overhead} and layer_overhead = "
-                             f"{self.layer_overhead} round the smallest pipeline to 0 cycles")
-        # The densest is a two-layer scenario, all rows kept, under softmax.
-        densest = max(_pipeline_stages(self.n, sc, ActivationKind.SOFTMAX_INT, self)[2]
-                      for sc in SCENARIOS)
+        # No report counts more cycles or takes longer than the densest: a
+        # two-layer scenario, all rows kept, under softmax.
+        _, layers, densest = max((_pipeline_stages(self.n, sc, ActivationKind.SOFTMAX_INT, self)
+                                  for sc in SCENARIOS), key=lambda p: p[2])
+        if densest > sys.float_info.max:
+            raise ValueError(f"div_latency = {self.div_latency} and pipeline_fill = "
+                             f"{self.pipeline_fill} overflow the densest pipeline's cycles")
         if not math.isfinite(densest * self.c_overhead):
             raise ValueError(f"c_overhead = {self.c_overhead} overflows the densest "
                              f"pipeline's {densest} compute cycles")
+        total = _total_cycles(densest, len(layers), self)
+        if total > sys.float_info.max or not math.isfinite(total / self.clock_hz):
+            raise ValueError(f"layer_overhead = {self.layer_overhead} and clock_hz = "
+                             f"{self.clock_hz} overflow the densest pipeline's latency")
+        # Every report divides by its total.  The smallest is S1 with no rows
+        # kept, one layer doing no work.
+        _, layers, floor = _pipeline_stages(0, "S1", ActivationKind.SIGMOID_LUT, self)
+        total = _total_cycles(floor, len(layers), self)
+        if total == 0:
+            raise ValueError(f"c_overhead = {self.c_overhead} and layer_overhead = "
+                             f"{self.layer_overhead} round the smallest pipeline to 0 cycles")
+        if not math.isfinite(1.0 / (total / self.clock_hz)):
+            raise ValueError(f"clock_hz = {self.clock_hz} makes the smallest pipeline's "
+                             f"throughput infinite")
 
     @property
     def flattened_len(self) -> int:
@@ -171,6 +184,11 @@ def _pipeline_stages(first_layer_rows: int, scenario: str, kind: ActivationKind,
     return stages, tuple(layer_totals), sum(stages.values())
 
 
+def _total_cycles(compute: int, layers: int, cfg: PerfConfig) -> int:
+    """Compute cycles times ``c_overhead``, rounded, plus each layer's fixed overhead."""
+    return round(compute * cfg.c_overhead) + layers * cfg.layer_overhead
+
+
 def pipeline_report(mask: RowMask | int, scenario: str,
                     activation_kind: ActivationKind, cfg: PerfConfig | None = None) -> CycleReport:
     """Full-inference cycle count, latency, speedup, and throughput.
@@ -186,8 +204,7 @@ def pipeline_report(mask: RowMask | int, scenario: str,
         raise ValueError(f"effective rows must be in 0..{cfg.n}")
     stages, layer_totals, compute = _pipeline_stages(n_eff, scenario, activation_kind, cfg)
     dense = _pipeline_stages(cfg.n, scenario, activation_kind, cfg)[2]
-    total, dense_total = (round(c * cfg.c_overhead) + len(layer_totals) * cfg.layer_overhead
-                          for c in (compute, dense))
+    total, dense_total = (_total_cycles(c, len(layer_totals), cfg) for c in (compute, dense))
     latency = total / cfg.clock_hz
     return CycleReport(
         scenario=scenario,

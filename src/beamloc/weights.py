@@ -244,7 +244,10 @@ def _read_matrix(f, dtype: str, size: int, name: str, shape: tuple):
         raise OSError(f"{f.name}: {name} is a {got[0]}x{got[1]} matrix "
                       f"where the header's sizes give {want}")
     if dtype == "float32":
-        data = np.frombuffer(f.read(nbytes), dtype="<f4", count=count).astype(np.float64)
+        data = np.frombuffer(f.read(nbytes), dtype="<f4", count=count)
+        if not np.isfinite(data).all():  # before the cast, which a signalling NaN trips
+            raise OSError(f"{f.name}: {name} holds a non-finite value")
+        data = data.astype(np.float64)
     else:
         data = np.frombuffer(f.read(nbytes), dtype="<i2", count=count).astype(np.int16)
     mat = data.reshape(rows, cols)

@@ -12,7 +12,7 @@ from beamloc.config import DEFAULT_SPARSITY, RunConfig
 from beamloc.engine import EngineConfig, make_engine
 from beamloc.fxp import quantize, quantize_array
 from beamloc.perf import pipeline_report
-from beamloc.weights import load_bundle, random_bundle, save_bundle
+from beamloc.weights import ModelBundle, load_bundle, random_bundle, save_bundle
 
 
 @pytest.fixture(scope="module")
@@ -126,8 +126,9 @@ def test_ablate_rungs_follow_the_ladder(inputs, tmp_path):
         kind = activation_from_name(rung["activation"])
         sparsity = dict(DEFAULT_SPARSITY) if rung["sparsity"] else None
         engine = make_engine(rung["engine"], bundle, EngineConfig(
-            activation=kind, sparsity=sparsity, scenario_override="S1"))
-        masks = [engine.infer(fp).mask for fp in channel.read_fingerprints(fps)]
+            activation=kind, scenario_override="S1"))
+        masks = [engine.infer(fp, sparsity=sparsity).mask
+                 for fp in channel.read_fingerprints(fps)]
         assert rung["cycles"] == [
             pipeline_report(m, "S1", kind, perf_cfg).total_cycles for m in masks]
 
@@ -181,6 +182,19 @@ def test_sweep_writes_one_row_per_grid_cell(inputs, tmp_path):
         (t, c) for t in ("0.0", "0.5") for c in ("0", "8", "46")]
     assert list(rows[0]) == ["t_elem", "t_rowcount", "element_sparsity", "row_sparsity",
                              "max_row_sparsity", "output_deviation"]
+
+
+def test_sweep_quantizes_the_bundle_once(inputs, tmp_path, monkeypatch):
+    # The thresholds are a run setting: the baseline and all 35 cells of the
+    # default grid share one engine and one quantized view of the bundle.
+    calls = []
+    quantized = ModelBundle.quantized
+    monkeypatch.setattr(ModelBundle, "quantized",
+                        lambda self: calls.append(self) or quantized(self))
+    bundle, fps = inputs
+    assert cli.main(["sweep", "--engine", "int", "--bundle", str(bundle), "--fingerprints",
+                     str(fps), "--out", str(tmp_path / "sweep.csv")]) == cli.EXIT_OK
+    assert len(calls) == 1
 
 
 # SHA-256 of whole sweep CSVs, config line included, on the module's inputs
@@ -299,6 +313,12 @@ def test_bad_sweep_grid_is_a_config_error(inputs, tmp_path, capsys, flags, setti
     (["--c-overhead", "1e-9", "--layer-overhead", "0"], "c_overhead = 1e-09 and layer_overhead = 0"),
     (["--c-overhead", "1e308"], "c_overhead = 1e+308 overflows"),
     (["--fractions", ","], "--fractions"),
+    (["--layer-overhead", "1" + "0" * 400], "layer_overhead"),
+    (["--div-latency", "1" + "0" * 400], "div_latency"),
+    (["--pipeline-fill", "1" + "0" * 400], "pipeline_fill"),
+    (["--clock-hz", "5e-324", "--fractions", "0"], "clock_hz"),
+    (["--clock-hz", "1.7976931348623157e308", "--c-overhead", "0.0003",
+      "--layer-overhead", "0", "--fractions", "1"], "clock_hz"),
 ])
 def test_bad_perf_setting_is_a_config_error(tmp_path, capsys, flags, setting):
     out = tmp_path / "perf.json"
@@ -331,6 +351,9 @@ def test_bad_delay_bin_is_a_config_error(inputs, tmp_path, capsys, delay_bin):
     ({"clock_hz": "fast"}, "clock_hz"),
     ({"seed": 0}, "seed"),
     ({"bundle": 5}, "bundle"),
+    ({"layer_overhead": 10**400}, "layer_overhead"),
+    ({"div_latency": 10**400}, "div_latency"),
+    ({"pipeline_fill": 10**400}, "pipeline_fill"),
 ])
 def test_bad_config_file_is_a_config_error(tmp_path, capsys, fields, setting):
     path = tmp_path / "run.json"

@@ -10,7 +10,7 @@ from beamloc.config import DEFAULT_SPARSITY
 from beamloc.engine import EngineConfig, FloatEngine, IntEngine, make_engine
 from beamloc.fxp import dequantize_array, quantize, quantize_array
 from beamloc.router import RouterState
-from beamloc.sparsity import RowMask, build_row_mask
+from beamloc.sparsity import RowMask, SparsityConfig, build_row_mask
 from beamloc.weights import random_bundle
 from oracles import masked_dense_layer_int, naive_matmul_float, naive_matmul_q, requantize, requantize_int64
 
@@ -132,6 +132,8 @@ def test_encoder_layer_passes_skipped_rows_through(toy_bundle):
             assert np.array_equal(engine.encoder_layer(x, seg, _mask([True] * 8)), x)
             got = engine.encoder_layer(x, seg, _mask(skip))
             assert np.array_equal(got[skip], x[skip])
+            if engine.is_integer:  # the ReLU and residuals keep Q8.8 codes int16
+                assert got.dtype == engine.ffn(x, seg).dtype == np.int16
             # the kept rows see only each other
             assert np.array_equal(got[~skip], engine.encoder_layer(x[~skip], seg))
 
@@ -195,7 +197,7 @@ def test_scale_scores_matches_int64_oracle(toy_bundle, gamma):
     raw = np.arange(-32768, 32768).astype(np.int16).reshape(256, 256)
     m = quantize(gamma / math.sqrt(2))
     expect = requantize_int64(raw.astype(np.int64) * m)
-    assert np.array_equal(ie.scale_scores(raw, gamma, 2), expect)
+    assert np.array_equal(ie.scale(raw, gamma / math.sqrt(2)), expect)
 
 
 def test_fcnn_affine_when_positive(toy_bundle, rng):
@@ -385,6 +387,25 @@ def test_run_is_one_routed_pass(full_bundle, window):
     assert [r.scenario for r in got] == [r.scenario for r in expect]
     for a, b in zip(got, expect):
         assert np.array_equal(a.coords, b.coords) and np.array_equal(a.mask.skip, b.mask.skip)
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_run_thresholds_are_a_run_setting(full_bundle, kind):
+    # One engine run under thresholds a, then b, gives what a fresh engine
+    # gives under b: nothing of a run's sparsity stays in the engine.
+    fps = np.concatenate([generate_fingerprints(default_profile(sc, seed=9), 4)
+                          for sc in ("S1", "S3", "S1")])
+    a = dict.fromkeys(("S1", "S2", "S3"), SparsityConfig(t_elem=0.1, t_rowcount=8))
+    b = dict(DEFAULT_SPARSITY)
+    engine = make_engine(kind, full_bundle)
+    engine.run(fps, a)
+    got = engine.run(fps, b)
+    expect = make_engine(kind, full_bundle).run(fps, b)
+    assert [r.scenario for r in got] == [r.scenario for r in expect]
+    assert len({r.scenario for r in got}) > 1
+    assert sum(r.mask.n_skipped for r in got) > 0
+    for x, y in zip(got, expect):
+        assert np.array_equal(x.coords, y.coords) and np.array_equal(x.mask.skip, y.mask.skip)
 
 
 def test_ffn_residual_flag(toy_bundle, rng):

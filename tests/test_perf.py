@@ -75,6 +75,12 @@ def test_invalid_inputs_rejected(perf_cfg):
     ({"layer_overhead": True}, "layer_overhead"),
     ({"c_overhead": 0.5 / 1816, "layer_overhead": 0}, "c_overhead = .* and layer_overhead = 0"),
     ({"c_overhead": 1e308}, r"c_overhead = 1e\+308 overflows"),
+    ({"layer_overhead": 10**400}, "layer_overhead = 1000"),
+    ({"div_latency": 10**400}, "div_latency = 1000"),
+    ({"pipeline_fill": 10**400}, "pipeline_fill = 1000"),
+    ({"clock_hz": 5e-324}, "clock_hz = 5e-324 overflow the densest pipeline's latency"),
+    ({"clock_hz": 1.7976931348623157e308, "c_overhead": 0.0003, "layer_overhead": 0},
+     "clock_hz = .* makes the smallest pipeline's throughput"),
 ])
 def test_bad_perf_config_rejected(kwargs, setting):
     with pytest.raises(ValueError, match=setting):

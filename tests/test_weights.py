@@ -237,6 +237,17 @@ def test_load_rejects_forged_header_values(tmp_path, toy_files, offset, value, e
         load_bundle(path)
 
 
+@pytest.mark.parametrize("matrix", [2, 6])  # S1's w_q and gamma
+@pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0xFF800000])  # NaN, signalling NaN, -inf
+def test_load_rejects_a_non_finite_float_weight(tmp_path, toy_files, matrix, bits):
+    data = bytearray(toy_files[False])
+    struct.pack_into("<I", data, _matrix_headers(data)[matrix] + 9, bits)
+    path = tmp_path / "non_finite.axlw"
+    path.write_bytes(bytes(data))
+    with pytest.raises(OSError, match="holds a non-finite value"):
+        load_bundle(path)
+
+
 SIZE_OFFSETS = {name: 8 + 2 * i for i, name in enumerate(
     ("n", "d", "heads", "d_ff", "d_h", "pool_k", "pool_p", "delay_bin", "router_window"))}
 
