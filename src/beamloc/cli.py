@@ -137,6 +137,12 @@ def _grid(text: str, flag: str, parse) -> list:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
+    """One CSV row per (t_elem, t_rowcount) cell; ``--engine both`` sweeps the int engine.
+
+    The baseline and every cell share one ``seen`` dict for this command only:
+    each cell keeps its own row masks for the statistics, and a (scenario,
+    thresholded input, row mask) already run reuses its coordinates.
+    """
     t_elems = _grid(args.t_elem, "--t-elem", float)
     t_rowcounts = _grid(args.t_rowcount, "--t-rowcount", int)
     if not all(math.isfinite(t) and t >= 0 for t in t_elems):
@@ -145,12 +151,13 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         raise ConfigError(f"--t-rowcount values must be >= 0, got {args.t_rowcount}")
     bundle, fps = _load_inputs(cfg)
     engine = _engine(cfg, "int" if cfg.engine == "both" else cfg.engine, bundle)
-    baseline = np.array([r.coords for r in engine.run(fps)])
+    seen = {}
+    baseline = np.array([r.coords for r in engine.run(fps, seen=seen)])
     rows = []
     for t_elem in t_elems:
         for t_rowcount in t_rowcounts:
             scfg = SparsityConfig(t_elem=t_elem, t_rowcount=t_rowcount)
-            results = engine.run(fps, dict.fromkeys(SCENARIOS, scfg))
+            results = engine.run(fps, dict.fromkeys(SCENARIOS, scfg), seen)
             coords = np.array([r.coords for r in results])
             rows.append({"t_elem": t_elem, "t_rowcount": t_rowcount,
                          **sparsity.sparsity_stats([r.mask for r in results], fps.shape[-1]),
@@ -299,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_infer, needs_config=True)
 
-    p = sub.add_parser("sweep", help="threshold/zero-count grid sweep")
+    p = sub.add_parser("sweep", help="threshold/zero-count grid sweep "
+                       "(--engine both sweeps the int engine)")
     _add_common(p)
     p.add_argument("--t-elem", default="0.001,0.003,0.01,0.03,0.1")
     p.add_argument("--t-rowcount", default="0,8,16,24,32,40,46")

@@ -122,7 +122,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as f:
             data = json.load(f)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, bad UTF-8, or an integer too long to convert
         raise ConfigError(f"invalid config file {path}: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

@@ -9,10 +9,11 @@ import pytest
 from beamloc import channel, cli
 from beamloc.activations import activation_from_name
 from beamloc.config import DEFAULT_SPARSITY, RunConfig
-from beamloc.engine import EngineConfig, make_engine
+from beamloc.engine import EngineConfig, _EngineBase, make_engine
 from beamloc.fxp import quantize, quantize_array
 from beamloc.perf import pipeline_report
-from beamloc.weights import ModelBundle, load_bundle, random_bundle, save_bundle
+from beamloc.sparsity import SparsityConfig, output_deviation, sparsity_stats
+from beamloc.weights import SCENARIOS, ModelBundle, load_bundle, random_bundle, save_bundle
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +219,96 @@ def test_sweep_csv_bytes_are_pinned(inputs, tmp_path, monkeypatch, flags):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_CSV_SHA256[flags]
 
 
+DEFAULT_T_ELEMS = (0.001, 0.003, 0.01, 0.03, 0.1)
+DEFAULT_T_ROWCOUNTS = (0, 8, 16, 24, 32, 40, 46)
+
+
+def _sweep_body(bundle, fps, out, *flags):
+    """The sweep CSV below its config line."""
+    assert cli.main(["sweep", "--bundle", str(bundle), "--fingerprints", str(fps),
+                     *flags, "--out", str(out)]) == cli.EXIT_OK
+    return out.read_text().splitlines()[1:]
+
+
+def _reuse_free_body(bundle, fps, kind, t_elems, t_rowcounts, ecfg):
+    """The sweep CSV body, built with a fresh engine and no shared state per cell."""
+    bundle, snapshots = load_bundle(bundle), channel.read_fingerprints(fps)
+    baseline = np.array([r.coords for r in make_engine(kind, bundle, ecfg).run(snapshots)])
+    lines = ["t_elem,t_rowcount,element_sparsity,row_sparsity,max_row_sparsity,output_deviation"]
+    for t_elem in t_elems:
+        for t_rowcount in t_rowcounts:
+            cell = dict.fromkeys(SCENARIOS, SparsityConfig(t_elem=t_elem, t_rowcount=t_rowcount))
+            results = make_engine(kind, bundle, ecfg).run(snapshots, cell)
+            stats = sparsity_stats([r.mask for r in results], snapshots.shape[-1])
+            dev = output_deviation(np.array([r.coords for r in results]), baseline)
+            lines.append(",".join(repr(v) for v in (t_elem, t_rowcount, *stats.values(), dev)))
+    return lines
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_routed_sweep_equals_reuse_free_runs(inputs, tmp_path, kind):
+    # S1/S3/S1 blocks under a 3-label router window: the routed scenario
+    # changes along the input, and every cell of the default grid is checked.
+    bundle, _ = inputs
+    fps = tmp_path / "mixed.bdfp"
+    channel.write_fingerprints(fps, np.concatenate([
+        channel.generate_fingerprints(channel.default_profile(sc, seed=9), 2)
+        for sc in ("S1", "S3", "S1")]))
+    ecfg = EngineConfig(router_window=3)
+    routed = make_engine(kind, load_bundle(bundle), ecfg).run(channel.read_fingerprints(fps))
+    assert len({r.scenario for r in routed}) > 1
+    got = _sweep_body(bundle, fps, tmp_path / "sweep.csv", "--engine", kind, "--router-window", "3")
+    assert got == _reuse_free_body(bundle, fps, kind, DEFAULT_T_ELEMS, DEFAULT_T_ROWCOUNTS, ecfg)
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_sweep_cells_with_one_skip_mask_keep_their_own_zero_counts(inputs, tmp_path, kind):
+    # At t_rowcount 46 no row is skipped, whatever t_elem: both t_elem values
+    # give every snapshot the same skip mask but different zero counts.
+    bundle, fps = inputs
+    got = _sweep_body(bundle, fps, tmp_path / "sweep.csv", "--engine", kind,
+                      "--t-elem", "0.01,0.03", "--t-rowcount", "8,46")
+    expect = _reuse_free_body(bundle, fps, kind, (0.01, 0.03), (8, 46), EngineConfig())
+    assert got == expect
+    at_46 = [row for row in csv.DictReader(expect) if row["t_rowcount"] == "46"]
+    assert [row["row_sparsity"] for row in at_46] == ["0.0", "0.0"]
+    assert at_46[0]["element_sparsity"] != at_46[1]["element_sparsity"]
+
+
+def test_sweep_runs_each_distinct_encoder_input_once(inputs, tmp_path, monkeypatch):
+    # The input holds each snapshot twice.  sweep runs the encoder and head
+    # once per distinct (scenario, thresholded codes, skip mask) over the
+    # baseline and all 35 cells; infer still runs them once per snapshot.
+    bundle, fps = inputs
+    snapshots = np.concatenate([channel.read_fingerprints(fps)] * 2)
+    doubled = tmp_path / "doubled.bdfp"
+    channel.write_fingerprints(doubled, snapshots)
+    scenarios = [r.scenario for r in make_engine("int", load_bundle(bundle)).run(snapshots)]
+    codes = [quantize_array(fp) for fp in snapshots]
+    distinct = {(sc, q.tobytes(), np.zeros(len(q), dtype=bool).tobytes())
+                for sc, q in zip(scenarios, codes)}
+    for t_elem in DEFAULT_T_ELEMS:
+        for t_rowcount in DEFAULT_T_ROWCOUNTS:
+            for sc, q in zip(scenarios, codes):
+                mat = np.where(q < quantize(t_elem), 0, q)
+                skip = (mat == 0).sum(axis=1) > t_rowcount
+                distinct.add((sc, mat.tobytes(), skip.tobytes()))
+    calls = []
+    fcnn = _EngineBase.fcnn
+    monkeypatch.setattr(_EngineBase, "fcnn", lambda self, *a: calls.append(1) or fcnn(self, *a))
+    _sweep_body(bundle, doubled, tmp_path / "sweep.csv", "--engine", "int")
+    assert len(calls) == len(distinct) < 36 * len(snapshots)
+    calls.clear()
+    assert _infer(bundle, doubled, tmp_path / "out.json", "--engine", "int") == cli.EXIT_OK
+    assert len(calls) == len(snapshots)
+
+
+def test_sweep_engine_both_sweeps_the_int_engine(inputs, tmp_path):
+    bundle, fps = inputs
+    both = _sweep_body(bundle, fps, tmp_path / "both.csv", "--engine", "both")
+    assert both == _sweep_body(bundle, fps, tmp_path / "int.csv", "--engine", "int")
+
+
 def test_bundle_with_trailing_bytes_is_an_io_error(inputs, tmp_path, capsys):
     bundle, fps = inputs
     path = tmp_path / "long.axlw"
@@ -361,6 +452,17 @@ def test_bad_config_file_is_a_config_error(tmp_path, capsys, fields, setting):
     assert cli.main(["show-config", "--config", str(path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and setting in err
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe",                                    # not UTF-8
+    b'{"layer_overhead": 1' + b"0" * 5000 + b"}",  # past the int-string digit limit
+])
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "run.json"
+    path.write_bytes(content)
+    assert cli.main(["show-config", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error")
 
 
 @pytest.mark.parametrize("flags", [
