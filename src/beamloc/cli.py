@@ -56,13 +56,15 @@ def _thresholds(cfg: RunConfig) -> dict | None:
     return cfg.sparsity if cfg.sparsity_enabled else None
 
 
-def _load_inputs(cfg: RunConfig):
+def _load_inputs(cfg: RunConfig, need_snapshots: bool = False):
     if cfg.bundle is None or cfg.fingerprints is None:
         raise ConfigError("this command requires --bundle and --fingerprints")
     bundle = load_bundle(cfg.bundle)
     if cfg.delay_bin is not None and cfg.delay_bin >= bundle.d:
         raise ConfigError(f"delay_bin must be below the bundle's d = {bundle.d}, got {cfg.delay_bin}")
     fps = channel.read_fingerprints(cfg.fingerprints)
+    if need_snapshots and len(fps) == 0:
+        raise ValueError(f"fingerprint file {cfg.fingerprints} holds no snapshots")
     return bundle, fps
 
 
@@ -149,7 +151,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         raise ConfigError(f"--t-elem values must be finite and >= 0, got {args.t_elem}")
     if any(r < 0 for r in t_rowcounts):
         raise ConfigError(f"--t-rowcount values must be >= 0, got {args.t_rowcount}")
-    bundle, fps = _load_inputs(cfg)
+    bundle, fps = _load_inputs(cfg, need_snapshots=True)
     engine = _engine(cfg, "int" if cfg.engine == "both" else cfg.engine, bundle)
     seen = {}
     baseline = np.array([r.coords for r in engine.run(fps, seen=seen)])
@@ -181,7 +183,7 @@ ABLATION_LADDER = (
 
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
-    bundle, fps = _load_inputs(cfg)
+    bundle, fps = _load_inputs(cfg, need_snapshots=True)
     rungs = []
     prev_coords = None
     perf_cfg = cfg.perf_config(bundle)

@@ -9,6 +9,7 @@ uses the quantization-constrained threshold with zero count 28).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 
 from .activations import ACTIVATION_NAMES, ActivationKind, activation_from_name
@@ -62,8 +63,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         for name, low in (("router_window", 1), ("delay_bin", 0)):
             value = getattr(self, name)
-            if value is not None and not (_is_int(value) and value >= low):
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+            if value is not None and not (_is_int(value) and low <= value <= sys.maxsize):
+                raise ConfigError(f"{name} must be an integer in {low}..{sys.maxsize}, got {value!r}")
         self.perf_config()  # PerfConfig checks the cycle-model settings
 
     def activation_kind(self) -> ActivationKind | None:

@@ -7,7 +7,9 @@ cycle, and output-stationary stages (head products, SLP, coordinate head)
 retire one operand broadcast per cycle across their lanes.  Sigmoid
 variants stream through the activation stage and add only pipeline fill;
 softmax serializes two full passes per row plus one division per row, and
-normalized sigmoid one accumulation pass plus the divisions.
+normalized sigmoid one accumulation pass plus the divisions.  ``_layer``
+holds one encoder layer's seven stage costs, ``_pipeline_stages`` the
+SLP, sparsity detection, pool and coordinate head, and the layer sums.
 
 Beyond the per-stage compute, each encoder layer pays a fixed
 control/weight-streaming overhead and the whole pipeline a multiplicative
@@ -29,8 +31,6 @@ STAGES = (
     "slp", "sparsity_detect", "qkv", "scores", "activation",
     "headmul", "wo", "ffn1", "ffn2", "pool", "fcnn",
 )
-
-LAYER_STAGES = ("qkv", "scores", "activation", "headmul", "wo", "ffn1", "ffn2")
 
 # Output-stationary stages retire one operand broadcast per cycle across
 # their lanes: 32 for the router SLP, 64 for the coordinate head.
@@ -95,10 +95,6 @@ class PerfConfig:
             raise ValueError(f"clock_hz = {self.clock_hz} makes the smallest pipeline's "
                              f"throughput infinite")
 
-    @property
-    def flattened_len(self) -> int:
-        return self.n * (self.d + self.pool_p) // self.pool_k
-
 
 @dataclass(frozen=True)
 class CycleReport:
@@ -127,61 +123,44 @@ def _filled(work: int, fill: int) -> int:
     return work + fill if work > 0 else 0
 
 
-def stage_cycles(stage: str, n_eff: int, cfg: PerfConfig,
-                 activation_kind: ActivationKind = ActivationKind.SIGMOID_BIAS_LUT) -> int:
-    """Cycles for one stage at the given effective row count."""
-    if not 0 <= n_eff <= cfg.n:
-        raise ValueError(f"n_eff must be in 0..{cfg.n}")
+def _layer(n: int, kind: ActivationKind, cfg: PerfConfig) -> dict:
+    """One encoder layer's stage cycles at ``n`` effective rows."""
     fill = cfg.pipeline_fill
-    if stage == "slp":
-        return (cfg.n * 3) // SLP_WIDTH + fill
-    if stage == "sparsity_detect":
-        return cfg.n  # one row per cycle
-    if stage == "qkv":
-        return _filled(3 * n_eff * cfg.d, fill)
-    if stage == "scores":
-        return _filled(2 * n_eff * n_eff, fill)
-    if stage == "activation":
-        if n_eff == 0:
-            return 0
-        if activation_kind.is_softmax:
-            # two buffered passes per row plus one division per row
-            return 2 * n_eff * n_eff + cfg.div_latency * n_eff + fill
-        if activation_kind == ActivationKind.SIGMOID_NORM_LUT:
-            return n_eff * n_eff + cfg.div_latency * n_eff + fill
-        return fill  # element-wise sigmoid overlaps with streaming
-    if stage == "headmul":
-        return _filled(2 * n_eff * n_eff, fill)
-    if stage == "wo":
-        return _filled(n_eff * cfg.d, fill)
-    if stage == "ffn1":
-        return _filled(n_eff * cfg.d_ff, fill)
-    if stage == "ffn2":
-        return _filled(n_eff * cfg.d, fill)
-    if stage == "pool":
-        return 0  # overlapped with the coordinate-head weight streaming
-    if stage == "fcnn":
-        return (cfg.flattened_len * cfg.d_h) // HEAD_WIDTH + cfg.d_h * 2 + fill
-    raise ValueError(f"unknown stage {stage!r}")
-
-
-def _layer_cycles(n_eff: int, cfg: PerfConfig, kind: ActivationKind) -> dict:
-    return {s: stage_cycles(s, n_eff, cfg, kind) for s in LAYER_STAGES}
+    if n == 0:
+        activation = 0
+    elif kind.is_softmax:  # two buffered passes per row plus one division per row
+        activation = 2 * n * n + cfg.div_latency * n + fill
+    elif kind == ActivationKind.SIGMOID_NORM_LUT:
+        activation = n * n + cfg.div_latency * n + fill
+    else:
+        activation = fill  # element-wise sigmoid overlaps with streaming
+    return {
+        "qkv": _filled(3 * n * cfg.d, fill),
+        "scores": _filled(2 * n * n, fill),
+        "activation": activation,
+        "headmul": _filled(2 * n * n, fill),
+        "wo": _filled(n * cfg.d, fill),
+        "ffn1": _filled(n * cfg.d_ff, fill),
+        "ffn2": _filled(n * cfg.d, fill),
+    }
 
 
 def _pipeline_stages(first_layer_rows: int, scenario: str, kind: ActivationKind,
                      cfg: PerfConfig) -> tuple[dict, tuple, int]:
     """Cycles per stage, per layer and in all: layer 1 on the kept rows, any second dense."""
-    stages = {s: 0 for s in STAGES}
-    for s in ("slp", "sparsity_detect", "pool", "fcnn"):
-        stages[s] = stage_cycles(s, first_layer_rows, cfg, kind)
-    layer_totals = []
-    for layer in range(len(SEGMENTS_PER_SCENARIO[scenario])):
-        per = _layer_cycles(first_layer_rows if layer == 0 else cfg.n, cfg, kind)
+    if not 0 <= first_layer_rows <= cfg.n:
+        raise ValueError(f"effective rows must be in 0..{cfg.n}")
+    fill = cfg.pipeline_fill
+    stages = dict.fromkeys(STAGES, 0)  # pool overlaps the coordinate-head weight streaming
+    stages["slp"] = (cfg.n * 3) // SLP_WIDTH + fill
+    stages["sparsity_detect"] = cfg.n  # one row per cycle
+    stages["fcnn"] = cfg.n * (cfg.d + cfg.pool_p) // cfg.pool_k * cfg.d_h // HEAD_WIDTH + cfg.d_h * 2 + fill
+    layers = [_layer(first_layer_rows if i == 0 else cfg.n, kind, cfg)
+              for i in range(len(SEGMENTS_PER_SCENARIO[scenario]))]
+    for per in layers:
         for s, c in per.items():
             stages[s] += c
-        layer_totals.append(sum(per.values()))
-    return stages, tuple(layer_totals), sum(stages.values())
+    return stages, tuple(sum(per.values()) for per in layers), sum(stages.values())
 
 
 def _total_cycles(compute: int, layers: int, cfg: PerfConfig) -> int:
@@ -200,8 +179,6 @@ def pipeline_report(mask: RowMask | int, scenario: str,
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     n_eff = mask if isinstance(mask, int) else mask.n_kept
-    if not 0 <= n_eff <= cfg.n:
-        raise ValueError(f"effective rows must be in 0..{cfg.n}")
     stages, layer_totals, compute = _pipeline_stages(n_eff, scenario, activation_kind, cfg)
     dense = _pipeline_stages(cfg.n, scenario, activation_kind, cfg)[2]
     total, dense_total = (_total_cycles(c, len(layer_totals), cfg) for c in (compute, dense))

@@ -25,14 +25,10 @@ class RouterState:
     current: int = 0  # index into SCENARIOS
 
     @classmethod
-    def create(cls, window_len: int = 15, initial: int = 0) -> "RouterState":
+    def create(cls, window_len: int) -> "RouterState":
         if window_len < 1:
             raise ValueError("router window must hold at least one label")
-        return cls(window=deque(maxlen=window_len), current=initial)
-
-    @property
-    def scenario(self) -> str:
-        return SCENARIOS[self.current]
+        return cls(window=deque(maxlen=window_len))
 
 
 def route(state: RouterState, logits: np.ndarray) -> str:

@@ -54,8 +54,29 @@ def test_forged_snapshot_count_is_an_io_error(inputs, tmp_path, capsys):
 
 def test_router_window_zero_is_a_config_error(inputs, tmp_path, capsys):
     bundle, fps = inputs
-    assert _infer(bundle, fps, tmp_path / "out.json", "--router-window", "0") == cli.EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    # 10**20 is past the longest ring buffer a deque can hold
+    for window in ("0", "100000000000000000000"):
+        assert _infer(bundle, fps, tmp_path / "out.json", "--router-window", window) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "router_window" in err
+        assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "ablate"])
+def test_empty_fingerprint_file_is_a_contract_violation(inputs, tmp_path, capsys, command):
+    bundle, _ = inputs
+    assert cli.main(["generate", "--count", "0", "--out", str(tmp_path / "empty.bdfp")]) == cli.EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main([command, "--bundle", str(bundle), "--fingerprints", str(tmp_path / "empty.bdfp"),
+                     "--out", str(out)]) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation") and "empty.bdfp holds no snapshots" in err
+    assert not out.exists()
+    # infer still writes an empty result list
+    assert _infer(bundle, tmp_path / "empty.bdfp", out) == cli.EXIT_OK
+    assert json.loads(out.read_text())["results"] == []
 
 
 def test_non_finite_fingerprint_is_a_contract_violation(inputs, tmp_path, capsys):
@@ -445,6 +466,7 @@ def test_bad_delay_bin_is_a_config_error(inputs, tmp_path, capsys, delay_bin):
     ({"layer_overhead": 10**400}, "layer_overhead"),
     ({"div_latency": 10**400}, "div_latency"),
     ({"pipeline_fill": 10**400}, "pipeline_fill"),
+    ({"router_window": 10**20}, "router_window"),
 ])
 def test_bad_config_file_is_a_config_error(tmp_path, capsys, fields, setting):
     path = tmp_path / "run.json"

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from beamloc.activations import ActivationKind
 from beamloc.config import RunConfig
-from beamloc.perf import LAYER_STAGES, PerfConfig, pipeline_report, stage_cycles, stage_share
+from beamloc.perf import PerfConfig, pipeline_report, stage_share
 from beamloc.weights import SCENARIOS
 
 
@@ -37,12 +39,14 @@ def test_dense_mask_has_unit_speedup(perf_cfg):
 
 
 def test_stage_without_work_pays_no_fill(perf_cfg):
+    layer_stages = ("qkv", "scores", "activation", "headmul", "wo", "ffn1", "ffn2")
     for kind in ActivationKind:
-        for stage in LAYER_STAGES:
-            assert stage_cycles(stage, 0, perf_cfg, kind) == 0
-    assert stage_cycles("pool", perf_cfg.n, perf_cfg) == 0
+        stages = pipeline_report(0, "S1", kind, perf_cfg).stages
+        assert all(stages[s] == 0 for s in layer_stages)
+        assert pipeline_report(perf_cfg.n, "S1", kind, perf_cfg).stages["pool"] == 0
     # one kept row does pay the fill (6 cycles) on top of its work
-    assert stage_cycles("wo", 1, perf_cfg) == perf_cfg.d + 6
+    assert pipeline_report(1, "S1", ActivationKind.SIGMOID_BIAS_LUT, perf_cfg).stages["wo"] \
+        == perf_cfg.d + 6
 
 
 def test_stage_shares_sum_to_one(perf_cfg):
@@ -54,15 +58,36 @@ def test_stage_shares_sum_to_one(perf_cfg):
 
 
 def test_invalid_inputs_rejected(perf_cfg):
-    with pytest.raises(ValueError, match="unknown stage"):
-        stage_cycles("softmax", 10, perf_cfg)
     with pytest.raises(ValueError, match="unknown scenario"):
         pipeline_report(10, "S4", ActivationKind.SIGMOID_LUT, perf_cfg)
     for n_eff in (-1, perf_cfg.n + 1):
-        with pytest.raises(ValueError):
-            stage_cycles("qkv", n_eff, perf_cfg)
-        with pytest.raises(ValueError):
-            pipeline_report(n_eff, "S1", ActivationKind.SIGMOID_LUT, perf_cfg)
+        for scenario in ("S1", "S2"):
+            with pytest.raises(ValueError, match="effective rows"):
+                pipeline_report(n_eff, scenario, ActivationKind.SIGMOID_LUT, perf_cfg)
+
+
+# SHA-256 over every report's to_dict() and stage_share, for each scenario,
+# activation and n_eff in 0..n: a change to any stage's cost changes the digest.
+@pytest.mark.parametrize("make_cfg, digest", [
+    (lambda toy: RunConfig().perf_config(),
+     "2b561c19c58ae4848f6e16f1fcdd332d0e765879892e05941de158543e961105"),
+    (lambda toy: PerfConfig(c_overhead=0.471, layer_overhead=40082),
+     "bbacbc1796e22419f052e255fe8c7a4a6f1d2d7834ee034b61ab6a43d82d8ec8"),
+    (lambda toy: RunConfig().perf_config(toy),
+     "63aa61f8045571ff7c9d4c4986862ef28537a7415d888097a642aad71d41af18"),
+    (lambda toy: PerfConfig(pipeline_fill=3, div_latency=7),
+     "463983b6616de7b4c9a7d12dbad63876cb619fcf24b7abf992c3dd7b321f471a"),
+], ids=["default", "paper_fit", "toy_bundle", "fill3_div7"])
+def test_reports_are_pinned_stage_by_stage(toy_bundle, make_cfg, digest):
+    cfg = make_cfg(toy_bundle)
+    sha = hashlib.sha256()
+    for scenario in SCENARIOS:
+        for kind in ActivationKind:
+            for n_eff in range(cfg.n + 1):
+                report = pipeline_report(n_eff, scenario, kind, cfg)
+                sha.update(json.dumps([report.to_dict(), stage_share(report)],
+                                      sort_keys=True).encode())
+    assert sha.hexdigest() == digest
 
 
 @pytest.mark.parametrize("kwargs, setting", [
