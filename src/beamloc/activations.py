@@ -1,5 +1,10 @@
 """Attention activations: exact float forms and their integer LUT forms.
 
+An :class:`ActivationKind` names the attention function and the engine
+decides the arithmetic: the float engine runs the exact form, the integer
+engine the LUT form.  ``ACTIVATIONS`` maps config names to kinds; softmax
+keeps the name ``softmax-int`` that saved configs and workloads pass.
+
 The sigmoid LUT holds 1025 uniformly spaced samples of sigma over
 [-16, +16] (grid step 1/32) with Q8.8 outputs; inputs are clamped to the
 covered interval and snapped to the nearest grid point.  The exp LUT used
@@ -28,31 +33,18 @@ from .fxp import SCALE, quantize, quantize_array, rne_div
 
 
 class ActivationKind(enum.IntEnum):
-    SOFTMAX_FLOAT = 0
     SOFTMAX_INT = 1
     SIGMOID_LUT = 2
     SIGMOID_BIAS_LUT = 3
     SIGMOID_NORM_LUT = 4
 
-    @property
-    def is_softmax(self) -> bool:
-        return self in (ActivationKind.SOFTMAX_FLOAT, ActivationKind.SOFTMAX_INT)
 
-
-ACTIVATION_NAMES = {
-    ActivationKind.SOFTMAX_FLOAT: "softmax-float",
-    ActivationKind.SOFTMAX_INT: "softmax-int",
-    ActivationKind.SIGMOID_LUT: "sigmoid",
-    ActivationKind.SIGMOID_BIAS_LUT: "sigmoid-bias",
-    ActivationKind.SIGMOID_NORM_LUT: "sigmoid-norm",
+ACTIVATIONS = {
+    "softmax-int": ActivationKind.SOFTMAX_INT,
+    "sigmoid": ActivationKind.SIGMOID_LUT,
+    "sigmoid-bias": ActivationKind.SIGMOID_BIAS_LUT,
+    "sigmoid-norm": ActivationKind.SIGMOID_NORM_LUT,
 }
-
-
-def activation_from_name(name: str) -> ActivationKind:
-    for kind, label in ACTIVATION_NAMES.items():
-        if label == name:
-            return kind
-    raise ValueError(f"unknown activation {name!r}; choose from {sorted(ACTIVATION_NAMES.values())}")
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import channel, sparsity
-from .activations import ACTIVATION_NAMES, activation_from_name
+from .activations import ACTIVATIONS, ActivationKind
 from .config import ConfigError, RunConfig, load_config
 from .engine import EngineConfig, make_engine
 # quantize_array is unused here, but the benchmark's tracer wraps cli.quantize_array.
@@ -63,6 +63,9 @@ def _load_inputs(cfg: RunConfig, need_snapshots: bool = False):
     if cfg.delay_bin is not None and cfg.delay_bin >= bundle.d:
         raise ConfigError(f"delay_bin must be below the bundle's d = {bundle.d}, got {cfg.delay_bin}")
     fps = channel.read_fingerprints(cfg.fingerprints)
+    if fps.shape[1:] != (bundle.n, bundle.d):
+        raise ValueError(f"bundle {cfg.bundle} takes {bundle.n}x{bundle.d} snapshots, but "
+                         f"fingerprint file {cfg.fingerprints} holds {fps.shape[1]}x{fps.shape[2]}")
     if need_snapshots and len(fps) == 0:
         raise ValueError(f"fingerprint file {cfg.fingerprints} holds no snapshots")
     return bundle, fps
@@ -175,7 +178,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 ABLATION_LADDER = (
-    {"engine": "float", "activation": "softmax-float", "sparsity": False},
+    {"engine": "float", "activation": "softmax-int", "sparsity": False},
     {"engine": "float", "activation": "sigmoid-bias", "sparsity": False},
     {"engine": "int", "activation": "sigmoid-bias", "sparsity": False},
     {"engine": "int", "activation": "sigmoid-bias", "sparsity": True},
@@ -222,7 +225,7 @@ def cmd_perf(cfg: RunConfig, args) -> int:
     scenario = cfg.scenario or "S1"
     akind = cfg.activation_kind()
     if akind is None:
-        akind = activation_from_name("sigmoid-bias")
+        akind = ActivationKind.SIGMOID_BIAS_LUT
     perf_cfg = cfg.perf_config()
     entries = []
     for frac in fractions:
@@ -260,7 +263,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fingerprints", help="fingerprint file path")
     p.add_argument("--engine", choices=("float", "int", "both"))
     p.add_argument("--scenario", choices=SCENARIOS, help="bypass the router")
-    p.add_argument("--activation", choices=sorted(ACTIVATION_NAMES.values()))
+    p.add_argument("--activation", choices=sorted(ACTIVATIONS))
     p.add_argument("--no-sparsity", dest="sparsity_enabled", action="store_const", const=False,
                    help="disable thresholding and masking")
     p.add_argument("--router-window", type=int)
@@ -347,7 +350,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, FileNotFoundError) as e:
+    except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
     except (AccumulatorOverflow, ValueError) as e:

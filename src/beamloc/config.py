@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field
 
-from .activations import ACTIVATION_NAMES, ActivationKind, activation_from_name
+from .activations import ACTIVATIONS, ActivationKind
 from .perf import PerfConfig, _is_int, _is_number
 from .sparsity import SparsityConfig
 
@@ -53,8 +53,10 @@ class RunConfig:
             raise ConfigError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
         if self.scenario is not None and self.scenario not in DEFAULT_SPARSITY:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.activation is not None and self.activation not in ACTIVATION_NAMES.values():
-            raise ConfigError(f"unknown activation {self.activation!r}")
+        # a tuple compares by equality, so an unhashable value fails here too
+        if self.activation not in (None, *ACTIVATIONS):
+            raise ConfigError(f"unknown activation {self.activation!r}; "
+                              f"choose from {sorted(ACTIVATIONS)}")
         for name in ("bundle", "fingerprints"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ConfigError(f"{name} must be a path, got {getattr(self, name)!r}")
@@ -68,7 +70,7 @@ class RunConfig:
         self.perf_config()  # PerfConfig checks the cycle-model settings
 
     def activation_kind(self) -> ActivationKind | None:
-        return None if self.activation is None else activation_from_name(self.activation)
+        return None if self.activation is None else ACTIVATIONS[self.activation]
 
     def perf_config(self, bundle=None) -> PerfConfig:
         kwargs = dict(

@@ -208,7 +208,7 @@ class FloatEngine(_EngineBase):
 
     def activation_op(self, scores):
         kind = self.activation
-        if kind.is_softmax:
+        if kind == ActivationKind.SOFTMAX_INT:
             return act.softmax_rows(scores)
         if kind == ActivationKind.SIGMOID_LUT:
             return act.sigmoid(scores)
@@ -243,7 +243,7 @@ class IntEngine(_EngineBase):
 
     def activation_op(self, scores):
         kind = self.activation
-        if kind.is_softmax:
+        if kind == ActivationKind.SOFTMAX_INT:
             return act.softmax_int(scores)
         if kind == ActivationKind.SIGMOID_LUT:
             return act.sigmoid_lut(scores)

@@ -7,7 +7,7 @@ Q8.8 with round-to-nearest-even and saturation.  Real zero maps to code zero,
 which is what makes bit-exact zero detection (and therefore row skipping)
 possible downstream.
 
-Model parameters fixed here (and documented in the README):
+Model parameters fixed here, and documented only in this docstring:
 
 * accumulator width: 40-bit signed, checked, never silently wrapped;
 * rounding: round-to-nearest, ties to even, on every requantization;

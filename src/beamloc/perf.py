@@ -128,7 +128,7 @@ def _layer(n: int, kind: ActivationKind, cfg: PerfConfig) -> dict:
     fill = cfg.pipeline_fill
     if n == 0:
         activation = 0
-    elif kind.is_softmax:  # two buffered passes per row plus one division per row
+    elif kind == ActivationKind.SOFTMAX_INT:  # two buffered passes per row plus one division per row
         activation = 2 * n * n + cfg.div_latency * n + fill
     elif kind == ActivationKind.SIGMOID_NORM_LUT:
         activation = n * n + cfg.div_latency * n + fill

@@ -97,10 +97,6 @@ class ModelBundle:
     def d_k(self) -> int:
         return self.d // self.heads
 
-    @property
-    def flattened_len(self) -> int:
-        return self.n * (self.d + self.pool_p) // self.pool_k
-
     def layers(self, scenario: str):
         return self.segments[scenario]
 
@@ -195,11 +191,12 @@ def random_bundle(
 # --------------------------------------------------------------------------
 # Binary format (little-endian):
 #   magic "AXLW", u16 version, u8 dtype (0 = float32, 1 = int16),
-#   u8 activation kind, u16 x 9: the _SIZES; then every parameter in
-#   _SHAPES file order, each prefixed by u32 rows, u32 cols, u8 transposed
-#   flag.  A vector is one row and gamma a 1x1 matrix (its Q8.8 code in
-#   int16 files).  The writer sets the flag on _STORED_TRANSPOSED and
-#   stores those matrices transposed; the loader undoes any flagged matrix.
+#   u8 activation kind (older files may hold 0, read as softmax), u16 x 9:
+#   the _SIZES; then every parameter in _SHAPES file order, each prefixed
+#   by u32 rows, u32 cols, u8 transposed flag.  A vector is one row and
+#   gamma a 1x1 matrix (its Q8.8 code in int16 files).  The writer sets the
+#   flag on _STORED_TRANSPOSED and stores those matrices transposed; the
+#   loader undoes any flagged matrix.
 
 _HEADER = struct.Struct("<4sHBB9H")
 _MATRIX = struct.Struct("<IIB")
@@ -263,8 +260,9 @@ def load_bundle(path) -> ModelBundle:
 
     A truncated file, a matrix whose shape disagrees with the header's
     sizes, or bytes left after the last matrix raise OSError before the
-    matrix is allocated; a wrong magic, version or dtype code, or a header
-    ``heads`` or ``pool_k`` below 1, raises ValueError.
+    matrix is allocated; a wrong magic, version, dtype or activation code, or
+    a header ``heads`` or ``pool_k`` below 1, raises ValueError.  Activation
+    code 0, which older files may hold, loads as softmax.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -279,6 +277,9 @@ def load_bundle(path) -> ModelBundle:
         if dtype_code not in (0, 1):
             raise ValueError(f"unknown bundle dtype code {dtype_code}")
         dtype = "float32" if dtype_code == 0 else "int16"
+        # code 0 named a second softmax kind with the same arithmetic
+        if act not in (0, *ActivationKind):
+            raise ValueError(f"{path}: unknown activation code {act}")
         sizes = dict(zip(_SIZES, values))
         shapes = _resolve(sizes)
 
@@ -293,5 +294,5 @@ def load_bundle(path) -> ModelBundle:
         fcnn = {sc: HeadParams(**read(HeadParams, f"FCNN_{sc}.")) for sc in SCENARIOS}
         if f.tell() != size:
             raise OSError(f"{path}: the matrices end at byte {f.tell()} of the bundle's {size}")
-    return ModelBundle(**sizes, activation=ActivationKind(act), dtype=dtype,
-                       segments=segments, fcnn=fcnn, **router)
+    return ModelBundle(**sizes, activation=ActivationKind(act or ActivationKind.SOFTMAX_INT),
+                       dtype=dtype, segments=segments, fcnn=fcnn, **router)

@@ -232,7 +232,7 @@ def masked_dense_layer_int(x, seg, mask: RowMask, *, kind, bias_code, m_code,
         raw = mm(q[:, cols], k[:, cols].T)
         scores = requantize_int64(raw.astype(np.int64) * m_code)
         sub = scores[np.ix_(kept, kept)]
-        if kind in (ActivationKind.SOFTMAX_FLOAT, ActivationKind.SOFTMAX_INT):
+        if kind == ActivationKind.SOFTMAX_INT:
             act_sub = softmax_int(sub)
         elif kind == ActivationKind.SIGMOID_LUT:
             act_sub = sigmoid_lut(sub)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from beamloc import channel, cli
-from beamloc.activations import activation_from_name
+from beamloc.activations import ACTIVATIONS
 from beamloc.config import DEFAULT_SPARSITY, RunConfig
 from beamloc.engine import EngineConfig, _EngineBase, make_engine
 from beamloc.fxp import quantize, quantize_array
@@ -122,9 +122,8 @@ def test_forged_bundle_row_count_is_an_io_error(inputs, tmp_path, capsys):
 
 
 def test_infer_cycles_follow_the_requested_activation(inputs, tmp_path):
-    # softmax-float is ActivationKind 0, which must not read as "unset"
     bundle, fps = inputs
-    for name in ("softmax-float", "softmax-int", "sigmoid-norm"):
+    for name in ("softmax-int", "sigmoid-norm"):
         flags = ("--activation", name, "--scenario", "S1")
         assert _infer(bundle, fps, tmp_path / "infer.json", *flags, "--no-sparsity") == cli.EXIT_OK
         assert cli.main(["perf", *flags, "--fractions", "0",
@@ -145,7 +144,7 @@ def test_ablate_rungs_follow_the_ladder(inputs, tmp_path):
     bundle = load_bundle(bundle_path)
     perf_cfg = RunConfig().perf_config(bundle)
     for rung in rungs:
-        kind = activation_from_name(rung["activation"])
+        kind = ACTIVATIONS[rung["activation"]]
         sparsity = dict(DEFAULT_SPARSITY) if rung["sparsity"] else None
         engine = make_engine(rung["engine"], bundle, EngineConfig(
             activation=kind, scenario_override="S1"))
@@ -467,6 +466,7 @@ def test_bad_delay_bin_is_a_config_error(inputs, tmp_path, capsys, delay_bin):
     ({"div_latency": 10**400}, "div_latency"),
     ({"pipeline_fill": 10**400}, "pipeline_fill"),
     ({"router_window": 10**20}, "router_window"),
+    ({"activation": ["x"]}, "activation"),
 ])
 def test_bad_config_file_is_a_config_error(tmp_path, capsys, fields, setting):
     path = tmp_path / "run.json"
@@ -474,6 +474,52 @@ def test_bad_config_file_is_a_config_error(tmp_path, capsys, fields, setting):
     assert cli.main(["show-config", "--config", str(path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and setting in err
+
+
+def test_softmax_float_is_no_activation(inputs, tmp_path, capsys):
+    # Softmax is one kind, named softmax-int; the engine picks the arithmetic.
+    bundle, fps = inputs
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as e:
+        _infer(bundle, fps, out, "--activation", "softmax-float")
+    assert e.value.code == cli.EXIT_CONFIG
+    assert "'sigmoid', 'sigmoid-bias', 'sigmoid-norm', 'softmax-int'" in capsys.readouterr().err
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"activation": "softmax-float"}))
+    assert _infer(bundle, fps, out, "--config", str(config)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown activation 'softmax-float'")
+    assert "['sigmoid', 'sigmoid-bias', 'sigmoid-norm', 'softmax-int']" in err
+    assert not out.exists()
+
+
+def test_bundle_with_activation_code_zero_infers_as_softmax(inputs, tmp_path):
+    # Files written while code 0 was a second softmax kind still give its bits.
+    bundle, fps = inputs
+    data = bytearray(bundle.read_bytes())
+    outputs = []
+    for code in (0, 1):
+        data[7] = code
+        path = tmp_path / f"code{code}.axlw"
+        path.write_bytes(bytes(data))
+        out = tmp_path / f"code{code}.json"
+        assert _infer(path, fps, out, "--engine", "both") == cli.EXIT_OK
+        outputs.append(json.loads(out.read_text())["results"])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["infer", "sweep", "ablate"])
+def test_bundle_and_fingerprint_geometry_must_agree(inputs, toy_bundle, tmp_path, capsys, command):
+    _, fps = inputs
+    toy = tmp_path / "toy.axlw"
+    save_bundle(toy, toy_bundle)
+    out = tmp_path / "out"
+    assert cli.main([command, "--bundle", str(toy), "--fingerprints", str(fps),
+                     "--out", str(out)]) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith(f"contract violation: bundle {toy} takes 8x4 snapshots, "
+                          f"but fingerprint file {fps} holds 128x46")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content", [

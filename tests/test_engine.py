@@ -98,6 +98,21 @@ def test_scores_match_explicit_form(rng, toy_bundle):
         assert np.array_equal(ie.attention_scores(qq, kq, gamma), expect)
 
 
+@pytest.mark.parametrize("kind", list(ActivationKind), ids=lambda kind: kind.name)
+def test_float_activation_is_the_exact_form(full_bundle, rng, kind):
+    scores = rng.normal(0.0, 3.0, size=(6, 9))
+    e = np.exp(scores)
+    sig = 1.0 / (1.0 + np.exp(-scores))
+    exact = {
+        ActivationKind.SOFTMAX_INT: e / e.sum(axis=1, keepdims=True),
+        ActivationKind.SIGMOID_LUT: sig,
+        ActivationKind.SIGMOID_BIAS_LUT: 1.0 / (1.0 + np.exp(np.log(full_bundle.n) - scores)),
+        ActivationKind.SIGMOID_NORM_LUT: sig / sig.sum(axis=1, keepdims=True),
+    }[kind]
+    fe = FloatEngine(full_bundle, EngineConfig(activation=kind))
+    np.testing.assert_allclose(fe.activation_op(scores), exact, rtol=1e-12, atol=0)
+
+
 # --- head output and mha ---------------------------------------------------
 
 

@@ -70,13 +70,13 @@ def test_invalid_inputs_rejected(perf_cfg):
 # activation and n_eff in 0..n: a change to any stage's cost changes the digest.
 @pytest.mark.parametrize("make_cfg, digest", [
     (lambda toy: RunConfig().perf_config(),
-     "2b561c19c58ae4848f6e16f1fcdd332d0e765879892e05941de158543e961105"),
+     "472f1d86809a1ca8ad337c5b53b14762b884a74923090dbc3799d063daa414d4"),
     (lambda toy: PerfConfig(c_overhead=0.471, layer_overhead=40082),
-     "bbacbc1796e22419f052e255fe8c7a4a6f1d2d7834ee034b61ab6a43d82d8ec8"),
+     "e443b1c7502f5dac83c778c113408ebc19a5b97766e04be4b6f8bcf4f138b8cc"),
     (lambda toy: RunConfig().perf_config(toy),
-     "63aa61f8045571ff7c9d4c4986862ef28537a7415d888097a642aad71d41af18"),
+     "a8528179f7f4eac5b1b8e92d7c19a9431b5cfca2a780d232dbaf8b0cda4535f7"),
     (lambda toy: PerfConfig(pipeline_fill=3, div_latency=7),
-     "463983b6616de7b4c9a7d12dbad63876cb619fcf24b7abf992c3dd7b321f471a"),
+     "c487b1b6614aa4cb28051d093cbd0a22d6970ebc28060686d005d5c3971e4bf7"),
 ], ids=["default", "paper_fit", "toy_bundle", "fill3_div7"])
 def test_reports_are_pinned_stage_by_stage(toy_bundle, make_cfg, digest):
     cfg = make_cfg(toy_bundle)

@@ -28,10 +28,9 @@ def test_random_bundle_shapes(full_bundle):
     assert seg.ffn_b1.shape == (64,)
     assert seg.ffn_w2.shape == (64, 46)
     head = b.fcnn["S3"]
-    assert head.w1.shape == (b.flattened_len, 64)
+    assert head.w1.shape == (128 * 48 // 4, 64) == (1536, 64)
     assert head.w2.shape == (64, 2)
     assert b.d_k == 23
-    assert b.flattened_len == 128 * 48 // 4 == 1536
 
 
 def test_random_bundle_deterministic_and_bounded():
@@ -224,6 +223,7 @@ def test_load_fuzz_damaged_file(tmp_path, toy_files, quantized, cut, edits, head
     (18, b"\x00\x00", ValueError),    # pool_k
     ("gamma", struct.pack("<II", 0, 0), OSError),
     ("gamma", struct.pack("<II", 1, 0), OSError),
+    (7, b"\x09", ValueError),         # activation code
 ])
 def test_load_rejects_forged_header_values(tmp_path, toy_files, offset, value, error):
     data = bytearray(toy_files[False])
@@ -235,6 +235,21 @@ def test_load_rejects_forged_header_values(tmp_path, toy_files, offset, value, e
     path.write_bytes(bytes(data))
     with pytest.raises(error):
         load_bundle(path)
+
+
+def test_load_reads_activation_code_zero_as_softmax(tmp_path, toy_files):
+    # Code 0 named a second softmax kind, which files written before it was
+    # retired may hold; an unknown code names the file and the code.
+    data = bytearray(toy_files[False])
+    path = tmp_path / "code.axlw"
+    data[7] = 0
+    path.write_bytes(bytes(data))
+    assert load_bundle(path).activation == ActivationKind.SOFTMAX_INT
+    data[7] = 9
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError) as e:
+        load_bundle(path)
+    assert str(e.value) == f"{path}: unknown activation code 9"
 
 
 @pytest.mark.parametrize("matrix", [2, 6])  # S1's w_q and gamma
