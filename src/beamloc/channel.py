@@ -65,6 +65,8 @@ class ScenarioProfile:
 
 
 def default_profile(scenario: str, seed: int = 0, **overrides) -> ScenarioProfile:
+    if scenario not in PROFILE_DEFAULTS:
+        raise ConfigError(f"unknown scenario {scenario!r}")
     params = dict(PROFILE_DEFAULTS[scenario])
     params.update(overrides)
     return ScenarioProfile(scenario=scenario, seed=seed, **params)
@@ -117,16 +119,14 @@ def generate_channel(profile: ScenarioProfile) -> np.ndarray:
     return h
 
 
-def hann_window(h: np.ndarray, periodic: bool = False) -> np.ndarray:
-    """Scale each subcarrier column by the Hann taper.
+def hann_window(h: np.ndarray) -> np.ndarray:
+    """Scale each subcarrier column by the symmetric Hann taper.
 
-    Symmetric by default (denominator N-1, endpoint weights exactly 0);
-    the periodic variant (denominator N) is available as a flag.
+    The denominator is N-1, so both endpoint weights are exactly 0.
     """
     if h.shape[-1] != N_SUBCARRIERS:
         raise ValueError(f"expected {N_SUBCARRIERS} subcarriers, got {h.shape[-1]}")
-    denom = N_SUBCARRIERS if periodic else N_SUBCARRIERS - 1
-    w = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(N_SUBCARRIERS) / denom))
+    w = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(N_SUBCARRIERS) / (N_SUBCARRIERS - 1)))
     return h * w
 
 
@@ -143,16 +143,16 @@ def beam_delay_transform(h: np.ndarray) -> np.ndarray:
     return np.abs(h @ _IDFT)
 
 
-def preprocess(h: np.ndarray, periodic: bool = False) -> np.ndarray:
-    return beam_delay_transform(hann_window(h, periodic=periodic))
+def preprocess(h: np.ndarray) -> np.ndarray:
+    return beam_delay_transform(hann_window(h))
 
 
-def generate_fingerprints(profile: ScenarioProfile, count: int, periodic: bool = False) -> np.ndarray:
+def generate_fingerprints(profile: ScenarioProfile, count: int) -> np.ndarray:
     """Batch of preprocessed snapshots; snapshot i uses seed profile.seed + i."""
     out = np.empty((count, N_BEAMS, N_SUBCARRIERS), dtype=np.float64)
     for i in range(count):
         snap = generate_channel(replace(profile, seed=profile.seed + i))
-        out[i] = preprocess(snap, periodic=periodic)
+        out[i] = preprocess(snap)
     return out
 
 
@@ -175,18 +175,21 @@ def read_fingerprints(path) -> np.ndarray:
     """Load a fingerprint file; its size must match the header count.
 
     A size mismatch (a truncated file, or a forged count) raises OSError,
-    before any payload is allocated.
+    before any payload is allocated.  Non-finite values load as they are
+    (a signalling NaN as a quiet one): the engines reject them.
     """
     with open(path, "rb") as f:
         header = f.read(8)
         if header[:4] != FINGERPRINT_MAGIC:
-            raise ValueError(f"not a fingerprint file (magic {header[:4]!r})")
+            raise ValueError(f"{path}: not a fingerprint file (magic {header[:4]!r})")
         count = int.from_bytes(header[4:], "little")  # a short header fails the size check
         size, expected = os.fstat(f.fileno()).st_size, 8 + count * N_BEAMS * N_SUBCARRIERS * 4
         if size != expected:
             raise OSError(f"{path}: header promises {count} snapshot(s), {expected} bytes, not {size}")
         payload = f.read(expected - 8)
-    return np.frombuffer(payload, dtype="<f4").reshape(count, N_BEAMS, N_SUBCARRIERS).astype(np.float64)
+    fps = np.frombuffer(payload, dtype="<f4").reshape(count, N_BEAMS, N_SUBCARRIERS)
+    with np.errstate(invalid="ignore"):  # the cast's warning for a signalling NaN
+        return fps.astype(np.float64)
 
 
 def export_csv(path, fingerprints: np.ndarray) -> None:

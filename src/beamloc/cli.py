@@ -45,9 +45,7 @@ def _engine(cfg: RunConfig, kind: str, bundle):
     return make_engine(kind, bundle, EngineConfig(
         activation=cfg.activation_kind(),
         scenario_override=cfg.scenario,
-        delay_bin=cfg.delay_bin,
         router_window=cfg.router_window,
-        ffn_residual=cfg.ffn_residual,
     ))
 
 
@@ -60,8 +58,6 @@ def _load_inputs(cfg: RunConfig, need_snapshots: bool = False):
     if cfg.bundle is None or cfg.fingerprints is None:
         raise ConfigError("this command requires --bundle and --fingerprints")
     bundle = load_bundle(cfg.bundle)
-    if cfg.delay_bin is not None and cfg.delay_bin >= bundle.d:
-        raise ConfigError(f"delay_bin must be below the bundle's d = {bundle.d}, got {cfg.delay_bin}")
     fps = channel.read_fingerprints(cfg.fingerprints)
     if fps.shape[1:] != (bundle.n, bundle.d):
         raise ValueError(f"bundle {cfg.bundle} takes {bundle.n}x{bundle.d} snapshots, but "
@@ -90,7 +86,7 @@ def cmd_generate(cfg: RunConfig, args) -> int:
             if v is not None
         },
     )
-    fps = channel.generate_fingerprints(profile, args.count, periodic=args.periodic_hann)
+    fps = channel.generate_fingerprints(profile, args.count)
     channel.write_fingerprints(args.out, fps)
     if args.csv:
         channel.export_csv(args.csv, fps)
@@ -267,8 +263,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-sparsity", dest="sparsity_enabled", action="store_const", const=False,
                    help="disable thresholding and masking")
     p.add_argument("--router-window", type=int)
-    p.add_argument("--delay-bin", type=int)
-    p.add_argument("--ffn-residual", action="store_const", const=True)
     p.add_argument("--clock-hz", type=float)
     p.add_argument("--div-latency", type=int)
     p.add_argument("--pipeline-fill", type=int)
@@ -303,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dominant-beams", type=int)
     p.add_argument("--dominant-delays", type=int)
     p.add_argument("--diffuse-floor", type=float)
-    p.add_argument("--periodic-hann", action="store_true")
     p.set_defaults(func=cmd_generate, needs_config=False)
 
     p = sub.add_parser("infer", help="run inference over a fingerprint file")

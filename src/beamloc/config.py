@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 from .activations import ACTIVATIONS, ActivationKind
 from .perf import PerfConfig, _is_int, _is_number
 from .sparsity import SparsityConfig
+from .weights import SCENARIOS
 
 
 class ConfigError(ValueError):
@@ -40,8 +41,6 @@ class RunConfig:
     sparsity_enabled: bool = True
     sparsity: dict = field(default_factory=lambda: dict(DEFAULT_SPARSITY))
     router_window: int | None = None
-    delay_bin: int | None = None         # checked against the bundle's d on load
-    ffn_residual: bool = False
     clock_hz: float = PerfConfig.clock_hz
     div_latency: int = PerfConfig.div_latency
     pipeline_fill: int = PerfConfig.pipeline_fill
@@ -51,22 +50,20 @@ class RunConfig:
     def __post_init__(self):
         if self.engine not in _ENGINES:
             raise ConfigError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
-        if self.scenario is not None and self.scenario not in DEFAULT_SPARSITY:
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
         # a tuple compares by equality, so an unhashable value fails here too
+        if self.scenario not in (None, *SCENARIOS):
+            raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.activation not in (None, *ACTIVATIONS):
             raise ConfigError(f"unknown activation {self.activation!r}; "
                               f"choose from {sorted(ACTIVATIONS)}")
         for name in ("bundle", "fingerprints"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ConfigError(f"{name} must be a path, got {getattr(self, name)!r}")
-        for name in ("sparsity_enabled", "ffn_residual"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        for name, low in (("router_window", 1), ("delay_bin", 0)):
-            value = getattr(self, name)
-            if value is not None and not (_is_int(value) and low <= value <= sys.maxsize):
-                raise ConfigError(f"{name} must be an integer in {low}..{sys.maxsize}, got {value!r}")
+        if not isinstance(self.sparsity_enabled, bool):
+            raise ConfigError(f"sparsity_enabled must be true or false, got {self.sparsity_enabled!r}")
+        window = self.router_window
+        if window is not None and not (_is_int(window) and 1 <= window <= sys.maxsize):
+            raise ConfigError(f"router_window must be an integer in 1..{sys.maxsize}, got {window!r}")
         self.perf_config()  # PerfConfig checks the cycle-model settings
 
     def activation_kind(self) -> ActivationKind | None:
@@ -100,7 +97,7 @@ def _sparsity_from_dict(raw) -> dict:
         raise ConfigError(f"sparsity must map scenarios to thresholds, got {raw!r}")
     parsed = {}
     for sc, v in raw.items():
-        if sc not in DEFAULT_SPARSITY:
+        if sc not in SCENARIOS:
             raise ConfigError(f"sparsity: unknown scenario {sc!r}")
         if not isinstance(v, dict) or set(v) != {"t_elem", "t_rowcount"}:
             raise ConfigError(f"sparsity.{sc} must hold exactly t_elem and t_rowcount, got {v!r}")

@@ -39,9 +39,7 @@ from .weights import ModelBundle, SCENARIOS
 class EngineConfig:
     activation: ActivationKind | None = None     # None: use the bundle's
     scenario_override: str | None = None
-    delay_bin: int | None = None
     router_window: int | None = None
-    ffn_residual: bool = False
 
 
 @dataclass
@@ -65,7 +63,6 @@ class _EngineBase:
         self.cfg = cfg = cfg or EngineConfig()
         self.bundle = self._prepare_bundle(bundle)
         self.activation = bundle.activation if cfg.activation is None else cfg.activation
-        self.delay_bin = bundle.delay_bin if cfg.delay_bin is None else cfg.delay_bin
         self.router_window = bundle.router_window if cfg.router_window is None else cfg.router_window
 
     def slp_logits(self, x):
@@ -112,9 +109,7 @@ class _EngineBase:
         kept = np.arange(x.shape[0]) if mask is None else np.flatnonzero(~mask.skip)
         out = x.copy()
         if kept.size:
-            y = self.mha(x[kept], seg)
-            ffn_out = self.ffn(y, seg)
-            out[kept] = self.residual_add(y, ffn_out) if self.cfg.ffn_residual else ffn_out
+            out[kept] = self.ffn(self.mha(x[kept], seg), seg)
         return out
 
     def maxpool_flatten(self, x):
@@ -154,7 +149,7 @@ class _EngineBase:
         thresholded input, row mask) to the coordinates computed for it.
         """
         mat = self.prepare_input(fingerprint)
-        logits = self.slp_logits(mat[:, self.delay_bin])
+        logits = self.slp_logits(mat[:, self.bundle.delay_bin])
         scenario = self.cfg.scenario_override
         if scenario is None:
             state = RouterState.create(self.router_window) if state is None else state

@@ -51,11 +51,10 @@ class AccumulatorOverflow(ArithmeticError):
 
 
 def quantize(x: float) -> int:
-    """Round-to-nearest-even of ``x * 256``, saturated to the int16 range."""
+    """Round-to-nearest-even of ``x * 256``, ``x`` first clamped to [VALUE_MIN, VALUE_MAX]."""
     if not np.isfinite(x):
         raise ValueError(f"cannot quantize non-finite value {x!r}")
-    code = round(x * SCALE)  # Python round() is round-half-even
-    return min(max(code, CODE_MIN), CODE_MAX)
+    return round(min(max(x, VALUE_MIN), VALUE_MAX) * SCALE)  # round() is round-half-even
 
 
 def dequantize(code: int) -> float:
@@ -63,13 +62,13 @@ def dequantize(code: int) -> float:
 
 
 def quantize_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise quantize; np.rint rounds half to even.  Rejects NaN and inf."""
+    """Elementwise :func:`quantize` (np.rint rounds half to even).  Rejects NaN and inf."""
     if not np.isfinite(x).all():
         raise ValueError("cannot quantize non-finite values")
-    codes = np.asarray(x, dtype=np.float64) * SCALE
+    codes = np.maximum(np.asarray(x, dtype=np.float64), VALUE_MIN)
+    np.minimum(codes, VALUE_MAX, out=codes)  # two ufuncs cost less than np.clip on small arrays
+    codes *= SCALE
     np.rint(codes, out=codes)
-    np.maximum(codes, CODE_MIN, out=codes)  # two ufuncs cost less than np.clip on small arrays
-    np.minimum(codes, CODE_MAX, out=codes)
     return codes.astype(np.int16)
 
 

@@ -256,7 +256,7 @@ def _read_matrix(f, dtype: str, size: int, name: str, shape: tuple):
 
 
 def load_bundle(path) -> ModelBundle:
-    """Load a bundle file.
+    """Load a bundle file; every error names ``path``.
 
     A truncated file, a matrix whose shape disagrees with the header's
     sizes, or bytes left after the last matrix raise OSError before the
@@ -264,35 +264,38 @@ def load_bundle(path) -> ModelBundle:
     a header ``heads`` or ``pool_k`` below 1, raises ValueError.  Activation
     code 0, which older files may hold, loads as softmax.
     """
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        header = f.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise OSError(f"{path}: truncated bundle header")
-        magic, version, dtype_code, act, *values = _HEADER.unpack(header)
-        if magic != BUNDLE_MAGIC:
-            raise ValueError(f"not a weight bundle (magic {magic!r})")
-        if version != BUNDLE_VERSION:
-            raise ValueError(f"unsupported bundle version {version}")
-        if dtype_code not in (0, 1):
-            raise ValueError(f"unknown bundle dtype code {dtype_code}")
-        dtype = "float32" if dtype_code == 0 else "int16"
-        # code 0 named a second softmax kind with the same arithmetic
-        if act not in (0, *ActivationKind):
-            raise ValueError(f"{path}: unknown activation code {act}")
-        sizes = dict(zip(_SIZES, values))
-        shapes = _resolve(sizes)
+    try:
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            header = f.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise OSError(f"{path}: truncated bundle header")
+            magic, version, dtype_code, act, *values = _HEADER.unpack(header)
+            if magic != BUNDLE_MAGIC:
+                raise ValueError(f"not a weight bundle (magic {magic!r})")
+            if version != BUNDLE_VERSION:
+                raise ValueError(f"unsupported bundle version {version}")
+            if dtype_code not in (0, 1):
+                raise ValueError(f"unknown bundle dtype code {dtype_code}")
+            dtype = "float32" if dtype_code == 0 else "int16"
+            # code 0 named a second softmax kind with the same arithmetic
+            if act not in (0, *ActivationKind):
+                raise ValueError(f"unknown activation code {act}")
+            sizes = dict(zip(_SIZES, values))
+            shapes = _resolve(sizes)
 
-        def read(cls, prefix=""):
-            return {name: _read_matrix(f, dtype, size, prefix + name, shape)
-                    for name, shape in shapes[cls].items()}
+            def read(cls, prefix=""):
+                return {name: _read_matrix(f, dtype, size, prefix + name, shape)
+                        for name, shape in shapes[cls].items()}
 
-        router = read(ModelBundle)
-        segments = {sc: tuple(EncoderSegment(**read(EncoderSegment, f"{seg}."))
-                              for seg in SEGMENTS_PER_SCENARIO[sc])
-                    for sc in SCENARIOS}
-        fcnn = {sc: HeadParams(**read(HeadParams, f"FCNN_{sc}.")) for sc in SCENARIOS}
-        if f.tell() != size:
-            raise OSError(f"{path}: the matrices end at byte {f.tell()} of the bundle's {size}")
-    return ModelBundle(**sizes, activation=ActivationKind(act or ActivationKind.SOFTMAX_INT),
-                       dtype=dtype, segments=segments, fcnn=fcnn, **router)
+            router = read(ModelBundle)
+            segments = {sc: tuple(EncoderSegment(**read(EncoderSegment, f"{seg}."))
+                                  for seg in SEGMENTS_PER_SCENARIO[sc])
+                        for sc in SCENARIOS}
+            fcnn = {sc: HeadParams(**read(HeadParams, f"FCNN_{sc}.")) for sc in SCENARIOS}
+            if f.tell() != size:
+                raise OSError(f"{path}: the matrices end at byte {f.tell()} of the bundle's {size}")
+        return ModelBundle(**sizes, activation=ActivationKind(act or ActivationKind.SOFTMAX_INT),
+                           dtype=dtype, segments=segments, fcnn=fcnn, **router)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e

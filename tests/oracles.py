@@ -201,7 +201,7 @@ def softmax_highprec(row, dps=50):
 
 
 def masked_dense_layer_int(x, seg, mask: RowMask, *, kind, bias_code, m_code,
-                           heads, ffn_residual=False):
+                           heads):
     """Mask-aware dense reference for one integer encoder layer.
 
     Computes every product over all rows, then zeroes the skipped rows'
@@ -251,8 +251,6 @@ def masked_dense_layer_int(x, seg, mask: RowMask, *, kind, bias_code, m_code,
 
     h1 = np.maximum(mm(mha, seg.ffn_w1, seg.ffn_b1), 0)
     ffn = mm(h1, seg.ffn_w2, seg.ffn_b2)
-    if ffn_residual:
-        ffn = sat_add(mha, ffn)
     out = mha.copy()
     out[kept] = ffn[kept]
     return out

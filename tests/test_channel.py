@@ -1,3 +1,5 @@
+import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +27,8 @@ def test_profile_validation():
             channel.ScenarioProfile("S1", 1, 1, floor)
     with pytest.raises(ConfigError, match="seed"):
         channel.ScenarioProfile("S1", 1, 1, 0.0, seed=-1)
+    with pytest.raises(ConfigError, match="unknown scenario 'S9'"):
+        channel.default_profile("S9")
 
 
 def test_generation_deterministic():
@@ -87,14 +91,6 @@ def test_hann_window_shape():
     assert np.allclose(w[0], 0.5 * (1 - np.cos(2 * np.pi * j / 45)))
 
 
-def test_hann_periodic_variant_differs():
-    ones = np.ones((1, 46))
-    sym = channel.hann_window(ones)
-    per = channel.hann_window(ones, periodic=True)
-    assert not np.allclose(sym, per)
-    assert per[0, 0] == 0.0 and per[0, 45] != 0.0
-
-
 def test_hann_zero_matrix():
     z = np.zeros((128, 46), dtype=complex)
     assert np.all(channel.hann_window(z) == 0)
@@ -154,8 +150,22 @@ def test_fingerprint_file_roundtrip(tmp_path, rng):
 def test_fingerprint_file_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="junk.bin: not a fingerprint file"):
         channel.read_fingerprints(path)
+
+
+@pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0xFF800000])  # NaN, signalling NaN, -inf
+def test_fingerprint_file_loads_non_finite_values_without_a_warning(tmp_path, bits):
+    # The engines reject them (exit 4); the read itself neither warns nor fails.
+    path = tmp_path / "nan.bdfp"
+    channel.write_fingerprints(path, np.ones((1, 128, 46)))
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 8 + 4 * 100, bits)  # beam 2, delay bin 8
+    path.write_bytes(bytes(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fps = channel.read_fingerprints(path)
+    assert np.flatnonzero(~np.isfinite(fps)).tolist() == [100]
 
 
 def test_empty_fingerprint_file(tmp_path):

@@ -222,10 +222,10 @@ def test_sweep_quantizes_the_bundle_once(inputs, tmp_path, monkeypatch):
 # with relative paths.  The statistics columns are exact; the float engine's
 # output_deviation also depends on the BLAS build's float64 summation order.
 SWEEP_CSV_SHA256 = {
-    "int": "3c71a06d26c8428d4e1da999a1b9e0dcf141eef2dc2cbe05b74b9f0eeb192578",
-    "float": "6f34e0255f54eb0cf91b561b53380d1db25f8cd1a987bec620b57eb221c98ca2",
-    "int --scenario S3": "d4f1e8137d9d2ab414154b0f6c7dc02cf430c803fc3927a686e68d3c8b81b608",
-    "float --scenario S3": "fb20e9cb4388bb635bd0d34fd8ed50576bbe571b3ebfc67a896f0ee82cf4910c",
+    "int": "e69f8354480c3b898b482371be99125c092d366458f47a23b1951530e0b7f7aa",
+    "float": "b971f16c0a7170437c337188a4b49a4223dcf56616fa1ff7e61c0bc445d8f3fd",
+    "int --scenario S3": "9f3db6bdc96eeab22e16c84591f2374c1e69dc13b089262640f035284db1116e",
+    "float --scenario S3": "6a0de03ebb6da445e83c6c213754f6169d6c9503a3ce7caf38b3b54371b0fff7",
 }
 
 
@@ -439,15 +439,46 @@ def test_bad_perf_setting_is_a_config_error(tmp_path, capsys, flags, setting):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("delay_bin", ["46", "99", "-1"])
-def test_bad_delay_bin_is_a_config_error(inputs, tmp_path, capsys, delay_bin):
+@pytest.mark.parametrize("flag", ["--delay-bin=3", "--ffn-residual"])
+def test_removed_model_flags_are_rejected(inputs, tmp_path, capsys, flag):
+    # The bundle fixes the router's delay bin and the encoder's structure.
     bundle, fps = inputs
     out = tmp_path / "out.json"
-    assert _infer(bundle, fps, out, f"--delay-bin={delay_bin}") == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and "delay_bin" in err
+    with pytest.raises(SystemExit) as e:
+        _infer(bundle, fps, out, flag)
+    assert e.value.code == cli.EXIT_CONFIG
+    assert flag.split("=")[0] in capsys.readouterr().err
     assert not out.exists()
-    assert _infer(bundle, fps, out, "--delay-bin=45") == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("key, value", [("delay_bin", 3), ("delay_bin", None),
+                                        ("ffn_residual", False)])
+def test_removed_model_settings_are_config_errors(inputs, tmp_path, capsys, key, value):
+    bundle, fps = inputs
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: value}))
+    out = tmp_path / "out.json"
+    assert _infer(bundle, fps, out, "--config", str(config)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not out.exists()
+
+
+def test_a_huge_finite_threshold_saturates(inputs, tmp_path):
+    # 1e307 * 256 is inf in float64; the threshold's code saturates at 32767.
+    bundle, fps = inputs
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--bundle", str(bundle), "--fingerprints", str(fps),
+                     "--t-elem", "1e307", "--t-rowcount", "3", "--out", str(out)]) == cli.EXIT_OK
+    rows = list(csv.DictReader(line for line in out.read_text().splitlines()
+                               if not line.startswith("#")))
+    assert float(rows[0]["element_sparsity"]) == 1.0
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"sparsity": {sc: {"t_elem": 1e307, "t_rowcount": 3}
+                                               for sc in SCENARIOS}}))
+    out = tmp_path / "out.json"
+    assert _infer(bundle, fps, out, "--config", str(config)) == cli.EXIT_OK
+    assert all(r["row_sparsity"] == 1.0 for r in json.loads(out.read_text())["results"])
 
 
 @pytest.mark.parametrize("fields, setting", [
@@ -467,6 +498,7 @@ def test_bad_delay_bin_is_a_config_error(inputs, tmp_path, capsys, delay_bin):
     ({"pipeline_fill": 10**400}, "pipeline_fill"),
     ({"router_window": 10**20}, "router_window"),
     ({"activation": ["x"]}, "activation"),
+    ({"scenario": ["x"]}, "scenario"),
 ])
 def test_bad_config_file_is_a_config_error(tmp_path, capsys, fields, setting):
     path = tmp_path / "run.json"
@@ -536,7 +568,7 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, content):
 @pytest.mark.parametrize("flags", [
     [],
     ["--engine", "both", "--scenario", "S2", "--activation", "softmax-int", "--no-sparsity",
-     "--router-window", "5", "--delay-bin", "3", "--ffn-residual", "--clock-hz", "2e8",
+     "--router-window", "5", "--clock-hz", "2e8",
      "--div-latency", "8", "--pipeline-fill", "3", "--c-overhead", "1.5",
      "--layer-overhead", "100"],
 ])
@@ -551,14 +583,14 @@ def test_show_config_round_trips_through_a_config_file(tmp_path, capsys, flags):
 
 def test_flags_override_the_config_file_and_only_when_given(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"ffn_residual": True, "sparsity_enabled": False,
-                                "router_window": 5}))
+    path.write_text(json.dumps({"sparsity_enabled": False, "router_window": 5,
+                                "activation": "sigmoid"}))
     parser = cli.build_parser()
     cfg = cli._build_config(parser.parse_args(["show-config", "--config", str(path)]))
-    assert (cfg.ffn_residual, cfg.sparsity_enabled, cfg.router_window) == (True, False, 5)
-    path.write_text(json.dumps({"ffn_residual": False, "sparsity_enabled": True,
-                                "router_window": 5}))
+    assert (cfg.sparsity_enabled, cfg.router_window, cfg.activation) == (False, 5, "sigmoid")
+    path.write_text(json.dumps({"sparsity_enabled": True, "router_window": 5,
+                                "activation": "sigmoid"}))
     cfg = cli._build_config(parser.parse_args([
-        "show-config", "--config", str(path), "--ffn-residual", "--no-sparsity",
-        "--router-window", "3"]))
-    assert (cfg.ffn_residual, cfg.sparsity_enabled, cfg.router_window) == (True, False, 3)
+        "show-config", "--config", str(path), "--no-sparsity", "--router-window", "3",
+        "--activation", "softmax-int"]))
+    assert (cfg.sparsity_enabled, cfg.router_window, cfg.activation) == (False, 3, "softmax-int")

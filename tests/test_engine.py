@@ -139,18 +139,17 @@ def test_head_output_matches_oracle(rng, toy_bundle):
 def test_encoder_layer_passes_skipped_rows_through(toy_bundle):
     skip = np.array([True, False, False, True, True, False, True, False])
     for kind in ("float", "int"):
-        for ffn_residual in (False, True):
-            engine = make_engine(kind, toy_bundle, EngineConfig(ffn_residual=ffn_residual))
-            seg = engine.bundle.segments["S1"][0]
-            x = engine.prepare_input(np.arange(32, dtype=np.float64).reshape(8, 4) / 16)
-            # every row skipped: attention and FFN both leave the input as it is
-            assert np.array_equal(engine.encoder_layer(x, seg, _mask([True] * 8)), x)
-            got = engine.encoder_layer(x, seg, _mask(skip))
-            assert np.array_equal(got[skip], x[skip])
-            if engine.is_integer:  # the ReLU and residuals keep Q8.8 codes int16
-                assert got.dtype == engine.ffn(x, seg).dtype == np.int16
-            # the kept rows see only each other
-            assert np.array_equal(got[~skip], engine.encoder_layer(x[~skip], seg))
+        engine = make_engine(kind, toy_bundle)
+        seg = engine.bundle.segments["S1"][0]
+        x = engine.prepare_input(np.arange(32, dtype=np.float64).reshape(8, 4) / 16)
+        # every row skipped: attention and FFN both leave the input as it is
+        assert np.array_equal(engine.encoder_layer(x, seg, _mask([True] * 8)), x)
+        got = engine.encoder_layer(x, seg, _mask(skip))
+        assert np.array_equal(got[skip], x[skip])
+        if engine.is_integer:  # the ReLU and residuals keep Q8.8 codes int16
+            assert got.dtype == engine.ffn(x, seg).dtype == np.int16
+        # the kept rows see only each other
+        assert np.array_equal(got[~skip], engine.encoder_layer(x[~skip], seg))
 
 
 def test_mha_zero_wo_is_residual_only(toy_bundle, rng):
@@ -423,13 +422,15 @@ def test_run_thresholds_are_a_run_setting(full_bundle, kind):
         assert np.array_equal(x.coords, y.coords) and np.array_equal(x.mask.skip, y.mask.skip)
 
 
-def test_ffn_residual_flag(toy_bundle, rng):
-    x = rng.uniform(0, 1, size=(8, 4))
-    plain = FloatEngine(toy_bundle).encoder_layer(x, toy_bundle.segments["S1"][0])
-    seg = toy_bundle.segments["S1"][0]
-    resid = FloatEngine(toy_bundle, EngineConfig(ffn_residual=True)).encoder_layer(x, seg)
-    mha = FloatEngine(toy_bundle).mha(x, seg)
-    assert np.allclose(resid, plain + mha)
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_router_reads_the_bundles_delay_bin(s1_batch, kind):
+    engine = make_engine(kind, random_bundle(seed=7, delay_bin=5))
+    columns = []
+    slp_logits = engine.slp_logits
+    engine.slp_logits = lambda col: columns.append(col) or slp_logits(col)
+    engine.infer(s1_batch[0])
+    assert len(columns) == 1
+    assert np.array_equal(columns[0], engine.prepare_input(s1_batch[0])[:, 5])
 
 
 def test_make_engine(full_bundle):

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,16 @@ def test_quantize_anchors():
     assert fxp.quantize(0.00390625) == 1
     assert fxp.quantize(300.0) == 32767
     assert fxp.quantize(-300.0) == -32768
+
+
+def test_quantize_saturates_huge_finite_values():
+    # 1e307 * 256 overflows float64; the value is clamped before it is scaled.
+    assert fxp.quantize(1e307) == 32767
+    assert fxp.quantize(-sys.float_info.max) == -32768
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning either
+        codes = fxp.quantize_array(np.array([1e307, -sys.float_info.max, sys.float_info.max]))
+    assert codes.tolist() == [32767, -32768, 32767]
 
 
 def test_quantize_rejects_non_finite():

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -218,6 +219,8 @@ def test_load_fuzz_damaged_file(tmp_path, toy_files, quantized, cut, edits, head
 
 
 @pytest.mark.parametrize("offset, value, error", [
+    (0, b"AXLX", ValueError),         # magic
+    (4, b"\x02\x00", ValueError),     # version
     (6, b"\x05", ValueError),         # dtype code
     (12, b"\x00\x00", ValueError),    # heads
     (18, b"\x00\x00", ValueError),    # pool_k
@@ -233,7 +236,7 @@ def test_load_rejects_forged_header_values(tmp_path, toy_files, offset, value, e
     data[offset:offset + len(value)] = value
     path = tmp_path / "forged.axlw"
     path.write_bytes(bytes(data))
-    with pytest.raises(error):
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
         load_bundle(path)
 
 
