@@ -4,6 +4,8 @@ An :class:`ActivationKind` names the attention function and the engine
 decides the arithmetic: the float engine runs the exact form, the integer
 engine the LUT form.  ``ACTIVATIONS`` maps config names to kinds; softmax
 keeps the name ``softmax-int`` that saved configs and workloads pass.
+The two kinds are softmax and sigmoid with the length-compensating bias
+-ln(n) (Ramapuram et al., arXiv:2409.04431).
 
 The sigmoid LUT holds 1025 uniformly spaced samples of sigma over
 [-16, +16] (grid step 1/32) with Q8.8 outputs; inputs are clamped to the
@@ -11,10 +13,10 @@ covered interval and snapped to the nearest grid point.  The exp LUT used
 by the integer softmax holds 1025 samples of exp over [-16, 0] (grid step
 1/64) with Q1.15 outputs, so exp(0) is exactly 32768.
 
-Integer row normalization (softmax and normalized sigmoid) uses a single
-reciprocal per row plus error-feedback rounding: the emitted Q8.8 codes of
-a row always sum to 256, i.e. exactly 1.0, while each individual entry
-stays within one code of its exact value.
+The integer softmax normalizes with a single reciprocal per row plus
+error-feedback rounding: the emitted Q8.8 codes of a row always sum to
+256, i.e. exactly 1.0, while each individual entry stays within one code
+of its exact value.
 
 The kernels hold their integers in float64 (see :mod:`beamloc.fxp`): LUT
 indices come from exact power-of-two scaling and np.rint, which rounds
@@ -34,16 +36,12 @@ from .fxp import SCALE, quantize, quantize_array, rne_div
 
 class ActivationKind(enum.IntEnum):
     SOFTMAX_INT = 1
-    SIGMOID_LUT = 2
     SIGMOID_BIAS_LUT = 3
-    SIGMOID_NORM_LUT = 4
 
 
 ACTIVATIONS = {
     "softmax-int": ActivationKind.SOFTMAX_INT,
-    "sigmoid": ActivationKind.SIGMOID_LUT,
     "sigmoid-bias": ActivationKind.SIGMOID_BIAS_LUT,
-    "sigmoid-norm": ActivationKind.SIGMOID_NORM_LUT,
 }
 
 
@@ -82,24 +80,15 @@ _EXP_CODE_LIMIT = int(SIG_RANGE) * SCALE  # 4096
 _RECIP_BITS = 30
 
 
-def _normalize_rows(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Emit Q8.8 codes for numer/denom per row, one reciprocal per row.
-
-    Error-feedback rounding: entry i is the difference of the running
-    rounded cumulative sum at i and i-1, so row totals never drift.  Rows
-    with a zero denominator emit zeros.
-    """
-    recip = np.where(denom > 0, rne_div(1 << _RECIP_BITS, np.maximum(denom, 1).astype(np.int64)), 0)
-    steps = np.rint(np.cumsum(numer * recip, axis=1) * 2.0 ** (8 - _RECIP_BITS))
-    steps[:, 1:] -= steps[:, :-1]
-    return steps.astype(np.int16)
-
-
 def softmax_int(scores: np.ndarray) -> np.ndarray:
     """Integer-only stable softmax over each row of Q8.8 codes.
 
     Max subtraction happens on the raw codes, so a constant shift of a row
-    changes nothing; the exp LUT then sees only non-positive inputs.
+    changes nothing; the exp LUT then sees only non-positive inputs.  Each
+    row's maximum maps to exp(0) = 32768, so every row sum is positive.
+
+    Error-feedback rounding: entry i is the difference of the running
+    rounded cumulative sum at i and i-1, so row totals never drift.
     """
     x = np.asarray(scores, dtype=np.float64)
     if x.size == 0:
@@ -107,15 +96,10 @@ def softmax_int(scores: np.ndarray) -> np.ndarray:
     diff = np.maximum(x - x.max(axis=1, keepdims=True), -_EXP_CODE_LIMIT)
     # diff/4 + 1024 rounds to even like diff/4 does, because 1024 is even
     e = EXP_TABLE[np.rint(diff / 4 + (EXP_SIZE - 1)).astype(np.intp)]
-    return _normalize_rows(e, e.sum(axis=1, keepdims=True))
-
-
-def row_normalize_int(codes: np.ndarray) -> np.ndarray:
-    """Normalize non-negative Q8.8 rows to unit sum (normalized sigmoid)."""
-    q = np.asarray(codes, dtype=np.float64)
-    if q.size == 0:
-        return np.zeros_like(q, dtype=np.int16)
-    return _normalize_rows(q, q.sum(axis=1, keepdims=True))
+    recip = rne_div(1 << _RECIP_BITS, e.sum(axis=1, keepdims=True).astype(np.int64))
+    steps = np.rint(np.cumsum(e * recip, axis=1) * 2.0 ** (8 - _RECIP_BITS))
+    steps[:, 1:] -= steps[:, :-1]
+    return steps.astype(np.int16)
 
 
 @functools.cache
@@ -138,10 +122,3 @@ def softmax_rows(s: np.ndarray) -> np.ndarray:
 
 def sigmoid(s: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-s))
-
-
-def sigmoid_rows_normalized(s: np.ndarray) -> np.ndarray:
-    a = sigmoid(s)
-    if a.size == 0:
-        return a
-    return a / a.sum(axis=1, keepdims=True)

@@ -14,7 +14,7 @@ thresholds and masks, and returns its own ``RowMask``, but runs the encoder
 and head once per distinct triple; ``sweep`` shares one dict across its cells.
 
 The integer engine requantizes once per matrix product (round-to-nearest-
-even, saturating), evaluates sigmoid variants through the Q8.8 LUT, and
+even, saturating), evaluates the biased sigmoid through the Q8.8 LUT, and
 scales by a constant (``gamma / sqrt(d_k)``, the leaky-ReLU slope) with one
 multiply by its Q8.8 code and a requantize.
 """
@@ -202,14 +202,9 @@ class FloatEngine(_EngineBase):
         return x * c
 
     def activation_op(self, scores):
-        kind = self.activation
-        if kind == ActivationKind.SOFTMAX_INT:
+        if self.activation == ActivationKind.SOFTMAX_INT:
             return act.softmax_rows(scores)
-        if kind == ActivationKind.SIGMOID_LUT:
-            return act.sigmoid(scores)
-        if kind == ActivationKind.SIGMOID_BIAS_LUT:
-            return act.sigmoid(scores - math.log(self.bundle.n))
-        return act.sigmoid_rows_normalized(scores)
+        return act.sigmoid(scores - math.log(self.bundle.n))
 
     def coords_of(self, out):
         return np.asarray(out, dtype=np.float64)
@@ -237,15 +232,9 @@ class IntEngine(_EngineBase):
         return requantize_array(x * float(quantize(c)))
 
     def activation_op(self, scores):
-        kind = self.activation
-        if kind == ActivationKind.SOFTMAX_INT:
+        if self.activation == ActivationKind.SOFTMAX_INT:
             return act.softmax_int(scores)
-        if kind == ActivationKind.SIGMOID_LUT:
-            return act.sigmoid_lut(scores)
-        if kind == ActivationKind.SIGMOID_BIAS_LUT:
-            biased = scores.astype(np.int32) + act.sigmoid_bias_code(self.bundle.n)
-            return act.sigmoid_lut(biased)
-        return act.row_normalize_int(act.sigmoid_lut(scores))
+        return act.sigmoid_lut(scores.astype(np.int32) + act.sigmoid_bias_code(self.bundle.n))
 
     def coords_of(self, out):
         return dequantize_array(out)

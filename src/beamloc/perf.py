@@ -4,12 +4,12 @@ Stage costs follow a one-result-per-cycle discipline: the 46-wide
 input-stationary engine retires one length-46 dot product per cycle in
 the projections and FFN, the 23-wide score engine one length-23 dot per
 cycle, and output-stationary stages (head products, SLP, coordinate head)
-retire one operand broadcast per cycle across their lanes.  Sigmoid
-variants stream through the activation stage and add only pipeline fill;
-softmax serializes two full passes per row plus one division per row, and
-normalized sigmoid one accumulation pass plus the divisions.  ``_layer``
-holds one encoder layer's seven stage costs, ``_pipeline_stages`` the
-SLP, sparsity detection, pool and coordinate head, and the layer sums.
+retire one operand broadcast per cycle across their lanes.  The biased
+sigmoid streams through the activation stage and adds only pipeline fill;
+softmax serializes two full passes per row plus one division per row.
+``_layer`` holds one encoder layer's seven stage costs,
+``_pipeline_stages`` the SLP, sparsity detection, pool and coordinate
+head, and the layer sums.
 
 Beyond the per-stage compute, each encoder layer pays a fixed
 control/weight-streaming overhead and the whole pipeline a multiplicative
@@ -86,7 +86,7 @@ class PerfConfig:
                              f"{self.clock_hz} overflow the densest pipeline's latency")
         # Every report divides by its total.  The smallest is S1 with no rows
         # kept, one layer doing no work.
-        _, layers, floor = _pipeline_stages(0, "S1", ActivationKind.SIGMOID_LUT, self)
+        _, layers, floor = _pipeline_stages(0, "S1", ActivationKind.SIGMOID_BIAS_LUT, self)
         total = _total_cycles(floor, len(layers), self)
         if total == 0:
             raise ValueError(f"c_overhead = {self.c_overhead} and layer_overhead = "
@@ -126,18 +126,13 @@ def _filled(work: int, fill: int) -> int:
 def _layer(n: int, kind: ActivationKind, cfg: PerfConfig) -> dict:
     """One encoder layer's stage cycles at ``n`` effective rows."""
     fill = cfg.pipeline_fill
-    if n == 0:
-        activation = 0
-    elif kind == ActivationKind.SOFTMAX_INT:  # two buffered passes per row plus one division per row
-        activation = 2 * n * n + cfg.div_latency * n + fill
-    elif kind == ActivationKind.SIGMOID_NORM_LUT:
-        activation = n * n + cfg.div_latency * n + fill
-    else:
-        activation = fill  # element-wise sigmoid overlaps with streaming
+    # Softmax makes two buffered passes per row plus one division per row;
+    # the element-wise sigmoid overlaps with streaming and pays only the fill.
+    serial = 2 * n * n + cfg.div_latency * n if kind == ActivationKind.SOFTMAX_INT else 0
     return {
         "qkv": _filled(3 * n * cfg.d, fill),
         "scores": _filled(2 * n * n, fill),
-        "activation": activation,
+        "activation": serial + fill if n else 0,
         "headmul": _filled(2 * n * n, fill),
         "wo": _filled(n * cfg.d, fill),
         "ffn1": _filled(n * cfg.d_ff, fill),

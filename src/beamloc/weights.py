@@ -75,8 +75,9 @@ class ModelBundle:
     def __post_init__(self):
         if self.dtype not in ("float32", "int16"):
             raise ValueError(f"bundle dtype must be float32 or int16, got {self.dtype}")
-        if self.heads < 1 or self.pool_k < 1:
-            raise ValueError(f"heads and pool_k must be >= 1, got {self.heads} and {self.pool_k}")
+        if min(self.heads, self.pool_k, self.router_window) < 1:
+            raise ValueError(f"heads, pool_k and router_window must be >= 1, got "
+                             f"{self.heads}, {self.pool_k} and {self.router_window}")
         if self.d % self.heads != 0:
             raise ValueError("feature width must divide evenly across heads")
         if (self.d + self.pool_p) % self.pool_k != 0:
@@ -261,8 +262,9 @@ def load_bundle(path) -> ModelBundle:
     A truncated file, a matrix whose shape disagrees with the header's
     sizes, or bytes left after the last matrix raise OSError before the
     matrix is allocated; a wrong magic, version, dtype or activation code, or
-    a header ``heads`` or ``pool_k`` below 1, raises ValueError.  Activation
-    code 0, which older files may hold, loads as softmax.
+    a header ``heads``, ``pool_k`` or ``router_window`` below 1, raises
+    ValueError.  Activation code 0, which older files may hold, loads as
+    softmax.
     """
     try:
         with open(path, "rb") as f:

@@ -7,7 +7,6 @@ something.
 """
 
 import cmath
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -181,14 +180,6 @@ def softmax_int(scores: np.ndarray) -> np.ndarray:
     return _normalize_rows(e, e.sum(axis=1, keepdims=True))
 
 
-def row_normalize_int(codes: np.ndarray) -> np.ndarray:
-    """Normalize non-negative Q8.8 rows to unit sum (normalized sigmoid)."""
-    q = np.asarray(codes, dtype=np.int64)
-    if q.size == 0:
-        return np.zeros_like(q, dtype=np.int16)
-    return _normalize_rows(q, q.sum(axis=1, keepdims=True))
-
-
 def softmax_highprec(row, dps=50):
     """Row softmax at high working precision (mpmath)."""
     import mpmath
@@ -234,12 +225,8 @@ def masked_dense_layer_int(x, seg, mask: RowMask, *, kind, bias_code, m_code,
         sub = scores[np.ix_(kept, kept)]
         if kind == ActivationKind.SOFTMAX_INT:
             act_sub = softmax_int(sub)
-        elif kind == ActivationKind.SIGMOID_LUT:
-            act_sub = sigmoid_lut(sub)
-        elif kind == ActivationKind.SIGMOID_BIAS_LUT:
-            act_sub = sigmoid_lut(sub.astype(np.int32) + bias_code)
         else:
-            act_sub = row_normalize_int(sigmoid_lut(sub))
+            act_sub = sigmoid_lut(sub.astype(np.int32) + bias_code)
         a_full = np.zeros((n, n), dtype=np.int16)
         a_full[np.ix_(kept, kept)] = act_sub
         v_gated = v.copy()

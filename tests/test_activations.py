@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,16 +85,6 @@ def test_integer_row_kernels_match_int64_oracles():
     special[3, 0] = -5
     for rows in (scores, -scores[:, ::-1], special):
         assert np.array_equal(act.softmax_int(rows), oracles.softmax_int(rows))
-    # Row normalization: rows [a, 512 - a] round exact ties at odd a, and
-    # zero, all-equal and single-nonzero rows.
-    a = np.arange(513)
-    rows = np.stack([a, 512 - a], axis=1)
-    assert np.array_equal(act.row_normalize_int(rows), oracles.row_normalize_int(rows))
-    special = np.zeros((4, 128), dtype=np.int64)
-    special[1] = 256
-    special[2, 77] = 3
-    special[3, 0] = 32767
-    assert np.array_equal(act.row_normalize_int(special), oracles.row_normalize_int(special))
 
 
 _ROWS = st.tuples(st.integers(1, 4), st.integers(1, 130))
@@ -108,14 +96,6 @@ def test_softmax_int_matches_int64_oracle(scores):
     assert np.array_equal(act.softmax_int(scores), oracles.softmax_int(scores))
 
 
-@given(arrays(np.int16, _ROWS, elements=st.integers(0, 32767) | st.integers(0, 2)))
-@settings(max_examples=200, deadline=None)
-def test_row_normalize_int_matches_int64_oracle(codes):
-    assert np.array_equal(act.row_normalize_int(codes), oracles.row_normalize_int(codes))
-    sig = act.sigmoid_lut(codes)
-    assert np.array_equal(act.row_normalize_int(sig), oracles.row_normalize_int(sig))
-
-
 def test_softmax_float_matches_highprec(rng):
     for _ in range(30):
         n = int(rng.integers(2, 40))
@@ -123,16 +103,6 @@ def test_softmax_float_matches_highprec(rng):
         ours = act.softmax_rows(row.reshape(1, -1))[0]
         ref = softmax_highprec(row)
         assert np.max(np.abs(ours - ref)) < 1e-12
-
-
-def test_row_normalize_int_sums_to_one():
-    rng = np.random.default_rng(3)
-    codes = rng.integers(0, 257, size=(40, 128), dtype=np.int64)
-    codes[5] = 0  # zero row normalizes to zeros, not a crash
-    out = act.row_normalize_int(codes)
-    sums = out.astype(np.int64).sum(axis=1)
-    assert np.all(sums[np.arange(40) != 5] == 256)
-    assert sums[5] == 0
 
 
 def test_sigmoid_bias_code():

@@ -123,7 +123,7 @@ def test_forged_bundle_row_count_is_an_io_error(inputs, tmp_path, capsys):
 
 def test_infer_cycles_follow_the_requested_activation(inputs, tmp_path):
     bundle, fps = inputs
-    for name in ("softmax-int", "sigmoid-norm"):
+    for name in ("softmax-int", "sigmoid-bias"):
         flags = ("--activation", name, "--scenario", "S1")
         assert _infer(bundle, fps, tmp_path / "infer.json", *flags, "--no-sparsity") == cli.EXIT_OK
         assert cli.main(["perf", *flags, "--fractions", "0",
@@ -499,6 +499,7 @@ def test_a_huge_finite_threshold_saturates(inputs, tmp_path):
     ({"router_window": 10**20}, "router_window"),
     ({"activation": ["x"]}, "activation"),
     ({"scenario": ["x"]}, "scenario"),
+    ({"activation": "sigmoid"}, "activation"),
 ])
 def test_bad_config_file_is_a_config_error(tmp_path, capsys, fields, setting):
     path = tmp_path / "run.json"
@@ -510,19 +511,22 @@ def test_bad_config_file_is_a_config_error(tmp_path, capsys, fields, setting):
 
 def test_softmax_float_is_no_activation(inputs, tmp_path, capsys):
     # Softmax is one kind, named softmax-int; the engine picks the arithmetic.
+    # Plain and row-normalized sigmoid are retired: attention is softmax or
+    # sigmoid with the -ln(n) bias.
     bundle, fps = inputs
     out = tmp_path / "out.json"
-    with pytest.raises(SystemExit) as e:
-        _infer(bundle, fps, out, "--activation", "softmax-float")
-    assert e.value.code == cli.EXIT_CONFIG
-    assert "'sigmoid', 'sigmoid-bias', 'sigmoid-norm', 'softmax-int'" in capsys.readouterr().err
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"activation": "softmax-float"}))
-    assert _infer(bundle, fps, out, "--config", str(config)) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: unknown activation 'softmax-float'")
-    assert "['sigmoid', 'sigmoid-bias', 'sigmoid-norm', 'softmax-int']" in err
-    assert not out.exists()
+    for name in ("softmax-float", "sigmoid", "sigmoid-norm"):
+        with pytest.raises(SystemExit) as e:
+            _infer(bundle, fps, out, "--activation", name)
+        assert e.value.code == cli.EXIT_CONFIG
+        assert "choose from 'sigmoid-bias', 'softmax-int')" in capsys.readouterr().err
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"activation": name}))
+        assert _infer(bundle, fps, out, "--config", str(config)) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown activation '{name}'")
+        assert "['sigmoid-bias', 'softmax-int']" in err
+        assert not out.exists()
 
 
 def test_bundle_with_activation_code_zero_infers_as_softmax(inputs, tmp_path):
@@ -584,12 +588,12 @@ def test_show_config_round_trips_through_a_config_file(tmp_path, capsys, flags):
 def test_flags_override_the_config_file_and_only_when_given(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"sparsity_enabled": False, "router_window": 5,
-                                "activation": "sigmoid"}))
+                                "activation": "sigmoid-bias"}))
     parser = cli.build_parser()
     cfg = cli._build_config(parser.parse_args(["show-config", "--config", str(path)]))
-    assert (cfg.sparsity_enabled, cfg.router_window, cfg.activation) == (False, 5, "sigmoid")
+    assert (cfg.sparsity_enabled, cfg.router_window, cfg.activation) == (False, 5, "sigmoid-bias")
     path.write_text(json.dumps({"sparsity_enabled": True, "router_window": 5,
-                                "activation": "sigmoid"}))
+                                "activation": "sigmoid-bias"}))
     cfg = cli._build_config(parser.parse_args([
         "show-config", "--config", str(path), "--no-sparsity", "--router-window", "3",
         "--activation", "softmax-int"]))

@@ -102,12 +102,9 @@ def test_scores_match_explicit_form(rng, toy_bundle):
 def test_float_activation_is_the_exact_form(full_bundle, rng, kind):
     scores = rng.normal(0.0, 3.0, size=(6, 9))
     e = np.exp(scores)
-    sig = 1.0 / (1.0 + np.exp(-scores))
     exact = {
         ActivationKind.SOFTMAX_INT: e / e.sum(axis=1, keepdims=True),
-        ActivationKind.SIGMOID_LUT: sig,
         ActivationKind.SIGMOID_BIAS_LUT: 1.0 / (1.0 + np.exp(np.log(full_bundle.n) - scores)),
-        ActivationKind.SIGMOID_NORM_LUT: sig / sig.sum(axis=1, keepdims=True),
     }[kind]
     fe = FloatEngine(full_bundle, EngineConfig(activation=kind))
     np.testing.assert_allclose(fe.activation_op(scores), exact, rtol=1e-12, atol=0)
@@ -441,12 +438,12 @@ def test_make_engine(full_bundle):
 
 
 def test_softmax_rows_sum_inside_engine(full_bundle, s1_batch):
-    for kind in (ActivationKind.SOFTMAX_INT, ActivationKind.SIGMOID_NORM_LUT):
-        ie = IntEngine(full_bundle, EngineConfig(activation=kind, scenario_override="S1"))
-        weights = []
-        activation_op = ie.activation_op
-        ie.activation_op = lambda scores: weights.append(activation_op(scores)) or weights[-1]
-        ie.infer(s1_batch[0])
-        assert len(weights) == full_bundle.heads  # one S1 layer, one call per head
-        sums = dequantize_array(weights[0]).sum(axis=1)
-        assert np.max(np.abs(sums - 1.0)) <= 2**-8
+    ie = IntEngine(full_bundle, EngineConfig(activation=ActivationKind.SOFTMAX_INT,
+                                             scenario_override="S1"))
+    weights = []
+    activation_op = ie.activation_op
+    ie.activation_op = lambda scores: weights.append(activation_op(scores)) or weights[-1]
+    ie.infer(s1_batch[0])
+    assert len(weights) == full_bundle.heads  # one S1 layer, one call per head
+    sums = dequantize_array(weights[0]).sum(axis=1)
+    assert np.max(np.abs(sums - 1.0)) <= 2**-8

@@ -21,7 +21,6 @@ def perf_cfg():
     ("S1", ActivationKind.SIGMOID_BIAS_LUT, 0.0, 130026, 1.0),
     ("S1", ActivationKind.SIGMOID_BIAS_LUT, 0.65, 48188, 2.6983),
     ("S2", ActivationKind.SOFTMAX_INT, 0.0, 327868, 1.0),
-    ("S3", ActivationKind.SIGMOID_NORM_LUT, 0.5, 213820, 1.3801),
 ])
 def test_pinned_cycle_counts(perf_cfg, scenario, kind, fraction, cycles, speedup):
     n_kept = perf_cfg.n - int(round(fraction * perf_cfg.n))
@@ -59,24 +58,24 @@ def test_stage_shares_sum_to_one(perf_cfg):
 
 def test_invalid_inputs_rejected(perf_cfg):
     with pytest.raises(ValueError, match="unknown scenario"):
-        pipeline_report(10, "S4", ActivationKind.SIGMOID_LUT, perf_cfg)
+        pipeline_report(10, "S4", ActivationKind.SIGMOID_BIAS_LUT, perf_cfg)
     for n_eff in (-1, perf_cfg.n + 1):
         for scenario in ("S1", "S2"):
             with pytest.raises(ValueError, match="effective rows"):
-                pipeline_report(n_eff, scenario, ActivationKind.SIGMOID_LUT, perf_cfg)
+                pipeline_report(n_eff, scenario, ActivationKind.SIGMOID_BIAS_LUT, perf_cfg)
 
 
 # SHA-256 over every report's to_dict() and stage_share, for each scenario,
 # activation and n_eff in 0..n: a change to any stage's cost changes the digest.
 @pytest.mark.parametrize("make_cfg, digest", [
     (lambda toy: RunConfig().perf_config(),
-     "472f1d86809a1ca8ad337c5b53b14762b884a74923090dbc3799d063daa414d4"),
+     "49e55208a2c506710bde2705f73cf28edfcc9fd7ae646741a6fb5c56ccd979a7"),
     (lambda toy: PerfConfig(c_overhead=0.471, layer_overhead=40082),
-     "e443b1c7502f5dac83c778c113408ebc19a5b97766e04be4b6f8bcf4f138b8cc"),
+     "18b195ae92ad191c17cbb23b91e018759ba8ae9cee000d1bbcecf4f3563d2c7f"),
     (lambda toy: RunConfig().perf_config(toy),
-     "a8528179f7f4eac5b1b8e92d7c19a9431b5cfca2a780d232dbaf8b0cda4535f7"),
+     "babd363ba09465e02ca5158f1a5bf22210a90f5bfbfb435f299e33435463237d"),
     (lambda toy: PerfConfig(pipeline_fill=3, div_latency=7),
-     "c487b1b6614aa4cb28051d093cbd0a22d6970ebc28060686d005d5c3971e4bf7"),
+     "56122dda6abe7ee119bba24f5c573f00240dd9b84e3ba704d1e5aa7175b64f63"),
 ], ids=["default", "paper_fit", "toy_bundle", "fill3_div7"])
 def test_reports_are_pinned_stage_by_stage(toy_bundle, make_cfg, digest):
     cfg = make_cfg(toy_bundle)
@@ -132,7 +131,7 @@ def test_paper_operating_points():
 def test_smallest_pipeline_may_take_one_cycle():
     # S1 with no rows kept computes 1816 cycles; 0.5 / 1816 rounds to 0
     cfg = PerfConfig(c_overhead=0.51 / 1816, layer_overhead=0)
-    assert pipeline_report(0, "S1", ActivationKind.SIGMOID_LUT, cfg).total_cycles == 1
+    assert pipeline_report(0, "S1", ActivationKind.SIGMOID_BIAS_LUT, cfg).total_cycles == 1
 
 
 @st.composite

@@ -11,7 +11,6 @@ from beamloc.activations import ActivationKind
 from beamloc.fxp import dequantize, quantize
 from beamloc.weights import (
     SCENARIOS,
-    ModelBundle,
     load_bundle,
     random_bundle,
     save_bundle,
@@ -224,6 +223,7 @@ def test_load_fuzz_damaged_file(tmp_path, toy_files, quantized, cut, edits, head
     (6, b"\x05", ValueError),         # dtype code
     (12, b"\x00\x00", ValueError),    # heads
     (18, b"\x00\x00", ValueError),    # pool_k
+    (24, b"\x00\x00", ValueError),    # router_window
     ("gamma", struct.pack("<II", 0, 0), OSError),
     ("gamma", struct.pack("<II", 1, 0), OSError),
     (7, b"\x09", ValueError),         # activation code
@@ -248,11 +248,13 @@ def test_load_reads_activation_code_zero_as_softmax(tmp_path, toy_files):
     data[7] = 0
     path.write_bytes(bytes(data))
     assert load_bundle(path).activation == ActivationKind.SOFTMAX_INT
-    data[7] = 9
-    path.write_bytes(bytes(data))
-    with pytest.raises(ValueError) as e:
-        load_bundle(path)
-    assert str(e.value) == f"{path}: unknown activation code 9"
+    # Codes 2 and 4 named plain and row-normalized sigmoid, since retired.
+    for code in (2, 4, 9):
+        data[7] = code
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError) as e:
+            load_bundle(path)
+        assert str(e.value) == f"{path}: unknown activation code {code}"
 
 
 @pytest.mark.parametrize("matrix", [2, 6])  # S1's w_q and gamma
