@@ -14,9 +14,9 @@ by the integer softmax holds 1025 samples of exp over [-16, 0] (grid step
 1/64) with Q1.15 outputs, so exp(0) is exactly 32768.
 
 The integer softmax normalizes with a single reciprocal per row plus
-error-feedback rounding: the emitted Q8.8 codes of a row always sum to
-256, i.e. exactly 1.0, while each individual entry stays within one code
-of its exact value.
+error-feedback rounding: each individual entry stays within one code of
+its exact value, and the emitted Q8.8 codes of a row sum to 256, i.e.
+exactly 1.0, for rows of at most 128 entries (see :func:`softmax_int`).
 
 The kernels hold their integers in float64 (see :mod:`beamloc.fxp`): LUT
 indices come from exact power-of-two scaling and np.rint, which rounds
@@ -88,7 +88,9 @@ def softmax_int(scores: np.ndarray) -> np.ndarray:
     row's maximum maps to exp(0) = 32768, so every row sum is positive.
 
     Error-feedback rounding: entry i is the difference of the running
-    rounded cumulative sum at i and i-1, so row totals never drift.
+    rounded cumulative sum at i and i-1, so a row's codes sum to 256 while
+    its exp sum is at most 2**22, as in every row of at most 128 entries.
+    Longer rows can drift: all-zero rows of 384 and 1000 entries sum to 255 and 258.
     """
     x = np.asarray(scores, dtype=np.float64)
     if x.size == 0:

@@ -13,7 +13,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -47,11 +46,6 @@ def _engine(cfg: RunConfig, kind: str, bundle):
         scenario_override=cfg.scenario,
         router_window=cfg.router_window,
     ))
-
-
-def _thresholds(cfg: RunConfig) -> dict | None:
-    """The run's scenario -> SparsityConfig map, or None to threshold nothing."""
-    return cfg.sparsity if cfg.sparsity_enabled else None
 
 
 def _load_inputs(cfg: RunConfig, need_snapshots: bool = False):
@@ -98,7 +92,7 @@ def cmd_infer(cfg: RunConfig, args) -> int:
     bundle, fps = _load_inputs(cfg)
     kinds = ("int", "float") if cfg.engine == "both" else (cfg.engine,)
     engines = {kind: _engine(cfg, kind, bundle) for kind in kinds}
-    runs = {kind: engine.run(fps, _thresholds(cfg)) for kind, engine in engines.items()}
+    runs = {kind: engine.run(fps, cfg.sparsity) for kind, engine in engines.items()}
     primary = runs[kinds[0]]
 
     akind = engines[kinds[0]].activation
@@ -144,12 +138,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     each cell keeps its own row masks for the statistics, and a (scenario,
     thresholded input, row mask) already run reuses its coordinates.
     """
-    t_elems = _grid(args.t_elem, "--t-elem", float)
-    t_rowcounts = _grid(args.t_rowcount, "--t-rowcount", int)
-    if not all(math.isfinite(t) and t >= 0 for t in t_elems):
-        raise ConfigError(f"--t-elem values must be finite and >= 0, got {args.t_elem}")
-    if any(r < 0 for r in t_rowcounts):
-        raise ConfigError(f"--t-rowcount values must be >= 0, got {args.t_rowcount}")
+    t_elems = _grid(args.t_elem, "--t-elem", lambda v: SparsityConfig(float(v), 0).t_elem)
+    t_rowcounts = _grid(args.t_rowcount, "--t-rowcount",
+                        lambda v: SparsityConfig(0.0, int(v)).t_rowcount)
     bundle, fps = _load_inputs(cfg, need_snapshots=True)
     engine = _engine(cfg, "int" if cfg.engine == "both" else cfg.engine, bundle)
     seen = {}
@@ -187,10 +178,9 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     prev_coords = None
     perf_cfg = cfg.perf_config(bundle)
     for rung in ABLATION_LADDER:
-        rung_cfg = dataclasses.replace(cfg, activation=rung["activation"],
-                                       sparsity_enabled=rung["sparsity"])
-        engine = _engine(rung_cfg, rung["engine"], bundle)
-        results = engine.run(fps, _thresholds(rung_cfg))
+        engine = _engine(dataclasses.replace(cfg, activation=rung["activation"]),
+                         rung["engine"], bundle)
+        results = engine.run(fps, cfg.sparsity if rung["sparsity"] else None)
         coords = np.array([r.coords for r in results])
         cycles = [
             pipeline_report(r.mask, r.scenario, engine.activation, perf_cfg).total_cycles
@@ -260,8 +250,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--engine", choices=("float", "int", "both"))
     p.add_argument("--scenario", choices=SCENARIOS, help="bypass the router")
     p.add_argument("--activation", choices=sorted(ACTIVATIONS))
-    p.add_argument("--no-sparsity", dest="sparsity_enabled", action="store_const", const=False,
-                   help="disable thresholding and masking")
+    p.add_argument("--no-sparsity", dest="sparsity", action="store_const", const={},
+                   help="threshold nothing (sparsity = {})")
     p.add_argument("--router-window", type=int)
     p.add_argument("--clock-hz", type=float)
     p.add_argument("--div-latency", type=int)

@@ -13,8 +13,8 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from .activations import ACTIVATIONS, ActivationKind
-from .perf import PerfConfig, _is_int, _is_number
-from .sparsity import SparsityConfig
+from .perf import PerfConfig
+from .sparsity import SparsityConfig, _is_int
 from .weights import SCENARIOS
 
 
@@ -38,7 +38,6 @@ class RunConfig:
     engine: str = "int"
     scenario: str | None = None          # None: auto-route per snapshot
     activation: str | None = None        # None: bundle's activation
-    sparsity_enabled: bool = True
     sparsity: dict = field(default_factory=lambda: dict(DEFAULT_SPARSITY))
     router_window: int | None = None
     clock_hz: float = PerfConfig.clock_hz
@@ -59,8 +58,6 @@ class RunConfig:
         for name in ("bundle", "fingerprints"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ConfigError(f"{name} must be a path, got {getattr(self, name)!r}")
-        if not isinstance(self.sparsity_enabled, bool):
-            raise ConfigError(f"sparsity_enabled must be true or false, got {self.sparsity_enabled!r}")
         window = self.router_window
         if window is not None and not (_is_int(window) and 1 <= window <= sys.maxsize):
             raise ConfigError(f"router_window must be an integer in 1..{sys.maxsize}, got {window!r}")
@@ -101,11 +98,8 @@ def _sparsity_from_dict(raw) -> dict:
             raise ConfigError(f"sparsity: unknown scenario {sc!r}")
         if not isinstance(v, dict) or set(v) != {"t_elem", "t_rowcount"}:
             raise ConfigError(f"sparsity.{sc} must hold exactly t_elem and t_rowcount, got {v!r}")
-        if not (_is_number(v["t_elem"]) and _is_int(v["t_rowcount"])):
-            raise ConfigError(f"sparsity.{sc} needs a number t_elem and an integer t_rowcount, "
-                              f"got {v!r}")
         try:
-            parsed[sc] = SparsityConfig(t_elem=float(v["t_elem"]), t_rowcount=v["t_rowcount"])
+            parsed[sc] = SparsityConfig(**v)
         except ValueError as e:
             raise ConfigError(f"sparsity.{sc}: {e}") from e
     return parsed

@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, asdict
 
 from .activations import ActivationKind
-from .sparsity import RowMask
+from .sparsity import RowMask, _is_int, _is_number
 from .weights import SCENARIOS, SEGMENTS_PER_SCENARIO
 
 STAGES = (
@@ -36,14 +36,6 @@ STAGES = (
 # their lanes: 32 for the router SLP, 64 for the coordinate head.
 SLP_WIDTH = 32
 HEAD_WIDTH = 64
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ survive; a row with exactly ``t_rowcount`` zeros is kept.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,16 +18,27 @@ import numpy as np
 from .fxp import quantize
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A float, or an int (not a bool) no larger than the largest float."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class SparsityConfig:
+    """One scenario's thresholds; config files, flags and sweep grids check them here."""
     t_elem: float
     t_rowcount: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_elem) and self.t_elem >= 0):
-            raise ValueError(f"t_elem must be finite and >= 0, got {self.t_elem}")
-        if self.t_rowcount < 0:
-            raise ValueError("t_rowcount must be >= 0")
+        if not (_is_number(self.t_elem) and math.isfinite(self.t_elem) and self.t_elem >= 0):
+            raise ValueError(f"t_elem must be a finite number >= 0, got {self.t_elem!r}")
+        if not (_is_int(self.t_rowcount) and self.t_rowcount >= 0):
+            raise ValueError(f"t_rowcount must be an integer >= 0, got {self.t_rowcount!r}")
+        object.__setattr__(self, "t_elem", float(self.t_elem))
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,9 @@ def test_softmax_int_shift_invariant():
 @given(st.lists(st.integers(min_value=-32768, max_value=32767), min_size=1, max_size=128))
 @settings(max_examples=200)
 def test_softmax_int_rows_sum_to_one(codes):
+    # Exact for rows of at most 128 entries; longer rows may drift.
     out = act.softmax_int(np.array([codes], dtype=np.int64))
-    assert abs(int(out.sum()) - 256) <= 1
+    assert int(out.sum()) == 256
     assert np.all(out >= 0)
 
 

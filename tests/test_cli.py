@@ -134,24 +134,27 @@ def test_infer_cycles_follow_the_requested_activation(inputs, tmp_path):
 
 
 def test_ablate_rungs_follow_the_ladder(inputs, tmp_path):
+    # The sparsity rung thresholds with the run's map, which --no-sparsity empties.
     bundle_path, fps = inputs
-    out = tmp_path / "ablate.json"
-    assert cli.main(["ablate", "--bundle", str(bundle_path), "--fingerprints", str(fps),
-                     "--scenario", "S1", "--out", str(out)]) == cli.EXIT_OK
-    rungs = json.loads(out.read_text())["rungs"]
-    assert [{k: r[k] for k in ("engine", "activation", "sparsity")} for r in rungs] == \
-        list(cli.ABLATION_LADDER)
     bundle = load_bundle(bundle_path)
     perf_cfg = RunConfig().perf_config(bundle)
-    for rung in rungs:
-        kind = ACTIVATIONS[rung["activation"]]
-        sparsity = dict(DEFAULT_SPARSITY) if rung["sparsity"] else None
-        engine = make_engine(rung["engine"], bundle, EngineConfig(
-            activation=kind, scenario_override="S1"))
-        masks = [engine.infer(fp, sparsity=sparsity).mask
-                 for fp in channel.read_fingerprints(fps)]
-        assert rung["cycles"] == [
-            pipeline_report(m, "S1", kind, perf_cfg).total_cycles for m in masks]
+    out = tmp_path / "ablate.json"
+    for flags, thresholds in (((), dict(DEFAULT_SPARSITY)), (("--no-sparsity",), {})):
+        assert cli.main(["ablate", "--bundle", str(bundle_path), "--fingerprints", str(fps),
+                         "--scenario", "S1", *flags, "--out", str(out)]) == cli.EXIT_OK
+        rungs = json.loads(out.read_text())["rungs"]
+        assert [{k: r[k] for k in ("engine", "activation", "sparsity")} for r in rungs] == \
+            list(cli.ABLATION_LADDER)
+        for rung in rungs:
+            kind = ACTIVATIONS[rung["activation"]]
+            sparsity = thresholds if rung["sparsity"] else None
+            engine = make_engine(rung["engine"], bundle, EngineConfig(
+                activation=kind, scenario_override="S1"))
+            masks = [engine.infer(fp, sparsity=sparsity).mask
+                     for fp in channel.read_fingerprints(fps)]
+            assert rung["cycles"] == [
+                pipeline_report(m, "S1", kind, perf_cfg).total_cycles for m in masks]
+    assert rungs[-1]["deviation_vs_previous"] == rungs[-1]["cycle_delta_vs_previous"] == 0.0
 
 
 def _sweep_rows(bundle, fps, out, engine, *flags):
@@ -222,10 +225,10 @@ def test_sweep_quantizes_the_bundle_once(inputs, tmp_path, monkeypatch):
 # with relative paths.  The statistics columns are exact; the float engine's
 # output_deviation also depends on the BLAS build's float64 summation order.
 SWEEP_CSV_SHA256 = {
-    "int": "e69f8354480c3b898b482371be99125c092d366458f47a23b1951530e0b7f7aa",
-    "float": "b971f16c0a7170437c337188a4b49a4223dcf56616fa1ff7e61c0bc445d8f3fd",
-    "int --scenario S3": "9f3db6bdc96eeab22e16c84591f2374c1e69dc13b089262640f035284db1116e",
-    "float --scenario S3": "6a0de03ebb6da445e83c6c213754f6169d6c9503a3ce7caf38b3b54371b0fff7",
+    "int": "3f1770ce6f4b5879bdcb95b693bbc3110f7dec4f9b5e79f0e1740d9174293112",
+    "float": "59b6d77dfec49a8047bb3dae0a9c2792937ae354d01a9f8a28aaeb897ad8d620",
+    "int --scenario S3": "73e53bac06bbd8628bdb49617d68280e1b7e88bc966ceeea7c99cc163153bd6d",
+    "float --scenario S3": "fd381f8b23c6acd5a4ed56c0084dc6f4998e26d5b7904fd267990f80d843ae20",
 }
 
 
@@ -452,7 +455,7 @@ def test_removed_model_flags_are_rejected(inputs, tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize("key, value", [("delay_bin", 3), ("delay_bin", None),
-                                        ("ffn_residual", False)])
+                                        ("ffn_residual", False), ("sparsity_enabled", False)])
 def test_removed_model_settings_are_config_errors(inputs, tmp_path, capsys, key, value):
     bundle, fps = inputs
     config = tmp_path / "run.json"
@@ -500,6 +503,9 @@ def test_a_huge_finite_threshold_saturates(inputs, tmp_path):
     ({"activation": ["x"]}, "activation"),
     ({"scenario": ["x"]}, "scenario"),
     ({"activation": "sigmoid"}, "activation"),
+    ({"sparsity": {"S1": {"t_elem": 10**400, "t_rowcount": 41}}}, "sparsity.S1: t_elem"),
+    ({"clock_hz": 10**400}, "clock_hz"),
+    ({"c_overhead": 10**400}, "c_overhead"),
 ])
 def test_bad_config_file_is_a_config_error(tmp_path, capsys, fields, setting):
     path = tmp_path / "run.json"
@@ -587,14 +593,27 @@ def test_show_config_round_trips_through_a_config_file(tmp_path, capsys, flags):
 
 def test_flags_override_the_config_file_and_only_when_given(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"sparsity_enabled": False, "router_window": 5,
-                                "activation": "sigmoid-bias"}))
+    path.write_text(json.dumps({"sparsity": {"S1": {"t_elem": 0.5, "t_rowcount": 3}},
+                                "router_window": 5, "activation": "sigmoid-bias"}))
     parser = cli.build_parser()
     cfg = cli._build_config(parser.parse_args(["show-config", "--config", str(path)]))
-    assert (cfg.sparsity_enabled, cfg.router_window, cfg.activation) == (False, 5, "sigmoid-bias")
-    path.write_text(json.dumps({"sparsity_enabled": True, "router_window": 5,
-                                "activation": "sigmoid-bias"}))
+    assert (cfg.sparsity, cfg.router_window, cfg.activation) == \
+        ({"S1": SparsityConfig(0.5, 3)}, 5, "sigmoid-bias")
     cfg = cli._build_config(parser.parse_args([
         "show-config", "--config", str(path), "--no-sparsity", "--router-window", "3",
         "--activation", "softmax-int"]))
-    assert (cfg.sparsity_enabled, cfg.router_window, cfg.activation) == (False, 3, "softmax-int")
+    assert (cfg.sparsity, cfg.router_window, cfg.activation) == ({}, 3, "softmax-int")
+
+
+def test_no_sparsity_is_an_empty_threshold_map(inputs, tmp_path, capsys):
+    bundle, fps = inputs
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"sparsity": {}}))
+    runs = {}
+    for name, flags in (("file", ("--config", str(config))), ("flag", ("--no-sparsity",))):
+        assert cli.main(["show-config", *flags]) == cli.EXIT_OK
+        assert '"sparsity": {}' in capsys.readouterr().out
+        runs[name] = tmp_path / f"{name}.json"
+        assert _infer(bundle, fps, runs[name], *flags) == cli.EXIT_OK
+    assert runs["file"].read_bytes() == runs["flag"].read_bytes()
+    assert all(r["row_sparsity"] == 0.0 for r in json.loads(runs["flag"].read_text())["results"])

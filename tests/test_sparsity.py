@@ -150,9 +150,14 @@ def test_config_validation():
         SparsityConfig(-0.1, 0)
     with pytest.raises(ValueError):
         SparsityConfig(0.1, -1)
-    for t_elem in (float("nan"), float("inf")):
+    for t_elem in (float("nan"), float("inf"), True, "0.1", 10**400):
         with pytest.raises(ValueError, match="t_elem"):
             SparsityConfig(t_elem, 0)
+    for t_rowcount in (2.5, True):
+        with pytest.raises(ValueError, match="t_rowcount"):
+            SparsityConfig(0.1, t_rowcount)
+    # An integer threshold is stored, and so embedded in artifacts, as a float.
+    assert repr(SparsityConfig(1, 0).t_elem) == "1.0"
 
 
 def test_keep_all_mask():
