@@ -64,12 +64,10 @@ class ScenarioProfile:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def default_profile(scenario: str, seed: int = 0, **overrides) -> ScenarioProfile:
+def default_profile(scenario: str, seed: int = 0) -> ScenarioProfile:
     if scenario not in PROFILE_DEFAULTS:
         raise ConfigError(f"unknown scenario {scenario!r}")
-    params = dict(PROFILE_DEFAULTS[scenario])
-    params.update(overrides)
-    return ScenarioProfile(scenario=scenario, seed=seed, **params)
+    return ScenarioProfile(scenario=scenario, seed=seed, **PROFILE_DEFAULTS[scenario])
 
 
 def generate_channel(profile: ScenarioProfile) -> np.ndarray:

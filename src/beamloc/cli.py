@@ -67,20 +67,8 @@ def _load_inputs(cfg: RunConfig, need_snapshots: bool = False):
 def cmd_generate(cfg: RunConfig, args) -> int:
     if args.count < 0:
         raise ConfigError(f"count must be >= 0, got {args.count}")
-    profile = channel.default_profile(
-        args.scenario,
-        seed=args.seed,
-        **{
-            k: v
-            for k, v in dict(
-                dominant_beams=args.dominant_beams,
-                dominant_delays=args.dominant_delays,
-                diffuse_floor=args.diffuse_floor,
-            ).items()
-            if v is not None
-        },
-    )
-    fps = channel.generate_fingerprints(profile, args.count)
+    fps = channel.generate_fingerprints(channel.default_profile(args.scenario, seed=args.seed),
+                                        args.count)
     channel.write_fingerprints(args.out, fps)
     if args.csv:
         channel.export_csv(args.csv, fps)
@@ -284,9 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", help="also export a CSV for inspection")
-    p.add_argument("--dominant-beams", type=int)
-    p.add_argument("--dominant-delays", type=int)
-    p.add_argument("--diffuse-floor", type=float)
     p.set_defaults(func=cmd_generate, needs_config=False)
 
     p = sub.add_parser("infer", help="run inference over a fingerprint file")

@@ -61,6 +61,22 @@ class RunConfig:
         window = self.router_window
         if window is not None and not (_is_int(window) and 1 <= window <= sys.maxsize):
             raise ConfigError(f"router_window must be an integer in 1..{sys.maxsize}, got {window!r}")
+        if not isinstance(self.sparsity, dict):
+            raise ConfigError(f"sparsity must map scenarios to thresholds, got {self.sparsity!r}")
+        parsed = {}
+        for sc, v in self.sparsity.items():  # a config file holds each as a two-key dict
+            if sc not in SCENARIOS:
+                raise ConfigError(f"sparsity: unknown scenario {sc!r}")
+            if isinstance(v, SparsityConfig):
+                parsed[sc] = v
+            elif not isinstance(v, dict) or set(v) != {"t_elem", "t_rowcount"}:
+                raise ConfigError(f"sparsity.{sc} must hold exactly t_elem and t_rowcount, got {v!r}")
+            else:
+                try:
+                    parsed[sc] = SparsityConfig(**v)
+                except ValueError as e:
+                    raise ConfigError(f"sparsity.{sc}: {e}") from e
+        object.__setattr__(self, "sparsity", parsed)
         self.perf_config()  # PerfConfig checks the cycle-model settings
 
     def activation_kind(self) -> ActivationKind | None:
@@ -89,29 +105,6 @@ class RunConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _sparsity_from_dict(raw) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"sparsity must map scenarios to thresholds, got {raw!r}")
-    parsed = {}
-    for sc, v in raw.items():
-        if sc not in SCENARIOS:
-            raise ConfigError(f"sparsity: unknown scenario {sc!r}")
-        if not isinstance(v, dict) or set(v) != {"t_elem", "t_rowcount"}:
-            raise ConfigError(f"sparsity.{sc} must hold exactly t_elem and t_rowcount, got {v!r}")
-        try:
-            parsed[sc] = SparsityConfig(**v)
-        except ValueError as e:
-            raise ConfigError(f"sparsity.{sc}: {e}") from e
-    return parsed
-
-
-def config_from_dict(data: dict) -> RunConfig:
-    data = dict(data)
-    if "sparsity" in data:
-        data["sparsity"] = _sparsity_from_dict(data["sparsity"])
-    return RunConfig(**data)
-
-
 def load_config(path) -> RunConfig:
     try:
         with open(path) as f:
@@ -121,6 +114,6 @@ def load_config(path) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     try:
-        return config_from_dict(data)
+        return RunConfig(**data)
     except TypeError as e:
         raise ConfigError(f"invalid config field: {e}") from e

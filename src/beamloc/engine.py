@@ -1,8 +1,9 @@
 """Float-oracle and integer-only Q8.8 inference engines.
 
-Both engines share one structural flow and differ only in seven numeric
-primitives: ``_prepare_bundle``, ``prepare_input``, ``matmul``,
-``residual_add``, ``scale``, ``activation_op`` and ``coords_of``.  The
+Both engines share one structural flow and differ only in six numeric
+primitives: ``prepare_input``, ``matmul``, ``residual_add``, ``scale``,
+``activation_op`` and ``coords_of``.  The float engine runs on the float
+bundle as given, the integer engine on its Q8.8 view.  The
 masked-execution contract lives in ``encoder_layer``: a skipped row
 contributes nothing as query, key, or value; its layer-1 output is its
 (thresholded) input row, carried through the residual path.  The second
@@ -52,16 +53,22 @@ class InferResult:
 class _EngineBase:
     """Structural flow shared by both engines.
 
-    Subclasses provide the seven numeric primitives: ``_prepare_bundle``,
-    ``prepare_input``, ``matmul``, ``residual_add``, ``scale`` (``x`` times
-    a real constant), ``activation_op`` and ``coords_of``.
+    Subclasses provide the six numeric primitives: ``prepare_input``,
+    ``matmul``, ``residual_add``, ``scale`` (``x`` times a real constant),
+    ``activation_op`` and ``coords_of``.  An integer engine quantizes the
+    float bundle it is given, once; a float engine given a quantized view
+    raises ValueError.
     """
 
     is_integer = False
 
     def __init__(self, bundle: ModelBundle, cfg: EngineConfig | None = None):
         self.cfg = cfg = cfg or EngineConfig()
-        self.bundle = self._prepare_bundle(bundle)
+        if self.is_integer:
+            bundle = bundle.quantized()
+        elif bundle.dtype == "int16":
+            raise ValueError("the float engine runs on a float bundle, not its quantized view")
+        self.bundle = bundle
         self.activation = bundle.activation if cfg.activation is None else cfg.activation
         self.router_window = bundle.router_window if cfg.router_window is None else cfg.router_window
 
@@ -182,9 +189,6 @@ class _EngineBase:
 class FloatEngine(_EngineBase):
     """Float64 oracle; exact activations, unquantized constants."""
 
-    def _prepare_bundle(self, bundle):
-        return bundle.dequantized()
-
     def prepare_input(self, fingerprint):
         x = np.array(fingerprint, dtype=np.float64)
         if not np.isfinite(x).all():
@@ -214,9 +218,6 @@ class IntEngine(_EngineBase):
     """Integer-only Q8.8 engine; every product requantizes exactly once."""
 
     is_integer = True
-
-    def _prepare_bundle(self, bundle):
-        return bundle.quantized()
 
     def prepare_input(self, fingerprint):
         return quantize_array(fingerprint)

@@ -3,11 +3,11 @@
 A bundle holds the scenario router (SLP), five encoder segments (one for
 the single-layer scenario, two each for the deeper ones), and one
 coordinate head per scenario.  ``_SHAPES`` declares every parameter's
-shape once; the generator, the quantized and float views, the writer and
-the loader all follow it.  Files carry either float32 values (oracle
-bundles) or int16 Q8.8 codes (integer bundles).  The writer stores the
-attention projections transposed for column-wise access; the loader undoes
-whatever transpose a file's flags record.
+shape once; the generator, the quantized view, the writer and the loader
+all follow it.  Files carry the float32 weights; the integer engine takes
+their Q8.8 view (``ModelBundle.quantized``) when it is built.  The writer
+stores the attention projections transposed for column-wise access; the
+loader undoes whatever transpose a file's flags record.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .activations import ActivationKind
-from .fxp import dequantize, dequantize_array, quantize, quantize_array
+from .fxp import dequantize, quantize, quantize_array
 
 BUNDLE_MAGIC = b"AXLW"
 BUNDLE_VERSION = 1
@@ -66,7 +66,7 @@ class ModelBundle:
     activation: ActivationKind
     delay_bin: int
     router_window: int
-    dtype: str  # "float32" | "int16"
+    dtype: str  # "float32" as generated or loaded; "int16" for the quantized() view
     slp_w: np.ndarray
     slp_b: np.ndarray
     segments: dict
@@ -101,27 +101,24 @@ class ModelBundle:
     def layers(self, scenario: str):
         return self.segments[scenario]
 
-    def _convert(self, fn, gamma_fn, dtype: str) -> "ModelBundle":
+    def quantized(self) -> "ModelBundle":
+        """Q8.8 view of a float bundle (identity on a quantized view).
+
+        Arrays become int16 codes; each gamma snaps onto the Q8.8 grid and
+        stays a float.
+        """
+        if self.dtype == "int16":
+            return self
+
         def convert(obj):
-            return {name: fn(getattr(obj, name)) if shape else gamma_fn(getattr(obj, name))
+            return {name: quantize_array(getattr(obj, name)) if shape
+                    else dequantize(quantize(getattr(obj, name)))
                     for name, shape in _SHAPES[type(obj)].items()}
 
         segments = {sc: tuple(EncoderSegment(**convert(seg)) for seg in segs)
                     for sc, segs in self.segments.items()}
         fcnn = {sc: HeadParams(**convert(head)) for sc, head in self.fcnn.items()}
-        return replace(self, dtype=dtype, segments=segments, fcnn=fcnn, **convert(self))
-
-    def quantized(self) -> "ModelBundle":
-        """Q8.8 view of a float bundle (identity on int bundles)."""
-        if self.dtype == "int16":
-            return self
-        return self._convert(quantize_array, lambda g: dequantize(quantize(g)), "int16")
-
-    def dequantized(self) -> "ModelBundle":
-        """Float view of an int bundle (identity on float bundles)."""
-        if self.dtype == "float32":
-            return self
-        return self._convert(dequantize_array, lambda g: g, "float32")
+        return replace(self, dtype="int16", segments=segments, fcnn=fcnn, **convert(self))
 
 
 # Every learned parameter's shape in ModelBundle size names (an int is a
@@ -191,49 +188,53 @@ def random_bundle(
 
 # --------------------------------------------------------------------------
 # Binary format (little-endian):
-#   magic "AXLW", u16 version, u8 dtype (0 = float32, 1 = int16),
-#   u8 activation kind (older files may hold 0, read as softmax), u16 x 9:
-#   the _SIZES; then every parameter in _SHAPES file order, each prefixed
-#   by u32 rows, u32 cols, u8 transposed flag.  A vector is one row and
-#   gamma a 1x1 matrix (its Q8.8 code in int16 files).  The writer sets the
-#   flag on _STORED_TRANSPOSED and stores those matrices transposed; the
-#   loader undoes any flagged matrix.
+#   magic "AXLW", u16 version, u8 dtype (always 0, float32; 1 named the
+#   retired int16 Q8.8 encoding), u8 activation kind (older files may hold
+#   0, read as softmax), u16 x 9: the _SIZES; then every parameter in
+#   _SHAPES file order, each prefixed by u32 rows, u32 cols, u8 transposed
+#   flag, then its float32 values.  A vector is one row and gamma a 1x1
+#   matrix.  The writer sets the flag on _STORED_TRANSPOSED and stores those
+#   matrices transposed; the loader undoes any flagged matrix.
 
 _HEADER = struct.Struct("<4sHBB9H")
 _MATRIX = struct.Struct("<IIB")
 
 
 def save_bundle(path, bundle: ModelBundle) -> None:
-    """Write ``bundle``, storing the _STORED_TRANSPOSED matrices transposed."""
-    int16 = bundle.dtype == "int16"
+    """Write a float ``bundle``, storing the _STORED_TRANSPOSED matrices transposed.
+
+    A quantized view raises ValueError before the file is opened: files hold
+    the float weights, and the integer engine quantizes them itself.
+    """
+    if bundle.dtype == "int16":
+        raise ValueError("bundle files hold float weights; save the bundle, not its quantized view")
     groups = [bundle, *(seg for sc in SCENARIOS for seg in bundle.segments[sc]),
               *(bundle.fcnn[sc] for sc in SCENARIOS)]
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(BUNDLE_MAGIC, BUNDLE_VERSION, int(int16), int(bundle.activation),
+        f.write(_HEADER.pack(BUNDLE_MAGIC, BUNDLE_VERSION, 0, int(bundle.activation),
                              *(getattr(bundle, s) for s in _SIZES)))
         for obj in groups:
-            for name, shape in _SHAPES[type(obj)].items():
+            for name in _SHAPES[type(obj)]:
                 value = getattr(obj, name)
-                if not shape and int16:
-                    value = quantize(value)
                 stored_t = name in _STORED_TRANSPOSED
                 mat = np.atleast_2d(value).T if stored_t else np.atleast_2d(value)
                 f.write(_MATRIX.pack(mat.shape[0], mat.shape[1], stored_t))
-                f.write(np.ascontiguousarray(mat, dtype="<i2" if int16 else "<f4").tobytes())
+                f.write(np.ascontiguousarray(mat, dtype="<f4").tobytes())
 
 
-def _read_matrix(f, dtype: str, size: int, name: str, shape: tuple):
+def _read_matrix(f, size: int, name: str, shape: tuple):
     """The parameter ``name`` of the given shape, read from ``f``.
 
     A header or payload past the file's ``size`` bytes raises OSError, and
-    so does a matrix whose shape, once untransposed, is not ``shape``.
+    so does a matrix whose shape, once untransposed, is not ``shape``, or
+    one holding a non-finite value.
     """
     header = f.read(_MATRIX.size)
     if len(header) != _MATRIX.size:
         raise OSError(f"{f.name}: truncated bundle, cut inside a matrix header")
     rows, cols, stored_t = _MATRIX.unpack(header)
     count = rows * cols
-    nbytes = count * (4 if dtype == "float32" else 2)
+    nbytes = count * 4  # float32
     if nbytes > size - f.tell():
         raise OSError(f"{f.name}: a {rows}x{cols} matrix overruns the bundle's {size} bytes")
     got = (cols, rows) if stored_t else (rows, cols)
@@ -241,30 +242,25 @@ def _read_matrix(f, dtype: str, size: int, name: str, shape: tuple):
     if got != want:
         raise OSError(f"{f.name}: {name} is a {got[0]}x{got[1]} matrix "
                       f"where the header's sizes give {want}")
-    if dtype == "float32":
-        data = np.frombuffer(f.read(nbytes), dtype="<f4", count=count)
-        if not np.isfinite(data).all():  # before the cast, which a signalling NaN trips
-            raise OSError(f"{f.name}: {name} holds a non-finite value")
-        data = data.astype(np.float64)
-    else:
-        data = np.frombuffer(f.read(nbytes), dtype="<i2", count=count).astype(np.int16)
-    mat = data.reshape(rows, cols)
+    data = np.frombuffer(f.read(nbytes), dtype="<f4", count=count)
+    if not np.isfinite(data).all():  # before the cast, which a signalling NaN trips
+        raise OSError(f"{f.name}: {name} holds a non-finite value")
+    mat = data.astype(np.float64).reshape(rows, cols)
     if stored_t:
         mat = mat.T.copy()
-    if not shape:  # gamma
-        return dequantize(float(mat[0, 0])) if dtype == "int16" else float(mat[0, 0])
-    return mat.reshape(shape)
+    return mat.reshape(shape) if shape else float(mat[0, 0])
 
 
 def load_bundle(path) -> ModelBundle:
-    """Load a bundle file; every error names ``path``.
+    """Load a float bundle file; every error names ``path``.
 
     A truncated file, a matrix whose shape disagrees with the header's
     sizes, or bytes left after the last matrix raise OSError before the
-    matrix is allocated; a wrong magic, version, dtype or activation code, or
-    a header ``heads``, ``pool_k`` or ``router_window`` below 1, raises
-    ValueError.  Activation code 0, which older files may hold, loads as
-    softmax.
+    matrix is allocated, and a non-finite weight raises OSError too.  A
+    wrong magic, version, dtype or activation code, or a header ``heads``,
+    ``pool_k`` or ``router_window`` below 1, raises ValueError; so does
+    dtype code 1, the retired int16 encoding.  Activation code 0, which
+    older files may hold, loads as softmax.
     """
     try:
         with open(path, "rb") as f:
@@ -277,9 +273,9 @@ def load_bundle(path) -> ModelBundle:
                 raise ValueError(f"not a weight bundle (magic {magic!r})")
             if version != BUNDLE_VERSION:
                 raise ValueError(f"unsupported bundle version {version}")
-            if dtype_code not in (0, 1):
-                raise ValueError(f"unknown bundle dtype code {dtype_code}")
-            dtype = "float32" if dtype_code == 0 else "int16"
+            if dtype_code != 0:  # 1 named the retired int16 Q8.8 encoding
+                raise ValueError(f"unsupported bundle dtype code {dtype_code}; "
+                                 f"bundles hold float32 weights (code 0)")
             # code 0 named a second softmax kind with the same arithmetic
             if act not in (0, *ActivationKind):
                 raise ValueError(f"unknown activation code {act}")
@@ -287,7 +283,7 @@ def load_bundle(path) -> ModelBundle:
             shapes = _resolve(sizes)
 
             def read(cls, prefix=""):
-                return {name: _read_matrix(f, dtype, size, prefix + name, shape)
+                return {name: _read_matrix(f, size, prefix + name, shape)
                         for name, shape in shapes[cls].items()}
 
             router = read(ModelBundle)
@@ -298,6 +294,6 @@ def load_bundle(path) -> ModelBundle:
             if f.tell() != size:
                 raise OSError(f"{path}: the matrices end at byte {f.tell()} of the bundle's {size}")
         return ModelBundle(**sizes, activation=ActivationKind(act or ActivationKind.SOFTMAX_INT),
-                           dtype=dtype, segments=segments, fcnn=fcnn, **router)
+                           dtype="float32", segments=segments, fcnn=fcnn, **router)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e

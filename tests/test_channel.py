@@ -39,14 +39,14 @@ def test_generation_deterministic():
 
 
 def test_single_beam_no_floor_gives_one_row():
-    p = channel.default_profile("S1", seed=5, dominant_beams=1, diffuse_floor=0.0)
+    p = replace(channel.default_profile("S1", seed=5), dominant_beams=1, diffuse_floor=0.0)
     fp = channel.preprocess(channel.generate_channel(p))
     nonzero_rows = np.flatnonzero(fp.sum(axis=1) > 0)
     assert nonzero_rows.size == 1
 
 
 def test_dominant_rows_carry_power():
-    p = channel.default_profile("S1", seed=5, dominant_beams=4, diffuse_floor=1e-4)
+    p = replace(channel.default_profile("S1", seed=5), dominant_beams=4, diffuse_floor=1e-4)
     fp = channel.preprocess(channel.generate_channel(p))
     row_power = np.square(fp).sum(axis=1)
     top4 = np.sort(row_power)[-4:].sum()

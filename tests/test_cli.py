@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from beamloc import channel, cli
 from beamloc.activations import ACTIVATIONS
-from beamloc.config import DEFAULT_SPARSITY, RunConfig
+from beamloc.config import DEFAULT_SPARSITY, ConfigError, RunConfig
 from beamloc.engine import EngineConfig, _EngineBase, make_engine
 from beamloc.fxp import quantize, quantize_array
 from beamloc.perf import pipeline_report
@@ -374,13 +375,6 @@ def test_forged_bundle_size_is_an_io_error(inputs, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, setting", [
-    (["--diffuse-floor", "nan"], "diffuse_floor"),
-    (["--diffuse-floor", "inf"], "diffuse_floor"),
-    (["--diffuse-floor", "-0.5"], "diffuse_floor"),
-    (["--dominant-beams", "0"], "dominant_beams"),
-    (["--dominant-beams", "129"], "dominant_beams"),
-    (["--dominant-delays", "0"], "dominant_delays"),
-    (["--dominant-delays", "47"], "dominant_delays"),
     (["--count", "-1"], "count"),
     (["--seed", "-1"], "seed"),
 ])
@@ -389,6 +383,17 @@ def test_bad_generator_setting_is_a_config_error(tmp_path, capsys, flags, settin
     assert cli.main(["generate", "--count", "2", "--out", str(out), *flags]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and setting in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--dominant-beams", "--dominant-delays", "--diffuse-floor"])
+def test_removed_generator_flags_are_rejected(tmp_path, capsys, flag):
+    # Each scenario's channel profile is fixed; ScenarioProfile builds others.
+    out = tmp_path / "caps.bdfp"
+    with pytest.raises(SystemExit) as e:
+        cli.main(["generate", "--count", "2", "--out", str(out), flag, "1"])
+    assert e.value.code == cli.EXIT_CONFIG
+    assert flag in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -515,6 +520,17 @@ def test_bad_config_file_is_a_config_error(tmp_path, capsys, fields, setting):
     assert err.startswith("config error") and setting in err
 
 
+@pytest.mark.parametrize("sparsity, setting", [
+    ({"S2": 0.1}, "sparsity.S2 must hold exactly t_elem and t_rowcount"),
+    ({"S9": SparsityConfig(0.1, 3)}, "sparsity: unknown scenario 'S9'"),
+    ([1], "sparsity must map scenarios to thresholds"),
+], ids=["bare-threshold", "unknown-scenario", "not-a-map"])
+def test_run_config_checks_its_sparsity_map(sparsity, setting):
+    # Built in code, not read from a file, the map is checked all the same.
+    with pytest.raises(ConfigError, match=re.escape(setting)):
+        RunConfig(sparsity=sparsity)
+
+
 def test_softmax_float_is_no_activation(inputs, tmp_path, capsys):
     # Softmax is one kind, named softmax-int; the engine picks the arithmetic.
     # Plain and row-normalized sigmoid are retired: attention is softmax or
@@ -548,6 +564,20 @@ def test_bundle_with_activation_code_zero_infers_as_softmax(inputs, tmp_path):
         assert _infer(path, fps, out, "--engine", "both") == cli.EXIT_OK
         outputs.append(json.loads(out.read_text())["results"])
     assert outputs[0] == outputs[1]
+
+
+def test_retired_int16_bundle_is_a_contract_violation(inputs, tmp_path, capsys):
+    # Header byte 6 held 1 for int16 Q8.8 files; bundles now hold float weights.
+    bundle, fps = inputs
+    data = bytearray(bundle.read_bytes())
+    data[6] = 1
+    path = tmp_path / "int16.axlw"
+    path.write_bytes(bytes(data))
+    out = tmp_path / "out.json"
+    assert _infer(path, fps, out) == cli.EXIT_CONTRACT
+    assert capsys.readouterr().err.startswith(
+        f"contract violation: {path}: unsupported bundle dtype code 1")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["infer", "sweep", "ablate"])

@@ -435,6 +435,9 @@ def test_make_engine(full_bundle):
     assert isinstance(make_engine("int", full_bundle), IntEngine)
     with pytest.raises(ValueError):
         make_engine("quantum", full_bundle)
+    # The float engine is the float model; it does not run on the Q8.8 view.
+    with pytest.raises(ValueError, match="quantized view"):
+        FloatEngine(full_bundle.quantized())
 
 
 def test_softmax_rows_sum_inside_engine(full_bundle, s1_batch):

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from beamloc.activations import ActivationKind
+from beamloc.engine import IntEngine
 from beamloc.fxp import dequantize, quantize
 from beamloc.weights import (
     SCENARIOS,
@@ -43,7 +44,7 @@ def test_random_bundle_deterministic_and_bounded():
     assert not np.array_equal(a.slp_w, c.slp_w)
 
 
-def test_quantized_view(full_bundle):
+def test_quantized_view(tmp_path, full_bundle):
     q = full_bundle.quantized()
     assert q.dtype == "int16"
     assert q.slp_w.dtype == np.int16
@@ -52,16 +53,12 @@ def test_quantized_view(full_bundle):
     assert seg_q.w_q[0, 0] == quantize(seg_f.w_q[0, 0])
     # gamma snaps onto the Q8.8 grid
     assert seg_q.gamma == dequantize(quantize(seg_f.gamma))
-    # already-int bundles pass through
+    # a quantized view passes through, and files hold only float weights
     assert q.quantized() is q
-
-
-def test_dequantized_view(full_bundle):
-    q = full_bundle.quantized()
-    f = q.dequantized()
-    assert f.dtype == "float32"
-    assert f.slp_w.dtype == np.float64
-    assert np.max(np.abs(f.slp_w - full_bundle.slp_w)) <= 2**-9
+    path = tmp_path / "q.axlw"
+    with pytest.raises(ValueError, match="quantized view"):
+        save_bundle(path, q)
+    assert not path.exists()
 
 
 def test_file_roundtrip_float(tmp_path, toy_bundle):
@@ -85,17 +82,6 @@ def test_file_roundtrip_float(tmp_path, toy_bundle):
     assert flags == [0, 0] + [1, 1, 1, 1, 0, 0, 0, 0, 0] * 5 + [0] * 12
 
 
-def test_file_roundtrip_int(tmp_path, toy_bundle):
-    path = tmp_path / "toy_int.axlw"
-    q = toy_bundle.quantized()
-    save_bundle(path, q)
-    back = load_bundle(path)
-    assert back.dtype == "int16"
-    assert np.array_equal(back.slp_w, q.slp_w)
-    assert back.segments["S2"][0].gamma == q.segments["S2"][0].gamma
-    assert np.array_equal(back.fcnn["S1"].b2, q.fcnn["S1"].b2)
-
-
 def test_file_rewrite_is_byte_identical(tmp_path, toy_bundle):
     p1, p2 = tmp_path / "a.axlw", tmp_path / "b.axlw"
     save_bundle(p1, toy_bundle)
@@ -104,21 +90,21 @@ def test_file_rewrite_is_byte_identical(tmp_path, toy_bundle):
     assert p1.read_bytes()[:4] == b"AXLW"
 
 
-# save_bundle(random_bundle(seed=7)) and its quantized() view: (bytes, SHA-256).
-SEED7_FILES = {
-    False: (1473341, "12d38f20643cdc052c6fc00ae5478db3d21b611e76809331e20bb98030c5583d"),
-    True: (736949, "0e8f76d2ccd2b4d46db96c0a9c89289917bd11f6422e7b1713da37a44fb19f78"),
-}
+# save_bundle(random_bundle(seed=7)): (bytes, SHA-256).
+SEED7_FILE = (1473341, "12d38f20643cdc052c6fc00ae5478db3d21b611e76809331e20bb98030c5583d")
 
 
-@pytest.mark.parametrize("quantized", [False, True])
-def test_seed7_bundle_bytes_are_pinned(tmp_path, full_bundle, quantized):
+def test_seed7_bundle_bytes_are_pinned(tmp_path, full_bundle, s1_batch):
     path, again = tmp_path / "b.axlw", tmp_path / "again.axlw"
-    save_bundle(path, full_bundle.quantized() if quantized else full_bundle)
+    save_bundle(path, full_bundle)
     data = path.read_bytes()
-    assert (len(data), hashlib.sha256(data).hexdigest()) == SEED7_FILES[quantized]
-    save_bundle(again, load_bundle(path))
+    assert (len(data), hashlib.sha256(data).hexdigest()) == SEED7_FILE
+    back = load_bundle(path)
+    save_bundle(again, back)
     assert again.read_bytes() == data
+    # The integer engine quantizes the loaded weights as it does the generated ones.
+    coords = [[r.coords for r in IntEngine(b).run(s1_batch)] for b in (full_bundle, back)]
+    assert np.array_equal(coords[0], coords[1])
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -145,14 +131,11 @@ def test_bundle_validation(full_bundle):
 
 
 @pytest.fixture(scope="module")
-def toy_files(tmp_path_factory, toy_bundle):
-    """The toy bundle's file bytes, float (False) and quantized (True)."""
-    root = tmp_path_factory.mktemp("toy")
-    files = {}
-    for quantized in (False, True):
-        save_bundle(root / "toy.axlw", toy_bundle.quantized() if quantized else toy_bundle)
-        files[quantized] = (root / "toy.axlw").read_bytes()
-    return files
+def toy_file(tmp_path_factory, toy_bundle):
+    """The toy bundle's file bytes."""
+    path = tmp_path_factory.mktemp("toy") / "toy.axlw"
+    save_bundle(path, toy_bundle)
+    return path.read_bytes()
 
 
 def _fuzz_load(path, data):
@@ -170,21 +153,20 @@ FUZZ = settings(max_examples=300, deadline=None,
 
 @FUZZ
 @given(data=st.binary(max_size=200), keep_header=st.booleans())
-def test_load_fuzz_arbitrary_bytes(tmp_path, toy_files, data, keep_header):
+def test_load_fuzz_arbitrary_bytes(tmp_path, toy_file, data, keep_header):
     # With keep_header the bytes follow a valid file header, so the matrix
     # reader sees them.
-    head = toy_files[False][:26] if keep_header else b""
+    head = toy_file[:26] if keep_header else b""
     _fuzz_load(tmp_path / "fuzz.axlw", head + data)
 
 
 def _matrix_headers(data):
     """Offsets of the (rows, cols, transposed) headers of a well-formed bundle."""
     offsets, pos = [], 26
-    item = 4 if data[6] == 0 else 2
     while pos < len(data):
         offsets.append(pos)
         rows, cols, _ = struct.unpack_from("<IIB", data, pos)
-        pos += 9 + rows * cols * item
+        pos += 9 + rows * cols * 4
     return offsets
 
 
@@ -192,15 +174,15 @@ DIM = st.one_of(st.integers(0, 70), st.integers(0, 2**32 - 1))
 
 
 @FUZZ
-@given(quantized=st.booleans(), cut=st.none() | st.floats(0.0, 1.0),
+@given(cut=st.none() | st.floats(0.0, 1.0),
        edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=3),
        header=st.lists(st.tuples(st.integers(0, 10), st.integers(0, 3) | st.integers(0, 65535)),
                        max_size=2),
        shapes=st.lists(st.tuples(st.integers(0, 58), DIM, DIM), max_size=2))
-def test_load_fuzz_damaged_file(tmp_path, toy_files, quantized, cut, edits, header, shapes):
+def test_load_fuzz_damaged_file(tmp_path, toy_file, cut, edits, header, shapes):
     # Forged matrix shapes, forged header fields (dtype and activation
     # bytes, then the nine u16 sizes) and byte edits anywhere.
-    data = bytearray(toy_files[quantized])
+    data = bytearray(toy_file)
     offsets = _matrix_headers(data)
     assert len(offsets) == 2 + 5 * 9 + 3 * 4  # router, five segments, three heads
     for index, rows, cols in shapes:
@@ -221,6 +203,7 @@ def test_load_fuzz_damaged_file(tmp_path, toy_files, quantized, cut, edits, head
     (0, b"AXLX", ValueError),         # magic
     (4, b"\x02\x00", ValueError),     # version
     (6, b"\x05", ValueError),         # dtype code
+    (6, b"\x01", ValueError),         # dtype code of the retired int16 encoding
     (12, b"\x00\x00", ValueError),    # heads
     (18, b"\x00\x00", ValueError),    # pool_k
     (24, b"\x00\x00", ValueError),    # router_window
@@ -228,8 +211,8 @@ def test_load_fuzz_damaged_file(tmp_path, toy_files, quantized, cut, edits, head
     ("gamma", struct.pack("<II", 1, 0), OSError),
     (7, b"\x09", ValueError),         # activation code
 ])
-def test_load_rejects_forged_header_values(tmp_path, toy_files, offset, value, error):
-    data = bytearray(toy_files[False])
+def test_load_rejects_forged_header_values(tmp_path, toy_file, offset, value, error):
+    data = bytearray(toy_file)
     if offset == "gamma":  # S1.gamma follows slp_w, slp_b, w_q, w_k, w_v and w_o
         offset = _matrix_headers(data)[6]
         assert struct.unpack_from("<II", data, offset) == (1, 1)
@@ -240,10 +223,10 @@ def test_load_rejects_forged_header_values(tmp_path, toy_files, offset, value, e
         load_bundle(path)
 
 
-def test_load_reads_activation_code_zero_as_softmax(tmp_path, toy_files):
+def test_load_reads_activation_code_zero_as_softmax(tmp_path, toy_file):
     # Code 0 named a second softmax kind, which files written before it was
     # retired may hold; an unknown code names the file and the code.
-    data = bytearray(toy_files[False])
+    data = bytearray(toy_file)
     path = tmp_path / "code.axlw"
     data[7] = 0
     path.write_bytes(bytes(data))
@@ -259,8 +242,8 @@ def test_load_reads_activation_code_zero_as_softmax(tmp_path, toy_files):
 
 @pytest.mark.parametrize("matrix", [2, 6])  # S1's w_q and gamma
 @pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0xFF800000])  # NaN, signalling NaN, -inf
-def test_load_rejects_a_non_finite_float_weight(tmp_path, toy_files, matrix, bits):
-    data = bytearray(toy_files[False])
+def test_load_rejects_a_non_finite_float_weight(tmp_path, toy_file, matrix, bits):
+    data = bytearray(toy_file)
     struct.pack_into("<I", data, _matrix_headers(data)[matrix] + 9, bits)
     path = tmp_path / "non_finite.axlw"
     path.write_bytes(bytes(data))
@@ -272,6 +255,22 @@ SIZE_OFFSETS = {name: 8 + 2 * i for i, name in enumerate(
     ("n", "d", "heads", "d_ff", "d_h", "pool_k", "pool_p", "delay_bin", "router_window"))}
 
 
+def _flip_stored(data, index):
+    """``data`` with its ``index``-th matrix stored the other way round, flag flipped."""
+    offset = _matrix_headers(data)[index]
+    rows, cols, flag = struct.unpack_from("<IIB", data, offset)
+    end = offset + 9 + rows * cols * 4
+    payload = np.frombuffer(data[offset + 9:end], dtype="<f4").reshape(rows, cols)
+    return (data[:offset] + struct.pack("<IIB", cols, rows, not flag)
+            + np.ascontiguousarray(payload.T).tobytes() + data[end:])
+
+
+# The toy bundle's matrices that the forged sizes below reach: (index in the
+# file, rows x cols once untransposed).
+FORGED_MATRICES = {"slp_w": (0, "3x8"), "S1.w_q": (2, "4x4"), "S1.ffn_w1": (7, "4x6"),
+                   "FCNN_S1.w1": (47, "16x5")}
+
+
 @pytest.mark.parametrize("size, value, matrix", [
     ("n", 9, "slp_w"),              # the toy bundle: n 8, d 4, d_ff 6, d_h 5, pool 2 + 0
     ("d", 6, "S1.w_q"),
@@ -280,29 +279,28 @@ SIZE_OFFSETS = {name: 8 + 2 * i for i, name in enumerate(
     ("pool_k", 4, "FCNN_S1.w1"),
     ("pool_p", 2, "FCNN_S1.w1"),
 ])
-@pytest.mark.parametrize("quantized", [False, True])
-def test_load_checks_shapes_against_header_sizes(tmp_path, toy_files, size, value, matrix, quantized):
-    data = bytearray(toy_files[quantized])
+@pytest.mark.parametrize("flipped", [False, True])
+def test_load_checks_shapes_against_header_sizes(tmp_path, toy_file, size, value, matrix, flipped):
+    # The check and its message use the untransposed shape, whatever the flag.
+    index, dims = FORGED_MATRICES[matrix]
+    data = bytearray(_flip_stored(toy_file, index) if flipped else toy_file)
     struct.pack_into("<H", data, SIZE_OFFSETS[size], value)
     path = tmp_path / "forged.axlw"
     path.write_bytes(bytes(data))
-    with pytest.raises(OSError, match=f"{matrix} is a .* where the header's sizes give"):
+    with pytest.raises(OSError, match=f"{matrix} is a {dims} matrix where the header's sizes give"):
         load_bundle(path)
 
 
-@pytest.mark.parametrize("quantized", [False, True])
-def test_load_honours_a_stored_transpose_flag(tmp_path, toy_bundle, toy_files, quantized):
-    # Rewrite S1.ffn_w1 (the eighth matrix) transposed, with its flag set.
-    data = toy_files[quantized]
-    offset = _matrix_headers(data)[7]
-    rows, cols, flag = struct.unpack_from("<IIB", data, offset)
-    assert (rows, cols, flag) == (toy_bundle.d, toy_bundle.d_ff, 0)
-    item = "<f4" if not quantized else "<i2"
-    end = offset + 9 + rows * cols * np.dtype(item).itemsize
-    payload = np.frombuffer(data[offset + 9:end], dtype=item).reshape(rows, cols)
+@pytest.mark.parametrize("transposed", [False, True])
+def test_load_honours_a_stored_transpose_flag(tmp_path, toy_bundle, toy_file, transposed):
+    # Store one matrix the other way round with its flag flipped: S1.ffn_w1
+    # (the eighth matrix, stored plain) transposed with the flag set, or S1.w_q
+    # (the third, stored transposed) plain with the flag cleared.
+    data = toy_file
+    index = 7 if transposed else 2
+    assert data[_matrix_headers(data)[index] + 8] == (not transposed)
     path = tmp_path / "t.axlw"
-    path.write_bytes(data[:offset] + struct.pack("<IIB", cols, rows, 1)
-                     + np.ascontiguousarray(payload.T).tobytes() + data[end:])
+    path.write_bytes(_flip_stored(data, index))
     (tmp_path / "plain.axlw").write_bytes(data)
     plain, back = load_bundle(tmp_path / "plain.axlw"), load_bundle(path)
     for sc in SCENARIOS:
