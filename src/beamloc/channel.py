@@ -13,7 +13,6 @@ floor sits under everything.  All randomness is seeded and reproducible.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import struct
@@ -188,14 +187,3 @@ def read_fingerprints(path) -> np.ndarray:
     fps = np.frombuffer(payload, dtype="<f4").reshape(count, N_BEAMS, N_SUBCARRIERS)
     with np.errstate(invalid="ignore"):  # the cast's warning for a signalling NaN
         return fps.astype(np.float64)
-
-
-def export_csv(path, fingerprints: np.ndarray) -> None:
-    """Inspection export: one row per (snapshot, beam) with 46 delay columns."""
-    fps = np.asarray(fingerprints)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["snapshot", "beam"] + [f"d{j}" for j in range(N_SUBCARRIERS)])
-        for s in range(fps.shape[0]):
-            for b in range(N_BEAMS):
-                writer.writerow([s, b] + [repr(v) for v in fps[s, b].tolist()])

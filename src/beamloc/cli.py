@@ -1,8 +1,10 @@
 """Command-line front end: generate, infer, sweep, ablate, perf, show-config.
 
 Every command is a pure function of (config, input files, seeds): rerunning
-with identical inputs produces byte-identical outputs, and each artifact
-embeds the configuration that produced it.
+with identical inputs produces byte-identical outputs.  A command has flags
+for exactly the ``RunConfig`` settings it reads (``SETTING_FLAGS``), and its
+artifact embeds those settings and no others.  A ``--config`` file may hold
+any setting, so one file serves every command.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 contract violation.
 """
@@ -70,8 +72,6 @@ def cmd_generate(cfg: RunConfig, args) -> int:
     fps = channel.generate_fingerprints(channel.default_profile(args.scenario, seed=args.seed),
                                         args.count)
     channel.write_fingerprints(args.out, fps)
-    if args.csv:
-        channel.export_csv(args.csv, fps)
     print(f"wrote {args.count} {args.scenario} snapshot(s) to {args.out}")
     return EXIT_OK
 
@@ -103,7 +103,7 @@ def cmd_infer(cfg: RunConfig, args) -> int:
             row["y_float"] = float(other.coords[1])
             row["deviation"] = float(np.linalg.norm(res.coords - other.coords))
         rows.append(row)
-    _write_json(args.out, {"config": cfg.to_dict(), "results": rows})
+    _write_json(args.out, {"config": _settings(cfg, args), "results": rows})
     print(f"wrote {len(rows)} result(s) to {args.out}")
     return EXIT_OK
 
@@ -120,17 +120,19 @@ def _grid(text: str, flag: str, parse) -> list:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    """One CSV row per (t_elem, t_rowcount) cell; ``--engine both`` sweeps the int engine.
+    """One CSV row per (t_elem, t_rowcount) cell of one engine.
 
     The baseline and every cell share one ``seen`` dict for this command only:
     each cell keeps its own row masks for the statistics, and a (scenario,
     thresholded input, row mask) already run reuses its coordinates.
     """
+    if cfg.engine == "both":
+        raise ConfigError("sweep runs one engine: engine must be 'int' or 'float', got 'both'")
     t_elems = _grid(args.t_elem, "--t-elem", lambda v: SparsityConfig(float(v), 0).t_elem)
     t_rowcounts = _grid(args.t_rowcount, "--t-rowcount",
                         lambda v: SparsityConfig(0.0, int(v)).t_rowcount)
     bundle, fps = _load_inputs(cfg, need_snapshots=True)
-    engine = _engine(cfg, "int" if cfg.engine == "both" else cfg.engine, bundle)
+    engine = _engine(cfg, cfg.engine, bundle)
     seen = {}
     baseline = np.array([r.coords for r in engine.run(fps, seen=seen)])
     rows = []
@@ -143,7 +145,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                          **sparsity.sparsity_stats([r.mask for r in results], fps.shape[-1]),
                          "output_deviation": output_deviation(coords, baseline)})
     with open(args.out, "w", newline="") as f:
-        f.write("# config: " + json.dumps(cfg.to_dict(), sort_keys=True) + "\n")
+        f.write("# config: " + json.dumps(_settings(cfg, args), sort_keys=True) + "\n")
         writer = csv.writer(f)
         writer.writerow(rows[0])
         for row in rows:
@@ -187,20 +189,22 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
             entry["cycle_delta_vs_previous"] = entry["mean_cycles"] - rungs[-1]["mean_cycles"]
         prev_coords = coords
         rungs.append(entry)
-    _write_json(args.out, {"config": cfg.to_dict(), "rungs": rungs})
+    _write_json(args.out, {"config": _settings(cfg, args), "rungs": rungs})
     print(f"wrote ablation ladder ({len(rungs)} rungs) to {args.out}")
     return EXIT_OK
 
 
 def cmd_perf(cfg: RunConfig, args) -> int:
+    """Cycle reports of the bundle's geometry and activation, or of the defaults without one."""
     fractions = _grid(args.fractions, "--fractions", float)
     if not all(0 <= f <= 1 for f in fractions):
         raise ConfigError(f"--fractions values must be in [0, 1], got {args.fractions}")
     scenario = cfg.scenario or "S1"
+    bundle = None if cfg.bundle is None else load_bundle(cfg.bundle)
     akind = cfg.activation_kind()
     if akind is None:
-        akind = ActivationKind.SIGMOID_BIAS_LUT
-    perf_cfg = cfg.perf_config()
+        akind = ActivationKind.SIGMOID_BIAS_LUT if bundle is None else bundle.activation
+    perf_cfg = cfg.perf_config(bundle)
     entries = []
     for frac in fractions:
         n_kept = perf_cfg.n - int(round(frac * perf_cfg.n))
@@ -209,50 +213,58 @@ def cmd_perf(cfg: RunConfig, args) -> int:
         entry["mask_fraction"] = frac
         entry["stage_shares"] = stage_share(report)
         entries.append(entry)
-    _write_json(args.out, {"config": cfg.to_dict(), "reports": entries})
-    if args.csv:
-        with open(args.csv, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["mask_fraction", "n_eff", "total_cycles", "latency_s",
-                             "speedup_vs_dense", "throughput_pos_per_s"])
-            for e in entries:
-                writer.writerow([e["mask_fraction"], e["n_eff"], e["total_cycles"],
-                                 repr(e["latency_s"]), repr(e["speedup_vs_dense"]),
-                                 repr(e["throughput_pos_per_s"])])
+    _write_json(args.out, {"config": _settings(cfg, args), "reports": entries})
     print(f"wrote {len(entries)} perf report(s) to {args.out}")
     return EXIT_OK
 
 
 def cmd_show_config(cfg: RunConfig, args) -> int:
-    print(cfg.to_json())
+    print(json.dumps(_settings(cfg, args), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 # --------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON run-config file; flags override it")
-    p.add_argument("--bundle", help="weight bundle path")
-    p.add_argument("--fingerprints", help="fingerprint file path")
-    p.add_argument("--engine", choices=("float", "int", "both"))
-    p.add_argument("--scenario", choices=SCENARIOS, help="bypass the router")
-    p.add_argument("--activation", choices=sorted(ACTIVATIONS))
-    p.add_argument("--no-sparsity", dest="sparsity", action="store_const", const={},
-                   help="threshold nothing (sparsity = {})")
-    p.add_argument("--router-window", type=int)
-    p.add_argument("--clock-hz", type=float)
-    p.add_argument("--div-latency", type=int)
-    p.add_argument("--pipeline-fill", type=int)
-    p.add_argument("--c-overhead", type=float)
-    p.add_argument("--layer-overhead", type=int)
+# Each RunConfig setting's flag and argparse keywords; build_parser gives a
+# command the flags of the settings it reads.
+SETTING_FLAGS = {
+    "bundle": ("--bundle", dict(help="weight bundle path")),
+    "fingerprints": ("--fingerprints", dict(help="fingerprint file path")),
+    "engine": ("--engine", dict(choices=("float", "int", "both"))),
+    "scenario": ("--scenario", dict(choices=SCENARIOS, help="bypass the router")),
+    "activation": ("--activation", dict(choices=sorted(ACTIVATIONS))),
+    "sparsity": ("--no-sparsity", dict(action="store_const", const={},
+                                       help="threshold nothing (sparsity = {})")),
+    "router_window": ("--router-window", dict(type=int)),
+    "clock_hz": ("--clock-hz", dict(type=float)),
+    "div_latency": ("--div-latency", dict(type=int)),
+    "pipeline_fill": ("--pipeline-fill", dict(type=int)),
+    "c_overhead": ("--c-overhead", dict(type=float)),
+    "layer_overhead": ("--layer-overhead", dict(type=int)),
+}
+CYCLE_MODEL = ("clock_hz", "div_latency", "pipeline_fill", "c_overhead", "layer_overhead")
+
+
+def _add_settings(p: argparse.ArgumentParser, *names: str) -> None:
+    """``--config`` and the flags of ``names``, the settings the command reads and embeds."""
+    p.add_argument("--config", help="JSON run-config file of any settings; flags override it")
+    for name in names:
+        flag, kwargs = SETTING_FLAGS[name]
+        p.add_argument(flag, dest=name, **kwargs)
+    p.set_defaults(settings=names)
+
+
+def _settings(cfg: RunConfig, args) -> dict:
+    """The settings the command reads, as its artifact embeds them."""
+    return {name: value for name, value in cfg.to_dict().items() if name in args.settings}
 
 
 def _build_config(args) -> RunConfig:
     """The config file's settings (or the defaults), overridden by every flag given."""
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    updates = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
-               if getattr(args, f.name, None) is not None}
+    updates = {name: getattr(args, name) for name in args.settings
+               if getattr(args, name) is not None}
     try:
         return dataclasses.replace(cfg, **updates)
     except ValueError as e:
@@ -271,37 +283,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--csv", help="also export a CSV for inspection")
-    p.set_defaults(func=cmd_generate, needs_config=False)
+    p.set_defaults(func=cmd_generate, settings=())
 
     p = sub.add_parser("infer", help="run inference over a fingerprint file")
-    _add_common(p)
+    _add_settings(p, *SETTING_FLAGS)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_infer, needs_config=True)
+    p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("sweep", help="threshold/zero-count grid sweep "
-                       "(--engine both sweeps the int engine)")
-    _add_common(p)
+    p = sub.add_parser("sweep", help="threshold/zero-count grid sweep")
+    _add_settings(p, "bundle", "fingerprints", "engine", "scenario", "activation", "router_window")
+    # Hidden and unread (each cell sets its own thresholds); the benchmark's dense workload passes it.
+    p.add_argument("--no-sparsity", action="store_true", dest="unread", help=argparse.SUPPRESS)
     p.add_argument("--t-elem", default="0.001,0.003,0.01,0.03,0.1")
     p.add_argument("--t-rowcount", default="0,8,16,24,32,40,46")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep, needs_config=True)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ablate", help="optimization ladder over a batch")
-    _add_common(p)
+    _add_settings(p, "bundle", "fingerprints", "scenario", "sparsity", "router_window",
+                  *CYCLE_MODEL)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ablate, needs_config=True)
+    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("perf", help="cycle-model sweep over mask fractions")
-    _add_common(p)
+    _add_settings(p, "bundle", "scenario", "activation", *CYCLE_MODEL)
     p.add_argument("--fractions", default="0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65")
     p.add_argument("--out", required=True)
-    p.add_argument("--csv", help="also write a CSV summary")
-    p.set_defaults(func=cmd_perf, needs_config=True)
+    p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser("show-config", help="print the effective configuration")
-    _add_common(p)
-    p.set_defaults(func=cmd_show_config, needs_config=True)
+    _add_settings(p, *SETTING_FLAGS)
+    p.set_defaults(func=cmd_show_config)
 
     return parser
 
@@ -310,11 +322,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.needs_config:
-            cfg = _build_config(args)
-        else:
-            cfg = RunConfig()
-        return args.func(cfg, args)
+        return args.func(_build_config(args), args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

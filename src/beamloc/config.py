@@ -1,7 +1,8 @@
 """Run configuration: JSON file schema plus CLI flag overrides.
 
-Every output artifact embeds the effective configuration, so a run is
-reproducible from its own output.  Default thresholds per scenario follow
+A command has flags for exactly the settings it reads and embeds exactly
+those in its artifact, so a run is reproducible from its own output.  A
+config file may hold any of them.  Default thresholds per scenario follow
 the reference operating points of the measured data (the mixed scenario
 uses the quantization-constrained threshold with zero count 28).
 """
@@ -100,9 +101,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def load_config(path) -> RunConfig:

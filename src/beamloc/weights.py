@@ -78,6 +78,8 @@ class ModelBundle:
         if min(self.heads, self.pool_k, self.router_window) < 1:
             raise ValueError(f"heads, pool_k and router_window must be >= 1, got "
                              f"{self.heads}, {self.pool_k} and {self.router_window}")
+        if not 1 <= self.n <= 128:  # softmax_int's row sums are exact up to 128 entries
+            raise ValueError(f"n must be in 1..128, got {self.n}")
         if self.d % self.heads != 0:
             raise ValueError("feature width must divide evenly across heads")
         if (self.d + self.pool_p) % self.pool_k != 0:

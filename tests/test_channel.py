@@ -209,15 +209,6 @@ def test_read_fuzz_damaged_file(tmp_path, count, cut, edits):
     _fuzz_read(path, bytes(data))
 
 
-def test_csv_export(tmp_path):
-    fps = np.ones((1, 128, 46))
-    out = tmp_path / "caps.csv"
-    channel.export_csv(out, fps)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("snapshot,beam,d0")
-    assert len(lines) == 1 + 128
-
-
 def test_scenario_element_sparsity_ordering():
     # LoS-like profiles zero out more elements than mixed ones at the same
     # threshold, by construction of the diffuse floors.

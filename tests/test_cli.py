@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from beamloc import channel, cli
-from beamloc.activations import ACTIVATIONS
+from beamloc.activations import ACTIVATIONS, ActivationKind
 from beamloc.config import DEFAULT_SPARSITY, ConfigError, RunConfig
 from beamloc.engine import EngineConfig, _EngineBase, make_engine
 from beamloc.fxp import quantize, quantize_array
@@ -123,11 +124,19 @@ def test_forged_bundle_row_count_is_an_io_error(inputs, tmp_path, capsys):
 
 
 def test_infer_cycles_follow_the_requested_activation(inputs, tmp_path):
+    # Without --bundle, perf prices the default geometry; with it, the bundle's
+    # geometry and, unless --activation says otherwise, the bundle's activation.
     bundle, fps = inputs
-    for name in ("softmax-int", "sigmoid-bias"):
-        flags = ("--activation", name, "--scenario", "S1")
-        assert _infer(bundle, fps, tmp_path / "infer.json", *flags, "--no-sparsity") == cli.EXIT_OK
-        assert cli.main(["perf", *flags, "--fractions", "0",
+    wide = tmp_path / "wide.axlw"
+    save_bundle(wide, random_bundle(seed=1, d_ff=300, heads=23,
+                                    activation=ActivationKind.SOFTMAX_INT))
+    cases = [(bundle, (), ("--activation", name)) for name in ("softmax-int", "sigmoid-bias")]
+    cases += [(wide, ("--bundle", str(wide)), flags)
+              for flags in ((), ("--activation", "softmax-int"), ("--activation", "sigmoid-bias"))]
+    for path, perf_flags, activation in cases:
+        flags = (*activation, "--scenario", "S1")
+        assert _infer(path, fps, tmp_path / "infer.json", *flags, "--no-sparsity") == cli.EXIT_OK
+        assert cli.main(["perf", *perf_flags, *flags, "--fractions", "0",
                          "--out", str(tmp_path / "perf.json")]) == cli.EXIT_OK
         infer_rows = json.loads((tmp_path / "infer.json").read_text())["results"]
         perf_report, = json.loads((tmp_path / "perf.json").read_text())["reports"]
@@ -226,10 +235,10 @@ def test_sweep_quantizes_the_bundle_once(inputs, tmp_path, monkeypatch):
 # with relative paths.  The statistics columns are exact; the float engine's
 # output_deviation also depends on the BLAS build's float64 summation order.
 SWEEP_CSV_SHA256 = {
-    "int": "3f1770ce6f4b5879bdcb95b693bbc3110f7dec4f9b5e79f0e1740d9174293112",
-    "float": "59b6d77dfec49a8047bb3dae0a9c2792937ae354d01a9f8a28aaeb897ad8d620",
-    "int --scenario S3": "73e53bac06bbd8628bdb49617d68280e1b7e88bc966ceeea7c99cc163153bd6d",
-    "float --scenario S3": "fd381f8b23c6acd5a4ed56c0084dc6f4998e26d5b7904fd267990f80d843ae20",
+    "int": "132d78dd7cc3da7d84b09740d38d1968053a90d9b8835cf873001b2f17bd1f06",
+    "float": "ffc591383fab77845877afac93e7a4cea697b1d6ddd11cbc44894eba9910d68a",
+    "int --scenario S3": "d4f7689a581fa5ff82baab2fc44d924d43336e082cba5a721ed464d20bd9925e",
+    "float --scenario S3": "0ede3b2bc5e146f9f8b8b78a41a50167d37e6ea46a0ec603775e86001d035397",
 }
 
 
@@ -327,10 +336,76 @@ def test_sweep_runs_each_distinct_encoder_input_once(inputs, tmp_path, monkeypat
     assert len(calls) == len(snapshots)
 
 
-def test_sweep_engine_both_sweeps_the_int_engine(inputs, tmp_path):
+def test_sweep_runs_one_engine(inputs, tmp_path, capsys):
     bundle, fps = inputs
-    both = _sweep_body(bundle, fps, tmp_path / "both.csv", "--engine", "both")
-    assert both == _sweep_body(bundle, fps, tmp_path / "int.csv", "--engine", "int")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"engine": "both"}))
+    out = tmp_path / "sweep.csv"
+    for flags in (["--engine", "both"], ["--config", str(config)]):
+        assert cli.main(["sweep", "--bundle", str(bundle), "--fingerprints", str(fps),
+                         "--out", str(out), *flags]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: sweep runs one engine")
+        assert not out.exists()
+
+
+CYCLE_FLAGS = ("--clock-hz", "--div-latency", "--pipeline-fill", "--c-overhead", "--layer-overhead")
+UNREAD_FLAGS = [
+    ("perf", ["--fingerprints", "caps.bdfp"]),
+    ("perf", ["--engine", "int"]),
+    ("perf", ["--no-sparsity"]),
+    ("perf", ["--router-window", "3"]),
+    ("perf", ["--csv", "perf.csv"]),
+    ("ablate", ["--engine", "int"]),
+    ("ablate", ["--activation", "softmax-int"]),
+    *(("sweep", [flag, "1"]) for flag in CYCLE_FLAGS),
+    ("generate", ["--csv", "caps.csv"]),
+]
+
+
+@pytest.mark.parametrize("command, flags", UNREAD_FLAGS,
+                         ids=[f"{command} {flags[0]}" for command, flags in UNREAD_FLAGS])
+def test_a_flag_the_command_does_not_read_is_rejected(inputs, tmp_path, monkeypatch, capsys,
+                                                      command, flags):
+    bundle, fps = inputs
+    monkeypatch.chdir(tmp_path)
+    inputs_flags = ["--bundle", str(bundle), "--fingerprints", str(fps)]
+    with pytest.raises(SystemExit) as e:
+        cli.main([command, *(inputs_flags if command in ("sweep", "ablate") else []),
+                  "--out", "out", *flags])
+    assert e.value.code == cli.EXIT_CONFIG
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# The settings each command reads, has flags for and embeds in its artifact.
+EMBEDDED = {
+    "infer": set(cli.SETTING_FLAGS),
+    "sweep": {"bundle", "fingerprints", "engine", "scenario", "activation", "router_window"},
+    "ablate": {"bundle", "fingerprints", "scenario", "sparsity", "router_window", *cli.CYCLE_MODEL},
+    "perf": {"bundle", "scenario", "activation", *cli.CYCLE_MODEL},
+}
+
+
+def test_each_artifact_embeds_exactly_the_settings_its_command_reads(inputs, tmp_path, capsys):
+    # One config file holding every setting serves every command.
+    bundle, fps = inputs
+    assert cli.main(["show-config", "--bundle", str(bundle), "--fingerprints", str(fps),
+                     "--engine", "float", "--scenario", "S1", "--router-window", "3",
+                     "--clock-hz", "2e8"]) == cli.EXIT_OK
+    config = tmp_path / "run.json"
+    config.write_text(capsys.readouterr().out)
+    shown = json.loads(config.read_text())
+    assert set(shown) == set(cli.SETTING_FLAGS) == {f.name for f in dataclasses.fields(RunConfig)}
+    assert [len(keys) for keys in EMBEDDED.values()] == [12, 6, 10, 8]
+    for command, keys in EMBEDDED.items():
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+        text = out.read_text()
+        if command == "sweep":
+            embedded = json.loads(text.splitlines()[0].removeprefix("# config: "))
+        else:
+            embedded = json.loads(text)["config"]
+        assert embedded == {k: v for k, v in shown.items() if k in keys}
 
 
 def test_bundle_with_trailing_bytes_is_an_io_error(inputs, tmp_path, capsys):

@@ -130,6 +130,19 @@ def test_bundle_validation(full_bundle):
         dataclasses.replace(full_bundle, dtype="int8")
 
 
+@pytest.mark.parametrize("n", [0, 129])
+def test_bundle_rows_are_at_most_128(n):
+    # softmax_int's row sums are exact only for rows of at most 128 entries.
+    with pytest.raises(ValueError, match=f"^n must be in 1..128, got {n}$"):
+        random_bundle(n=n)
+
+
+def test_bundle_of_128_rows_loads(tmp_path):
+    path = tmp_path / "rows128.axlw"
+    save_bundle(path, random_bundle(seed=3, n=128))
+    assert load_bundle(path).n == 128
+
+
 @pytest.fixture(scope="module")
 def toy_file(tmp_path_factory, toy_bundle):
     """The toy bundle's file bytes."""
