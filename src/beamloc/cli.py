@@ -21,7 +21,7 @@ import numpy as np
 
 from . import channel, sparsity
 from .activations import ACTIVATIONS, ActivationKind
-from .config import ConfigError, RunConfig, load_config
+from .config import ENGINES, ConfigError, RunConfig, load_config
 from .engine import EngineConfig, make_engine
 # quantize_array is unused here, but the benchmark's tracer wraps cli.quantize_array.
 from .fxp import AccumulatorOverflow, quantize_array  # noqa: F401
@@ -41,9 +41,9 @@ def _write_json(path, payload: dict) -> None:
         f.write("\n")
 
 
-def _engine(cfg: RunConfig, kind: str, bundle):
-    """The ``kind`` ("int" or "float") engine with the run's settings."""
-    return make_engine(kind, bundle, EngineConfig(
+def _engine(cfg: RunConfig, bundle):
+    """The run's engine ("int" or "float") with the run's settings."""
+    return make_engine(cfg.engine, bundle, EngineConfig(
         activation=cfg.activation_kind(),
         scenario_override=cfg.scenario,
         router_window=cfg.router_window,
@@ -78,17 +78,12 @@ def cmd_generate(cfg: RunConfig, args) -> int:
 
 def cmd_infer(cfg: RunConfig, args) -> int:
     bundle, fps = _load_inputs(cfg)
-    kinds = ("int", "float") if cfg.engine == "both" else (cfg.engine,)
-    engines = {kind: _engine(cfg, kind, bundle) for kind in kinds}
-    runs = {kind: engine.run(fps, cfg.sparsity) for kind, engine in engines.items()}
-    primary = runs[kinds[0]]
-
-    akind = engines[kinds[0]].activation
+    engine = _engine(cfg, bundle)
     perf_cfg = cfg.perf_config(bundle)
     rows = []
-    for i, res in enumerate(primary):
-        report = pipeline_report(res.mask, res.scenario, akind, perf_cfg)
-        row = {
+    for i, res in enumerate(engine.run(fps, cfg.sparsity)):
+        report = pipeline_report(res.mask, res.scenario, engine.activation, perf_cfg)
+        rows.append({
             "index": i,
             "scenario": res.scenario,
             "x": float(res.coords[0]),
@@ -96,13 +91,7 @@ def cmd_infer(cfg: RunConfig, args) -> int:
             "row_sparsity": res.mask.skip_fraction,
             "cycles": report.total_cycles,
             "latency_s": report.latency_s,
-        }
-        if cfg.engine == "both":
-            other = runs["float"][i]
-            row["x_float"] = float(other.coords[0])
-            row["y_float"] = float(other.coords[1])
-            row["deviation"] = float(np.linalg.norm(res.coords - other.coords))
-        rows.append(row)
+        })
     _write_json(args.out, {"config": _settings(cfg, args), "results": rows})
     print(f"wrote {len(rows)} result(s) to {args.out}")
     return EXIT_OK
@@ -126,13 +115,11 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     each cell keeps its own row masks for the statistics, and a (scenario,
     thresholded input, row mask) already run reuses its coordinates.
     """
-    if cfg.engine == "both":
-        raise ConfigError("sweep runs one engine: engine must be 'int' or 'float', got 'both'")
     t_elems = _grid(args.t_elem, "--t-elem", lambda v: SparsityConfig(float(v), 0).t_elem)
     t_rowcounts = _grid(args.t_rowcount, "--t-rowcount",
                         lambda v: SparsityConfig(0.0, int(v)).t_rowcount)
     bundle, fps = _load_inputs(cfg, need_snapshots=True)
-    engine = _engine(cfg, cfg.engine, bundle)
+    engine = _engine(cfg, bundle)
     seen = {}
     baseline = np.array([r.coords for r in engine.run(fps, seen=seen)])
     rows = []
@@ -168,8 +155,8 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     prev_coords = None
     perf_cfg = cfg.perf_config(bundle)
     for rung in ABLATION_LADDER:
-        engine = _engine(dataclasses.replace(cfg, activation=rung["activation"]),
-                         rung["engine"], bundle)
+        engine = _engine(dataclasses.replace(cfg, engine=rung["engine"],
+                                             activation=rung["activation"]), bundle)
         results = engine.run(fps, cfg.sparsity if rung["sparsity"] else None)
         coords = np.array([r.coords for r in results])
         cycles = [
@@ -231,7 +218,8 @@ def cmd_show_config(cfg: RunConfig, args) -> int:
 SETTING_FLAGS = {
     "bundle": ("--bundle", dict(help="weight bundle path")),
     "fingerprints": ("--fingerprints", dict(help="fingerprint file path")),
-    "engine": ("--engine", dict(choices=("float", "int", "both"))),
+    "engine": ("--engine", dict(choices=ENGINES,
+                                help="int: the Q8.8 engine; float: the float64 oracle")),
     "scenario": ("--scenario", dict(choices=SCENARIOS, help="bypass the router")),
     "activation": ("--activation", dict(choices=sorted(ACTIVATIONS))),
     "sparsity": ("--no-sparsity", dict(action="store_const", const={},

@@ -29,7 +29,7 @@ DEFAULT_SPARSITY = {
     "S3": SparsityConfig(t_elem=0.006, t_rowcount=28),
 }
 
-_ENGINES = ("float", "int", "both")
+ENGINES = ("float", "int")
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ class RunConfig:
     layer_overhead: int = PerfConfig.layer_overhead
 
     def __post_init__(self):
-        if self.engine not in _ENGINES:
-            raise ConfigError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
+        if self.engine not in ENGINES:
+            raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         # a tuple compares by equality, so an unhashable value fails here too
         if self.scenario not in (None, *SCENARIOS):
             raise ConfigError(f"unknown scenario {self.scenario!r}")
@@ -107,10 +107,10 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as f:
             data = json.load(f)
-    except ValueError as e:  # bad JSON, bad UTF-8, or an integer too long to convert
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, deep nesting, a huge integer
         raise ConfigError(f"invalid config file {path}: {e}") from e
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ConfigError(f"invalid config file {path}: it must hold a JSON object")
     try:
         return RunConfig(**data)
     except TypeError as e:

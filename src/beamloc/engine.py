@@ -17,7 +17,9 @@ and head once per distinct triple; ``sweep`` shares one dict across its cells.
 The integer engine requantizes once per matrix product (round-to-nearest-
 even, saturating), evaluates the biased sigmoid through the Q8.8 LUT, and
 scales by a constant (``gamma / sqrt(d_k)``, the leaky-ReLU slope) with one
-multiply by its Q8.8 code and a requantize.
+multiply by its Q8.8 code and a requantize.  The float engine saturates
+nothing, so a snapshot whose coordinates overflow to inf or NaN raises
+ValueError instead of returning them.
 """
 
 from __future__ import annotations
@@ -194,6 +196,14 @@ class FloatEngine(_EngineBase):
         if not np.isfinite(x).all():
             raise ValueError("cannot run the float engine on non-finite values")
         return x
+
+    def locate(self, mat, mask: RowMask, scenario: str):
+        with np.errstate(over="ignore", invalid="ignore"):
+            coords = super().locate(mat, mask, scenario)
+        if not np.isfinite(coords).all():
+            raise ValueError(f"the float engine's {scenario} coordinates are non-finite "
+                             "(float64 overflow)")
+        return coords
 
     def matmul(self, x, w, bias=None):
         out = x @ w

@@ -1,3 +1,4 @@
+import re
 import struct
 import warnings
 from dataclasses import replace
@@ -89,6 +90,8 @@ def test_hann_window_shape():
     # closed form check
     j = np.arange(46)
     assert np.allclose(w[0], 0.5 * (1 - np.cos(2 * np.pi * j / 45)))
+    with pytest.raises(ValueError, match="expected 46 subcarriers, got 45"):
+        channel.hann_window(np.ones((2, 45)))
 
 
 def test_hann_zero_matrix():
@@ -101,6 +104,8 @@ def test_transform_constant_row():
     g = channel.beam_delay_transform(h)
     assert g[0, 0] == pytest.approx(5.0)
     assert np.max(np.abs(g[0, 1:])) < 1e-12
+    with pytest.raises(ValueError, match="expected 46 subcarriers, got 47"):
+        channel.beam_delay_transform(np.ones((1, 47)))
 
 
 def test_transform_single_exponential():
@@ -145,6 +150,10 @@ def test_fingerprint_file_roundtrip(tmp_path, rng):
     raw = path.read_bytes()
     assert raw[:4] == b"BDFP"
     assert len(raw) == 8 + 5 * 128 * 46 * 4
+    for shape in ((128, 46), (5, 128, 45)):
+        with pytest.raises(ValueError, match=re.escape(f"expected (count, 128, 46), got {shape}")):
+            channel.write_fingerprints(tmp_path / "bad.bdfp", np.zeros(shape))
+    assert not (tmp_path / "bad.bdfp").exists()
 
 
 def test_fingerprint_file_rejects_bad_magic(tmp_path):

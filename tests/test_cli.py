@@ -87,10 +87,30 @@ def test_non_finite_fingerprint_is_a_contract_violation(inputs, tmp_path, capsys
     data[1, 5, 7] = np.nan
     path = tmp_path / "nan.bdfp"
     channel.write_fingerprints(path, data)
-    for engine in ("int", "float", "both"):
+    for engine in ("int", "float"):
         assert _infer(bundle, path, tmp_path / "out.json", "--engine", engine) == cli.EXIT_CONTRACT
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["infer", "--engine", "float", "--scenario", "S2", "--no-sparsity"],
+    ["infer", "--engine", "float"],
+    ["ablate"],
+    ["sweep", "--engine", "float"],
+], ids=lambda command: " ".join(command))
+def test_float_coordinates_that_overflow_are_a_contract_violation(tmp_path, capsys, command):
+    # Finite float32 weights of 1e30 overflow float64 on S2 snapshots; the
+    # integer engine saturates instead.  A numpy warning would fail the test.
+    bundle, fps, out = tmp_path / "big.axlw", tmp_path / "s2.bdfp", tmp_path / "out"
+    save_bundle(bundle, random_bundle(seed=7, scale=1e30))
+    channel.write_fingerprints(
+        fps, channel.generate_fingerprints(channel.default_profile("S2", seed=1), 2))
+    assert cli.main([*command, "--bundle", str(bundle), "--fingerprints", str(fps),
+                     "--out", str(out)]) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation: the float engine's") and "non-finite" in err
+    assert not out.exists()
 
 
 BUNDLE_HEADER = 26  # magic, u16 version, u8 dtype, u8 activation, nine u16 sizes
@@ -337,14 +357,21 @@ def test_sweep_runs_each_distinct_encoder_input_once(inputs, tmp_path, monkeypat
 
 
 def test_sweep_runs_one_engine(inputs, tmp_path, capsys):
+    # Every command that reads the engine runs one: int or float, never both.
     bundle, fps = inputs
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"engine": "both"}))
-    out = tmp_path / "sweep.csv"
-    for flags in (["--engine", "both"], ["--config", str(config)]):
-        assert cli.main(["sweep", "--bundle", str(bundle), "--fingerprints", str(fps),
-                         "--out", str(out), *flags]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: sweep runs one engine")
+    out = tmp_path / "out"
+    for command in ("infer", "sweep", "show-config"):
+        argv = [command, "--bundle", str(bundle), "--fingerprints", str(fps)]
+        argv += [] if command == "show-config" else ["--out", str(out)]
+        with pytest.raises(SystemExit) as e:
+            cli.main([*argv, "--engine", "both"])
+        assert e.value.code == cli.EXIT_CONFIG
+        assert "argument --engine: invalid choice: 'both'" in capsys.readouterr().err
+        assert cli.main([*argv, "--config", str(config)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "config error: engine must be one of ('float', 'int'), got 'both'")
         assert not out.exists()
 
 
@@ -635,10 +662,11 @@ def test_bundle_with_activation_code_zero_infers_as_softmax(inputs, tmp_path):
         data[7] = code
         path = tmp_path / f"code{code}.axlw"
         path.write_bytes(bytes(data))
-        out = tmp_path / f"code{code}.json"
-        assert _infer(path, fps, out, "--engine", "both") == cli.EXIT_OK
-        outputs.append(json.loads(out.read_text())["results"])
-    assert outputs[0] == outputs[1]
+        for engine in ("int", "float"):
+            out = tmp_path / f"code{code}-{engine}.json"
+            assert _infer(path, fps, out, "--engine", engine) == cli.EXIT_OK
+            outputs.append(json.loads(out.read_text())["results"])
+    assert outputs[:2] == outputs[2:]
 
 
 def test_retired_int16_bundle_is_a_contract_violation(inputs, tmp_path, capsys):
@@ -652,6 +680,19 @@ def test_retired_int16_bundle_is_a_contract_violation(inputs, tmp_path, capsys):
     assert _infer(path, fps, out) == cli.EXIT_CONTRACT
     assert capsys.readouterr().err.startswith(
         f"contract violation: {path}: unsupported bundle dtype code 1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "sweep", "ablate"])
+@pytest.mark.parametrize("missing", ["--bundle", "--fingerprints"])
+def test_a_command_without_its_inputs_is_a_config_error(inputs, tmp_path, capsys, command, missing):
+    bundle, fps = inputs
+    given = {"--bundle": str(bundle), "--fingerprints": str(fps)}
+    del given[missing]
+    out = tmp_path / "out"
+    assert cli.main([command, *given.popitem(), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: this command requires --bundle and --fingerprints\n"
     assert not out.exists()
 
 
@@ -672,17 +713,19 @@ def test_bundle_and_fingerprint_geometry_must_agree(inputs, toy_bundle, tmp_path
 @pytest.mark.parametrize("content", [
     b"\xff\xfe",                                    # not UTF-8
     b'{"layer_overhead": 1' + b"0" * 5000 + b"}",  # past the int-string digit limit
+    pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-past-the-recursion-limit"),
+    pytest.param(b"[]", id="not-an-object"),
 ])
 def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, content):
     path = tmp_path / "run.json"
     path.write_bytes(content)
     assert cli.main(["show-config", "--config", str(path)]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error")
+    assert capsys.readouterr().err.startswith(f"config error: invalid config file {path}")
 
 
 @pytest.mark.parametrize("flags", [
     [],
-    ["--engine", "both", "--scenario", "S2", "--activation", "softmax-int", "--no-sparsity",
+    ["--engine", "float", "--scenario", "S2", "--activation", "softmax-int", "--no-sparsity",
      "--router-window", "5", "--clock-hz", "2e8",
      "--div-latency", "8", "--pipeline-fill", "3", "--c-overhead", "1.5",
      "--layer-overhead", "100"],

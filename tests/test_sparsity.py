@@ -22,6 +22,8 @@ def test_threshold_basics():
     # t = 0 keeps non-negative amplitudes untouched
     assert np.array_equal(threshold_elements(mat, 0.0), mat)
     assert np.all(threshold_elements(mat, 99.0) == 0)
+    with pytest.raises(ValueError, match="t_elem must be >= 0"):
+        threshold_elements(mat, -0.1)
 
 
 def test_threshold_boundary_is_strict():

@@ -128,6 +128,12 @@ def test_bundle_validation(full_bundle):
         dataclasses.replace(full_bundle, pool_k=5)
     with pytest.raises(ValueError):
         dataclasses.replace(full_bundle, dtype="int8")
+    with pytest.raises(ValueError, match="feature width must divide evenly across heads"):
+        dataclasses.replace(full_bundle, heads=3)
+    with pytest.raises(ValueError, match="missing coordinate head for S2"):
+        dataclasses.replace(full_bundle, fcnn={sc: full_bundle.fcnn[sc] for sc in ("S1", "S3")})
+    with pytest.raises(ValueError, match=re.escape("router weights must be (3, 128), got (3, 127)")):
+        dataclasses.replace(full_bundle, slp_w=full_bundle.slp_w[:, :-1])
 
 
 @pytest.mark.parametrize("n", [0, 129])
