@@ -225,13 +225,7 @@ SETTING_FLAGS = {
     "sparsity": ("--no-sparsity", dict(action="store_const", const={},
                                        help="threshold nothing (sparsity = {})")),
     "router_window": ("--router-window", dict(type=int)),
-    "clock_hz": ("--clock-hz", dict(type=float)),
-    "div_latency": ("--div-latency", dict(type=int)),
-    "pipeline_fill": ("--pipeline-fill", dict(type=int)),
-    "c_overhead": ("--c-overhead", dict(type=float)),
-    "layer_overhead": ("--layer-overhead", dict(type=int)),
 }
-CYCLE_MODEL = ("clock_hz", "div_latency", "pipeline_fill", "c_overhead", "layer_overhead")
 
 
 def _add_settings(p: argparse.ArgumentParser, *names: str) -> None:
@@ -253,10 +247,7 @@ def _build_config(args) -> RunConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     updates = {name: getattr(args, name) for name in args.settings
                if getattr(args, name) is not None}
-    try:
-        return dataclasses.replace(cfg, **updates)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return dataclasses.replace(cfg, **updates)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,13 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ablate", help="optimization ladder over a batch")
-    _add_settings(p, "bundle", "fingerprints", "scenario", "sparsity", "router_window",
-                  *CYCLE_MODEL)
+    _add_settings(p, "bundle", "fingerprints", "scenario", "sparsity", "router_window")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("perf", help="cycle-model sweep over mask fractions")
-    _add_settings(p, "bundle", "scenario", "activation", *CYCLE_MODEL)
+    _add_settings(p, "bundle", "scenario", "activation")
     p.add_argument("--fractions", default="0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_perf)

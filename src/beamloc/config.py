@@ -41,11 +41,6 @@ class RunConfig:
     activation: str | None = None        # None: bundle's activation
     sparsity: dict = field(default_factory=lambda: dict(DEFAULT_SPARSITY))
     router_window: int | None = None
-    clock_hz: float = PerfConfig.clock_hz
-    div_latency: int = PerfConfig.div_latency
-    pipeline_fill: int = PerfConfig.pipeline_fill
-    c_overhead: float = PerfConfig.c_overhead
-    layer_overhead: int = PerfConfig.layer_overhead
 
     def __post_init__(self):
         if self.engine not in ENGINES:
@@ -78,26 +73,20 @@ class RunConfig:
                 except ValueError as e:
                     raise ConfigError(f"sparsity.{sc}: {e}") from e
         object.__setattr__(self, "sparsity", parsed)
-        self.perf_config()  # PerfConfig checks the cycle-model settings
 
     def activation_kind(self) -> ActivationKind | None:
         return None if self.activation is None else ACTIVATIONS[self.activation]
 
     def perf_config(self, bundle=None) -> PerfConfig:
-        kwargs = dict(
-            div_latency=self.div_latency,
-            pipeline_fill=self.pipeline_fill,
-            clock_hz=self.clock_hz,
-            c_overhead=self.c_overhead,
-            layer_overhead=self.layer_overhead,
-        )
-        if bundle is not None:
-            kwargs.update(n=bundle.n, d=bundle.d, d_ff=bundle.d_ff, d_h=bundle.d_h,
+        """The default hardware, at the bundle's geometry when one is given.
+
+        No loadable bundle overflows it: header sizes are u16, ``n`` is at most
+        128, and ``layer_overhead`` (25000 > 0) keeps every total above 0.
+        """
+        if bundle is None:
+            return PerfConfig()
+        return PerfConfig(n=bundle.n, d=bundle.d, d_ff=bundle.d_ff, d_h=bundle.d_h,
                           pool_k=bundle.pool_k, pool_p=bundle.pool_p)
-        try:
-            return PerfConfig(**kwargs)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
 
     def to_dict(self) -> dict:
         return asdict(self)

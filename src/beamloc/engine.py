@@ -58,8 +58,8 @@ class _EngineBase:
     Subclasses provide the six numeric primitives: ``prepare_input``,
     ``matmul``, ``residual_add``, ``scale`` (``x`` times a real constant),
     ``activation_op`` and ``coords_of``.  An integer engine quantizes the
-    float bundle it is given, once; a float engine given a quantized view
-    raises ValueError.
+    float bundle it is given, once.  A float engine given a quantized view,
+    or an activation that is no ``ActivationKind`` value, raises ValueError.
     """
 
     is_integer = False
@@ -71,7 +71,7 @@ class _EngineBase:
         elif bundle.dtype == "int16":
             raise ValueError("the float engine runs on a float bundle, not its quantized view")
         self.bundle = bundle
-        self.activation = bundle.activation if cfg.activation is None else cfg.activation
+        self.activation = bundle.activation if cfg.activation is None else ActivationKind(cfg.activation)
         self.router_window = bundle.router_window if cfg.router_window is None else cfg.router_window
 
     def slp_logits(self, x):

@@ -13,8 +13,9 @@ head, and the layer sums.
 
 Beyond the per-stage compute, each encoder layer pays a fixed
 control/weight-streaming overhead and the whole pipeline a multiplicative
-calibration factor.  Both constants are reported with every result so
-calibrated runs are self-describing.
+calibration factor.  Every CLI run prices ``PerfConfig``'s defaults at
+the bundle's geometry; a library caller may pass another ``PerfConfig``,
+and every report echoes its two constants, so runs are self-describing.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ HEAD_WIDTH = 64
 
 @dataclass(frozen=True)
 class PerfConfig:
+    """The modeled hardware; runs use these defaults, a library caller may pass others."""
     n: int = 128
     d: int = 46
     d_ff: int = 64

@@ -113,7 +113,13 @@ def _rms(x: np.ndarray) -> float:
 
 
 def output_deviation(coords: np.ndarray, baseline: np.ndarray) -> float:
-    """RMS Euclidean deviation of predictions, normalized by baseline RMS."""
-    dev = _rms(coords - baseline)
-    ref = _rms(baseline)
-    return dev / ref if ref > 0 else dev
+    """RMS Euclidean deviation of predictions, normalized by baseline RMS.
+
+    Both are first scaled by one power of two, so no square overflows; the
+    scaling is exact, so wherever the squares are normal the bits are kept.
+    """
+    top = max(np.abs(coords).max(initial=0.0), np.abs(baseline).max(initial=0.0))
+    exp = -int(np.frexp(top)[1])
+    coords, baseline = np.ldexp(coords, exp), np.ldexp(baseline, exp)
+    dev, ref = _rms(coords - baseline), _rms(baseline)
+    return dev / ref if ref > 0 else math.ldexp(dev, -exp)

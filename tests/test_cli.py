@@ -384,7 +384,9 @@ UNREAD_FLAGS = [
     ("perf", ["--csv", "perf.csv"]),
     ("ablate", ["--engine", "int"]),
     ("ablate", ["--activation", "softmax-int"]),
-    *(("sweep", [flag, "1"]) for flag in CYCLE_FLAGS),
+    # No command reads a cycle-model setting: every run prices PerfConfig's defaults.
+    *((command, [flag, "1"]) for command in ("sweep", "infer", "ablate", "perf", "show-config")
+      for flag in CYCLE_FLAGS),
     ("generate", ["--csv", "caps.csv"]),
 ]
 
@@ -398,7 +400,7 @@ def test_a_flag_the_command_does_not_read_is_rejected(inputs, tmp_path, monkeypa
     inputs_flags = ["--bundle", str(bundle), "--fingerprints", str(fps)]
     with pytest.raises(SystemExit) as e:
         cli.main([command, *(inputs_flags if command in ("sweep", "ablate") else []),
-                  "--out", "out", *flags])
+                  *(["--out", "out"] if command != "show-config" else []), *flags])
     assert e.value.code == cli.EXIT_CONFIG
     assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -408,8 +410,8 @@ def test_a_flag_the_command_does_not_read_is_rejected(inputs, tmp_path, monkeypa
 EMBEDDED = {
     "infer": set(cli.SETTING_FLAGS),
     "sweep": {"bundle", "fingerprints", "engine", "scenario", "activation", "router_window"},
-    "ablate": {"bundle", "fingerprints", "scenario", "sparsity", "router_window", *cli.CYCLE_MODEL},
-    "perf": {"bundle", "scenario", "activation", *cli.CYCLE_MODEL},
+    "ablate": {"bundle", "fingerprints", "scenario", "sparsity", "router_window"},
+    "perf": {"bundle", "scenario", "activation"},
 }
 
 
@@ -417,13 +419,12 @@ def test_each_artifact_embeds_exactly_the_settings_its_command_reads(inputs, tmp
     # One config file holding every setting serves every command.
     bundle, fps = inputs
     assert cli.main(["show-config", "--bundle", str(bundle), "--fingerprints", str(fps),
-                     "--engine", "float", "--scenario", "S1", "--router-window", "3",
-                     "--clock-hz", "2e8"]) == cli.EXIT_OK
+                     "--engine", "float", "--scenario", "S1", "--router-window", "3"]) == cli.EXIT_OK
     config = tmp_path / "run.json"
     config.write_text(capsys.readouterr().out)
     shown = json.loads(config.read_text())
     assert set(shown) == set(cli.SETTING_FLAGS) == {f.name for f in dataclasses.fields(RunConfig)}
-    assert [len(keys) for keys in EMBEDDED.values()] == [12, 6, 10, 8]
+    assert [len(keys) for keys in EMBEDDED.values()] == [7, 6, 5, 3]
     for command, keys in EMBEDDED.items():
         out = tmp_path / command
         assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
@@ -519,28 +520,13 @@ def test_bad_sweep_grid_is_a_config_error(inputs, tmp_path, capsys, flags, setti
     assert not out.exists()
 
 
+# The ids are the ones these cases have long run under.
 @pytest.mark.parametrize("flags, setting", [
-    (["--clock-hz", "0"], "clock_hz"),
-    (["--clock-hz", "nan"], "clock_hz"),
-    (["--clock-hz", "inf"], "clock_hz"),
-    (["--c-overhead=-1"], "c_overhead"),
-    (["--c-overhead", "nan"], "c_overhead"),
-    (["--div-latency=-50"], "div_latency"),
-    (["--pipeline-fill=-1000"], "pipeline_fill"),
-    (["--layer-overhead=-100000"], "layer_overhead"),
     (["--fractions", "abc"], "--fractions"),
     (["--fractions", "0,2"], "--fractions"),
     (["--fractions", "nan"], "--fractions"),
-    (["--c-overhead", "1e-9", "--layer-overhead", "0"], "c_overhead = 1e-09 and layer_overhead = 0"),
-    (["--c-overhead", "1e308"], "c_overhead = 1e+308 overflows"),
     (["--fractions", ","], "--fractions"),
-    (["--layer-overhead", "1" + "0" * 400], "layer_overhead"),
-    (["--div-latency", "1" + "0" * 400], "div_latency"),
-    (["--pipeline-fill", "1" + "0" * 400], "pipeline_fill"),
-    (["--clock-hz", "5e-324", "--fractions", "0"], "clock_hz"),
-    (["--clock-hz", "1.7976931348623157e308", "--c-overhead", "0.0003",
-      "--layer-overhead", "0", "--fractions", "1"], "clock_hz"),
-])
+], ids=["flags8---fractions", "flags9---fractions", "flags10---fractions", "flags13---fractions"])
 def test_bad_perf_setting_is_a_config_error(tmp_path, capsys, flags, setting):
     out = tmp_path / "perf.json"
     assert cli.main(["perf", "--out", str(out), *flags]) == cli.EXIT_CONFIG
@@ -561,8 +547,11 @@ def test_removed_model_flags_are_rejected(inputs, tmp_path, capsys, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("delay_bin", 3), ("delay_bin", None),
-                                        ("ffn_residual", False), ("sparsity_enabled", False)])
+@pytest.mark.parametrize("key, value", [
+    ("delay_bin", 3), ("delay_bin", None), ("ffn_residual", False), ("sparsity_enabled", False),
+    ("clock_hz", 1e8), ("div_latency", 16), ("pipeline_fill", 6), ("c_overhead", 1.0),
+    ("layer_overhead", 25000),
+])
 def test_removed_model_settings_are_config_errors(inputs, tmp_path, capsys, key, value):
     bundle, fps = inputs
     config = tmp_path / "run.json"
@@ -726,9 +715,7 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, content):
 @pytest.mark.parametrize("flags", [
     [],
     ["--engine", "float", "--scenario", "S2", "--activation", "softmax-int", "--no-sparsity",
-     "--router-window", "5", "--clock-hz", "2e8",
-     "--div-latency", "8", "--pipeline-fill", "3", "--c-overhead", "1.5",
-     "--layer-overhead", "100"],
+     "--router-window", "5"],
 ])
 def test_show_config_round_trips_through_a_config_file(tmp_path, capsys, flags):
     assert cli.main(["show-config", *flags]) == cli.EXIT_OK

@@ -440,6 +440,14 @@ def test_make_engine(full_bundle):
         FloatEngine(full_bundle.quantized())
 
 
+@pytest.mark.parametrize("kind", ["int", "float"])
+@pytest.mark.parametrize("activation", ["softmax-int", 2])
+def test_engine_activation_must_be_a_kind(full_bundle, kind, activation):
+    # A config name or a retired code would never match a kind and run sigmoid-bias.
+    with pytest.raises(ValueError, match="is not a valid ActivationKind"):
+        make_engine(kind, full_bundle, EngineConfig(activation=activation))
+
+
 def test_softmax_rows_sum_inside_engine(full_bundle, s1_batch):
     ie = IntEngine(full_bundle, EngineConfig(activation=ActivationKind.SOFTMAX_INT,
                                              scenario_override="S1"))

@@ -105,6 +105,10 @@ def test_reports_are_pinned_stage_by_stage(toy_bundle, make_cfg, digest):
     ({"clock_hz": 5e-324}, "clock_hz = 5e-324 overflow the densest pipeline's latency"),
     ({"clock_hz": 1.7976931348623157e308, "c_overhead": 0.0003, "layer_overhead": 0},
      "clock_hz = .* makes the smallest pipeline's throughput"),
+    ({"clock_hz": float("nan")}, "clock_hz"),
+    ({"c_overhead": float("nan")}, "c_overhead"),
+    ({"pipeline_fill": -1000}, "pipeline_fill"),
+    ({"layer_overhead": -100000}, "layer_overhead"),
 ])
 def test_bad_perf_config_rejected(kwargs, setting):
     with pytest.raises(ValueError, match=setting):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,3 +174,41 @@ def test_output_deviation_normalization():
     assert output_deviation(base, base) == 0.0
     dev = output_deviation(np.array([[3.0, 4.5]]), base)
     assert dev == pytest.approx(np.sqrt(0.25 / 2) / np.sqrt(12.5))
+
+
+def _unscaled_deviation(coords, baseline):
+    dev = np.sqrt(np.mean(np.square(coords - baseline)))
+    ref = np.sqrt(np.mean(np.square(baseline)))
+    return float(dev / ref if ref > 0 else dev)
+
+
+# Magnitudes in [2**-200, 2**200], or 0: every square and every difference's
+# square, scaled or not, is a normal float, so scaling rounds nothing.
+_elements = st.one_of(st.just(0.0), st.floats(2.0**-200, 2.0**200),
+                      st.floats(-(2.0**200), -(2.0**-200)))
+_coords = hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(2)), elements=_elements)
+
+
+@given(_coords, st.data())
+def test_output_deviation_keeps_the_unscaled_bits(coords, data):
+    baseline = data.draw(hnp.arrays(np.float64, coords.shape, elements=_elements))
+    assert output_deviation(coords, baseline) == _unscaled_deviation(coords, baseline)
+
+
+@given(_coords.filter(lambda c: np.abs(c).max() >= 1.0), st.data())
+def test_output_deviation_does_not_overflow(coords, data):
+    # Times 2**600, the largest coordinate is past 1e180, whose square overflows.
+    baseline = data.draw(hnp.arrays(np.float64, coords.shape, elements=_elements))
+    big, base = np.ldexp(coords, 600), np.ldexp(baseline, 600)
+    dev = output_deviation(big, base)
+    assert np.isfinite(dev)
+    # The deviation is relative, or absolute when the baseline is all zero.
+    small = output_deviation(coords, baseline)
+    assert dev == (small if baseline.any() else math.ldexp(small, 600))
+
+
+def test_output_deviation_at_1e200():
+    base = np.array([[1e200, -3e200]])
+    dev = output_deviation(base * 1.5, base)
+    assert dev == output_deviation(np.ldexp(base * 1.5, -600), np.ldexp(base, -600))
+    assert dev == pytest.approx(0.5)
