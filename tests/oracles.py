@@ -7,7 +7,10 @@ something.
 """
 
 import cmath
+import math
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,8 +25,9 @@ from beamloc.activations import (
     ActivationKind,
 )
 from beamloc.channel import _BEAM_GAIN_SIGMA, _DELAY_SPREAD, N_BEAMS, N_SUBCARRIERS
-from beamloc.fxp import ACC_BITS, ACC_MAX, ACC_MIN, AccumulatorOverflow, rne_div, sat_add
+from beamloc.fxp import ACC_BITS, ACC_MAX, ACC_MIN, AccumulatorOverflow, quantize, rne_div
 from beamloc.sparsity import RowMask
+from beamloc.weights import SCENARIOS, EncoderSegment, HeadParams, random_bundle
 
 EXP_TABLE = activations.EXP_TABLE.astype(np.int64)
 
@@ -234,10 +238,206 @@ def masked_dense_layer_int(x, seg, mask: RowMask, *, kind, bias_code, m_code,
         head_outs.append(mm(a_full, v_gated[:, cols]))
     proj = mm(np.concatenate(head_outs, axis=1), seg.w_o)
     mha = x.copy()
-    mha[kept] = sat_add(x[kept], proj[kept])
+    mha[kept] = np.clip(x[kept].astype(np.int64) + proj[kept], -32768, 32767)
 
     h1 = np.maximum(mm(mha, seg.ffn_w1, seg.ffn_b1), 0)
     ffn = mm(h1, seg.ffn_w2, seg.ffn_b2)
     out = mha.copy()
     out[kept] = ffn[kept]
     return out
+
+
+def masked_dense_layer_float(x, seg, mask: RowMask, *, kind, heads):
+    """``masked_dense_layer_int`` in float64: exact activations, no rounding."""
+    n, d = x.shape
+    d_k = d // heads
+    kept = np.flatnonzero(~mask.skip)
+    out = x.copy()
+    if kept.size == 0:
+        return out
+    q, k, v = x @ seg.w_q, x @ seg.w_k, x @ seg.w_v
+    head_outs = []
+    for h in range(heads):
+        cols = slice(h * d_k, (h + 1) * d_k)
+        scores = (q[:, cols] @ k[:, cols].T) * (seg.gamma / math.sqrt(d_k))
+        sub = scores[np.ix_(kept, kept)]
+        if kind == ActivationKind.SOFTMAX_INT:
+            e = np.exp(sub - sub.max(axis=1, keepdims=True))
+            act_sub = e / e.sum(axis=1, keepdims=True)
+        else:
+            with np.errstate(over="ignore"):  # exp(-s) = inf for very negative s gives 0
+                act_sub = 1.0 / (1.0 + np.exp(-(sub - math.log(n))))
+        a_full = np.zeros((n, n))
+        a_full[np.ix_(kept, kept)] = act_sub
+        v_gated = v.copy()
+        v_gated[mask.skip] = 0.0
+        head_outs.append(a_full @ v_gated[:, cols])
+    mha = x.copy()
+    mha[kept] = x[kept] + (np.concatenate(head_outs, axis=1) @ seg.w_o)[kept]
+    ffn = np.maximum(mha @ seg.ffn_w1 + seg.ffn_b1, 0.0) @ seg.ffn_w2 + seg.ffn_b2
+    out[kept] = ffn[kept]
+    return out
+
+
+# --------------------------------------------------------------------------
+# Whole-run oracles: routing, thresholding, row masks, the folded encoder,
+# max-pool and the coordinate head, built from the scalar and layer oracles
+# above and no engine code.  Each returns (scenario, row skip mask, coords)
+# per snapshot, in order.
+
+
+def quantize_scalars(x) -> np.ndarray:
+    """``fxp.quantize`` applied to one element at a time, as int64 codes."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.array([quantize(float(v)) for v in x.reshape(-1)], dtype=np.int64).reshape(x.shape)
+
+
+def matmul_checked(a, b, bias=None):
+    """Exact int64 product plus aligned bias; every accumulator obeys qmac's 40-bit rule."""
+    acc = np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)
+    if bias is not None:
+        acc = acc + (np.asarray(bias, dtype=np.int64) << 8)
+    for value in acc.reshape(-1).tolist():
+        if not ACC_MIN <= value <= ACC_MAX:
+            raise AccumulatorOverflow(f"accumulator {value} exceeds {ACC_BITS} bits")
+    return requantize_int64(acc).astype(np.int64)
+
+
+def vote(history: list, window: int, current: int, label: int) -> int:
+    """Plurality of the last ``window`` labels; a tied vote keeps ``current``."""
+    history.append(label)
+    recent = history[-window:]
+    counts = [recent.count(c) for c in range(len(SCENARIOS))]
+    top = max(counts)
+    winners = [c for c in range(len(SCENARIOS)) if counts[c] == top]
+    return winners[0] if len(winners) == 1 else current
+
+
+def first_argmax(values) -> int:
+    best = 0
+    for i, v in enumerate(values):
+        if v > values[best]:
+            best = i
+    return best
+
+
+def maxpool_loop(x, k: int, p: int) -> list:
+    """Per row: pad with p zeros, max over each width-k window, concatenate."""
+    out = []
+    for row in np.asarray(x).tolist():
+        padded = row + [0] * p
+        out.extend(max(padded[j:j + k]) for j in range(0, len(padded), k))
+    return out
+
+
+def _threshold_and_mask(x, scfg, t):
+    """Zero every element below ``t``; skip rows with more than t_rowcount zeros."""
+    x = np.array([[0 if v < t else v for v in row] for row in x.tolist()], dtype=x.dtype)
+    zeros = [sum(1 for v in row if v == 0) for row in x.tolist()]
+    return x, np.array([z > scfg.t_rowcount for z in zeros], dtype=bool)
+
+
+def _run(bundle, fps, sparsity, window, scenario, snapshot):
+    """The shared flow; ``snapshot(x)`` -> (input, router logits, threshold fn, locate fn)."""
+    window = bundle.router_window if window is None else window
+    history, current, results = [], 0, []
+    for fp in fps:
+        x, logits, threshold, locate = snapshot(fp)
+        if scenario is None:
+            current = vote(history, window, current, first_argmax(logits))
+            sc = SCENARIOS[current]
+        else:
+            sc = scenario
+        scfg = (sparsity or {}).get(sc)
+        if scfg is None:
+            skip = np.zeros(bundle.n, dtype=bool)
+        else:
+            x, skip = _threshold_and_mask(x, scfg, threshold(scfg.t_elem))
+        results.append((sc, skip, locate(x, skip, sc)))
+    return results
+
+
+def run_int(bundle, fps, sparsity=None, window=None, activation=None, scenario=None):
+    """The integer engine's ``run`` over a float bundle, from scalar and int64 oracles.
+
+    ``sparsity`` maps scenarios to ``SparsityConfig``; ``window``,
+    ``activation`` and ``scenario`` override the bundle's router window and
+    activation and bypass the router, as ``EngineConfig`` does.  Raises
+    ``AccumulatorOverflow`` when any accumulator leaves 40 bits.
+    """
+    kind = bundle.activation if activation is None else ActivationKind(activation)
+    d_k = bundle.d // bundle.heads
+
+    def codes(obj, names):
+        return {name: quantize_scalars(getattr(obj, name)) for name in names}
+
+    enc_names = ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")
+    segments = {sc: [(codes(seg, enc_names), quantize(seg.gamma) / 256) for seg in segs]
+                for sc, segs in bundle.segments.items()}
+    heads = {sc: codes(head, ("w1", "b1", "w2", "b2")) for sc, head in bundle.fcnn.items()}
+    slp_w, slp_b = quantize_scalars(bundle.slp_w), quantize_scalars(bundle.slp_b)
+    bias_code = quantize(-float(np.log(bundle.n)))
+
+    def locate(x, skip, sc):
+        mask = RowMask(skip=skip.copy(), zero_counts=np.zeros(bundle.n, dtype=np.int64))
+        for i, (seg, gamma) in enumerate(segments[sc]):
+            layer_mask = mask if i == 0 else RowMask.keep_all(bundle.n)
+            x = masked_dense_layer_int(
+                x.astype(np.int16), SimpleNamespace(**seg), layer_mask, kind=kind,
+                bias_code=bias_code, m_code=quantize(gamma / math.sqrt(d_k)), heads=bundle.heads,
+            ).astype(np.int64)
+        head = heads[sc]
+        v = [maxpool_loop(x, bundle.pool_k, bundle.pool_p)]
+        h = matmul_checked(v, head["w1"], head["b1"])
+        h = [[c if c >= 0 else requantize(c * 77) for c in h[0].tolist()]]
+        return matmul_checked(h, head["w2"], head["b2"])[0] / 256
+
+    def snapshot(fp):
+        x = quantize_scalars(fp)
+        logits = matmul_checked(x[:, bundle.delay_bin].reshape(1, -1), slp_w.T, slp_b)[0]
+        return x, logits.tolist(), quantize, locate
+
+    return _run(bundle, fps, sparsity, window, scenario, snapshot)
+
+
+def run_float(bundle, fps, sparsity=None, window=None, activation=None, scenario=None):
+    """``run_int``'s composition in float64: the float engine's reference."""
+    kind = bundle.activation if activation is None else ActivationKind(activation)
+
+    def locate(x, skip, sc):
+        mask = RowMask(skip=skip.copy(), zero_counts=np.zeros(bundle.n, dtype=np.int64))
+        for i, seg in enumerate(bundle.segments[sc]):
+            x = masked_dense_layer_float(x, seg, mask if i == 0 else RowMask.keep_all(bundle.n),
+                                         kind=kind, heads=bundle.heads)
+        head = bundle.fcnn[sc]
+        h = np.array(maxpool_loop(x, bundle.pool_k, bundle.pool_p)) @ head.w1 + head.b1
+        h = np.array([c if c >= 0 else c * 0.3 for c in h.tolist()])
+        return h @ head.w2 + head.b2
+
+    def snapshot(fp):
+        x = np.array(fp, dtype=np.float64)
+        logits = bundle.slp_w @ x[:, bundle.delay_bin] + bundle.slp_b
+        return x, logits.tolist(), float, locate
+
+    return _run(bundle, fps, sparsity, window, scenario, snapshot)
+
+
+def fcnn_edge_bundle(acc: int):
+    """A 128x46 bundle whose S1 run reaches exactly ``acc`` in its first head accumulator.
+
+    The S1 encoder has zero weights and an FFN output bias of 32767 codes, so
+    every row leaves it as 32767 codes whatever the input, and so does every
+    pooled entry.  Column 0 of the head's first layer then sums to
+    32767 * sum(w1 codes) + 256 * b1 code, which the codes below set to ``acc``.
+    """
+    base = random_bundle(seed=7, d_ff=1, d_h=1, activation=ActivationKind.SOFTMAX_INT)
+    zero = EncoderSegment(**{name: np.zeros_like(getattr(base.segments["S1"][0], name))
+                             for name in ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_b1", "ffn_w2")},
+                          gamma=0.0, ffn_b2=np.full(base.d, 32767 / 256))
+    b1 = acc * pow(256, -1, 32767) % 32767          # 256 * b1 = acc (mod 32767)
+    total, length = (acc - 256 * b1) // 32767, base.fcnn["S1"].w1.shape[0]
+    w1 = np.full(length, total // length) + (np.arange(length) < total % length)
+    head = HeadParams(w1=(w1 / 256).reshape(-1, 1), b1=np.array([b1 / 256]),
+                      w2=base.fcnn["S1"].w2, b2=base.fcnn["S1"].b2)
+    return replace(base, segments={**base.segments, "S1": (zero,)},
+                   fcnn={**base.fcnn, "S1": head})

@@ -3,15 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from beamloc.activations import ActivationKind, sigmoid_bias_code
 from beamloc.channel import default_profile, generate_fingerprints
 from beamloc.config import DEFAULT_SPARSITY
 from beamloc.engine import EngineConfig, FloatEngine, IntEngine, make_engine
-from beamloc.fxp import dequantize_array, quantize, quantize_array
+from beamloc.fxp import ACC_MAX, ACC_MIN, AccumulatorOverflow, dequantize_array, quantize, quantize_array
 from beamloc.router import RouterState
 from beamloc.sparsity import RowMask, SparsityConfig, build_row_mask
-from beamloc.weights import random_bundle
+from beamloc.weights import SCENARIOS, random_bundle
 from oracles import masked_dense_layer_int, naive_matmul_float, naive_matmul_q, requantize, requantize_int64
 
 
@@ -458,3 +461,78 @@ def test_softmax_rows_sum_inside_engine(full_bundle, s1_batch):
     assert len(weights) == full_bundle.heads  # one S1 layer, one call per head
     sums = dequantize_array(weights[0]).sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) <= 2**-8
+
+
+# --- whole runs against the pipeline oracles --------------------------------
+
+
+@st.composite
+def _runs(draw):
+    """A bundle of item-2 geometry, snapshots, thresholds and engine settings."""
+    heads, d_k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    d = heads * d_k
+    pool_k = draw(st.integers(1, d + 2))
+    bundle = random_bundle(
+        seed=draw(st.integers(0, 2**16)), scale=draw(st.sampled_from([0.25, 1.0, 3.0, 8.0])),
+        n=draw(st.integers(1, 16)), d=d, heads=heads, d_ff=draw(st.integers(0, 8)),
+        d_h=draw(st.integers(0, 8)), pool_k=pool_k,
+        pool_p=(-d) % pool_k + pool_k * draw(st.integers(0, 1)),
+        activation=draw(st.sampled_from(list(ActivationKind))),
+        delay_bin=draw(st.integers(0, d - 1)), router_window=draw(st.integers(1, 5)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shape = (draw(st.integers(1, 6)), bundle.n, bundle.d)
+    amp = draw(st.sampled_from([0.1, 1.0, 4.0, 200.0]))
+    fps = rng.uniform(-amp / 4, amp, shape) * (rng.random(shape) < draw(st.sampled_from([0.0, 0.5, 1.0])))
+    sparsity = {sc: SparsityConfig(t_elem=draw(st.sampled_from([0.0, 0.02, 0.3, 1.0])),
+                                   t_rowcount=draw(st.integers(0, d)))
+                for sc in SCENARIOS if draw(st.booleans())}
+    cfg = EngineConfig(activation=draw(st.none() | st.sampled_from(list(ActivationKind))),
+                       scenario_override=draw(st.none() | st.sampled_from(SCENARIOS)),
+                       router_window=draw(st.none() | st.integers(1, 5)))
+    return bundle, fps, sparsity, cfg
+
+
+def _oracle_args(fps, sparsity, cfg):
+    return fps, sparsity, cfg.router_window, cfg.activation, cfg.scenario_override
+
+
+@given(_runs())
+@settings(max_examples=150, deadline=None)
+def test_runs_match_the_pipeline_oracles(run):
+    bundle, fps, sparsity, cfg = run
+    try:
+        expect = oracles.run_int(bundle, *_oracle_args(fps, sparsity, cfg))
+    except AccumulatorOverflow:
+        with pytest.raises(AccumulatorOverflow):
+            IntEngine(bundle, cfg).run(fps, sparsity)
+        return
+    got = IntEngine(bundle, cfg).run(fps, sparsity)
+    for res, (scenario, skip, coords) in zip(got, expect, strict=True):
+        assert res.scenario == scenario
+        assert np.array_equal(res.mask.skip, skip)
+        assert np.array_equal(res.coords, coords)
+    # The float twin sums in another order: routing and masks compare exactly,
+    # coordinates to 1e-9 of the largest coordinate of the run (at least 1).
+    expect = oracles.run_float(bundle, *_oracle_args(fps, sparsity, cfg))
+    got = FloatEngine(bundle, cfg).run(fps, sparsity)
+    tol = 1e-9 * max(1.0, *(np.abs(coords).max(initial=0.0) for *_, coords in expect))
+    for res, (scenario, skip, coords) in zip(got, expect, strict=True):
+        assert res.scenario == scenario
+        assert np.array_equal(res.mask.skip, skip)
+        assert np.max(np.abs(res.coords - coords), initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("acc", [ACC_MAX, ACC_MAX + 1, ACC_MIN, ACC_MIN - 1])
+def test_fcnn_accumulator_at_the_40_bit_edge(s1_batch, acc):
+    # The coordinate head's 1536-term dot lands exactly on, or one past, each rail.
+    bundle = oracles.fcnn_edge_bundle(acc)
+    engine = IntEngine(bundle, EngineConfig(scenario_override="S1"))
+    if ACC_MIN <= acc <= ACC_MAX:
+        [(_, _, coords)] = oracles.run_int(bundle, s1_batch[:1], scenario="S1")
+        assert np.array_equal(engine.infer(s1_batch[0]).coords, coords)
+    else:
+        with pytest.raises(AccumulatorOverflow):
+            oracles.run_int(bundle, s1_batch[:1], scenario="S1")
+        with pytest.raises(AccumulatorOverflow):
+            engine.infer(s1_batch[0])
