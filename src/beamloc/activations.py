@@ -18,10 +18,15 @@ error-feedback rounding: each individual entry stays within one code of
 its exact value, and the emitted Q8.8 codes of a row sum to 256, i.e.
 exactly 1.0, for rows of at most 128 entries (see :func:`softmax_int`).
 
-The kernels hold their integers in float64 (see :mod:`beamloc.fxp`): LUT
-indices come from exact power-of-two scaling and np.rint, which rounds
-ties to even, and a row's running ``numer * recip`` sum stays near 2**30.
-Only the per-row reciprocal is an int64 division.
+The kernels read Q8.8 codes in any integer dtype or as float64 integers
+(see :mod:`beamloc.fxp`) and return float64 codes.  Both LUTs are indexed
+by code: ``SIG_BY_CODE`` holds the sigmoid LUT entry of every input code
+in [-4096, 4096] and ``EXP_BY_CODE`` the exp LUT entry of every
+max-subtracted difference in [-4096, 0].  They are built at import from
+the 1025-entry tables and the grid-snapping rule, so a kernel clamps and
+gathers, with no division or rounding per element.  A row's running
+``numer * recip`` sum stays near 2**30, and only the per-row reciprocal is
+an int64 division.
 """
 
 from __future__ import annotations
@@ -54,16 +59,22 @@ SIG_SIZE = 2 * int(SIG_RANGE) * SIG_STEPS_PER_UNIT + 1  # 1025
 _SIG_GRID = -SIG_RANGE + np.arange(SIG_SIZE) / SIG_STEPS_PER_UNIT
 SIG_TABLE = quantize_array(1.0 / (1.0 + np.exp(-_SIG_GRID)))
 
-# A Q8.8 input code maps to a grid index through code/8 + 512 since the
-# grid step is 8 codes wide.
 _SIG_CODE_LIMIT = int(SIG_RANGE) * SCALE  # 4096
+# Entry c + 4096 serves input code c: the grid is 8 codes wide, and
+# c/8 + 512 rounds to even like c/8 does, because 512 is even.
+_SIG_CODES = np.arange(-_SIG_CODE_LIMIT, _SIG_CODE_LIMIT + 1)
+SIG_BY_CODE = SIG_TABLE[np.rint(_SIG_CODES / 8 + SIG_SIZE // 2).astype(np.intp)].astype(np.float64)
 
 
-def sigmoid_lut(codes: np.ndarray) -> np.ndarray:
-    """Elementwise LUT sigmoid on Q8.8 codes (any integer dtype)."""
-    x = np.clip(np.asarray(codes, dtype=np.float64), -_SIG_CODE_LIMIT, _SIG_CODE_LIMIT)
-    # x/8 + 512 rounds to even like x/8 does, because 512 is even
-    return SIG_TABLE[np.rint(x / 8 + SIG_SIZE // 2).astype(np.intp)]
+def sigmoid_lut(codes: np.ndarray, bias: int = 0) -> np.ndarray:
+    """Elementwise LUT sigmoid of ``codes + bias``, Q8.8 codes in, float64 codes out.
+
+    The integer ``bias`` shifts the clamp bounds rather than every element.
+    """
+    idx = np.maximum(codes, -_SIG_CODE_LIMIT - bias)
+    np.minimum(idx, _SIG_CODE_LIMIT - bias, out=idx)
+    idx += _SIG_CODE_LIMIT + bias
+    return SIG_BY_CODE[idx.astype(np.intp)]
 
 
 # --------------------------------------------------------------------------
@@ -77,11 +88,15 @@ _EXP_GRID = -SIG_RANGE + np.arange(EXP_SIZE) / EXP_STEPS_PER_UNIT
 EXP_TABLE = np.rint(np.exp(_EXP_GRID) * EXP_ONE)
 
 _EXP_CODE_LIMIT = int(SIG_RANGE) * SCALE  # 4096
+# Entry diff + 4096 serves max-subtracted difference diff: the grid is 4
+# codes wide, and diff/4 + 1024 rounds to even like diff/4 does.
+_EXP_DIFFS = np.arange(-_EXP_CODE_LIMIT, 1)
+EXP_BY_CODE = EXP_TABLE[np.rint(_EXP_DIFFS / 4 + (EXP_SIZE - 1)).astype(np.intp)]
 _RECIP_BITS = 30
 
 
 def softmax_int(scores: np.ndarray) -> np.ndarray:
-    """Integer-only stable softmax over each row of Q8.8 codes.
+    """Integer-only stable softmax over each row of Q8.8 codes, as float64 codes.
 
     Max subtraction happens on the raw codes, so a constant shift of a row
     changes nothing; the exp LUT then sees only non-positive inputs.  Each
@@ -92,16 +107,19 @@ def softmax_int(scores: np.ndarray) -> np.ndarray:
     its exp sum is at most 2**22, as in every row of at most 128 entries.
     Longer rows can drift: all-zero rows of 384 and 1000 entries sum to 255 and 258.
     """
-    x = np.asarray(scores, dtype=np.float64)
-    if x.size == 0:
-        return np.zeros_like(x, dtype=np.int16)
-    diff = np.maximum(x - x.max(axis=1, keepdims=True), -_EXP_CODE_LIMIT)
-    # diff/4 + 1024 rounds to even like diff/4 does, because 1024 is even
-    e = EXP_TABLE[np.rint(diff / 4 + (EXP_SIZE - 1)).astype(np.intp)]
-    recip = rne_div(1 << _RECIP_BITS, e.sum(axis=1, keepdims=True).astype(np.int64))
-    steps = np.rint(np.cumsum(e * recip, axis=1) * 2.0 ** (8 - _RECIP_BITS))
-    steps[:, 1:] -= steps[:, :-1]
-    return steps.astype(np.int16)
+    if scores.size == 0:
+        return np.zeros(scores.shape)
+    diff = np.subtract(scores, scores.max(axis=1, keepdims=True), dtype=np.float64)
+    np.maximum(diff, -_EXP_CODE_LIMIT, out=diff)
+    diff += _EXP_CODE_LIMIT
+    e = EXP_BY_CODE[diff.astype(np.intp)]
+    e *= rne_div(1 << _RECIP_BITS, e.sum(axis=1, keepdims=True).astype(np.int64))
+    steps = np.cumsum(e, axis=1)
+    steps *= 2.0 ** (8 - _RECIP_BITS)
+    np.rint(steps, out=steps)
+    e[:, 0] = steps[:, 0]
+    np.subtract(steps[:, 1:], steps[:, :-1], out=e[:, 1:])
+    return e
 
 
 @functools.cache

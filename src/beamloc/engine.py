@@ -2,12 +2,13 @@
 
 Both engines share one structural flow and differ only in six numeric
 primitives: ``prepare_input``, ``matmul``, ``residual_add``, ``scale``,
-``activation_op`` and ``coords_of``.  The float engine runs on the float
-bundle as given, the integer engine on its Q8.8 view.  The
-masked-execution contract lives in ``encoder_layer``: a skipped row
-contributes nothing as query, key, or value; its layer-1 output is its
-(thresholded) input row, carried through the residual path.  The second
-encoder layer, when a scenario has one, always processes all rows.
+``activation_form`` (the attention function, chosen once per engine) and
+``coords_of``.  The float engine runs on the float bundle as given, the
+integer engine on its Q8.8 view.  The masked-execution contract lives in
+``encoder_layer``: a skipped row contributes nothing as query, key, or
+value; its layer-1 output is its (thresholded) input row, carried through
+the residual path.  The second encoder layer, when a scenario has one,
+always processes all rows.
 
 Reuse: a snapshot's coordinates depend only on its scenario, thresholded
 input and layer-1 row mask.  Given a ``seen`` dict, ``infer`` still routes,
@@ -17,16 +18,22 @@ and head once per distinct triple; ``sweep`` shares one dict across its cells.
 The integer engine requantizes once per matrix product (round-to-nearest-
 even, saturating), evaluates the biased sigmoid through the Q8.8 LUT, and
 scales by a constant (``gamma / sqrt(d_k)``, the leaky-ReLU slope) with one
-multiply by its Q8.8 code and a requantize.  The float engine saturates
-nothing, so a snapshot whose coordinates overflow to inf or NaN raises
-ValueError instead of returning them.
+multiply by its Q8.8 code and a requantize.  It holds Q8.8 codes in the
+two dtypes of :mod:`beamloc.fxp`: ``prepare_input`` makes int16 codes,
+which thresholding, the row mask and the reuse key read; ``locate``
+converts the masked input to float64 codes once, and the bundle's codes
+are float64 from construction, so the encoder and head run on float64
+codes with no conversion per kernel.  Its primitives also take a
+caller's int16 codes.  The float engine saturates nothing, so a snapshot
+whose coordinates overflow to inf or NaN raises ValueError instead of
+returning them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -57,9 +64,11 @@ class _EngineBase:
 
     Subclasses provide the six numeric primitives: ``prepare_input``,
     ``matmul``, ``residual_add``, ``scale`` (``x`` times a real constant),
-    ``activation_op`` and ``coords_of``.  An integer engine quantizes the
+    ``coords_of`` and ``activation_form``, which gives ``activation_op``
+    its function once, at construction.  An integer engine quantizes the
     float bundle it is given, once.  A float engine given a quantized view,
-    or an activation that is no ``ActivationKind`` value, raises ValueError.
+    or an activation that is neither an ``ActivationKind`` nor an int (not
+    a bool) naming one, raises ValueError.
     """
 
     is_integer = False
@@ -67,12 +76,16 @@ class _EngineBase:
     def __init__(self, bundle: ModelBundle, cfg: EngineConfig | None = None):
         self.cfg = cfg = cfg or EngineConfig()
         if self.is_integer:
-            bundle = bundle.quantized()
+            bundle = _float_codes(bundle.quantized())
         elif bundle.dtype == "int16":
             raise ValueError("the float engine runs on a float bundle, not its quantized view")
         self.bundle = bundle
-        self.activation = bundle.activation if cfg.activation is None else ActivationKind(cfg.activation)
+        kind = cfg.activation
+        if isinstance(kind, bool) or not isinstance(kind, int | None):
+            raise ValueError(f"{kind!r} is not a valid ActivationKind")
+        self.activation = bundle.activation if kind is None else ActivationKind(kind)
         self.router_window = bundle.router_window if cfg.router_window is None else cfg.router_window
+        self._activate = self.activation_form()
 
     def slp_logits(self, x):
         """Class logits from one delay-bin column: W x + b."""
@@ -130,6 +143,9 @@ class _EngineBase:
         padded = np.concatenate([x, np.zeros((n, p), dtype=x.dtype)], axis=1)
         pooled = padded.reshape(n, (d + p) // k, k).max(axis=2)
         return pooled.reshape(-1)
+
+    def activation_op(self, scores):
+        return self._activate(scores)
 
     def leaky_relu(self, x):
         return np.where(x >= 0, x, self.scale(x, 0.3))
@@ -215,10 +231,11 @@ class FloatEngine(_EngineBase):
     def scale(self, x, c):
         return x * c
 
-    def activation_op(self, scores):
+    def activation_form(self):
         if self.activation == ActivationKind.SOFTMAX_INT:
-            return act.softmax_rows(scores)
-        return act.sigmoid(scores - math.log(self.bundle.n))
+            return act.softmax_rows
+        log_n = math.log(self.bundle.n)
+        return lambda scores: act.sigmoid(scores - log_n)
 
     def coords_of(self, out):
         return np.asarray(out, dtype=np.float64)
@@ -232,8 +249,12 @@ class IntEngine(_EngineBase):
     def prepare_input(self, fingerprint):
         return quantize_array(fingerprint)
 
+    def locate(self, mat, mask: RowMask, scenario: str):
+        return super().locate(mat.astype(np.float64), mask, scenario)
+
     def matmul(self, x, w, bias=None):
-        return qmatmul(x, w, bias)
+        # int16 codes (the router's input column, a caller's) take the weights' dtype
+        return qmatmul(x if x.dtype == w.dtype else x.astype(w.dtype), w, bias)
 
     def residual_add(self, a, b):
         return sat_add(a, b)
@@ -242,13 +263,27 @@ class IntEngine(_EngineBase):
         # c's Q8.8 code: leaky-ReLU's 0.3 is 77, an effective 0.30078125
         return requantize_array(x * float(quantize(c)))
 
-    def activation_op(self, scores):
+    def activation_form(self):
+        # each call looks the kernel up in its module, where a wrapper may sit
         if self.activation == ActivationKind.SOFTMAX_INT:
-            return act.softmax_int(scores)
-        return act.sigmoid_lut(scores.astype(np.int32) + act.sigmoid_bias_code(self.bundle.n))
+            return lambda scores: act.softmax_int(scores)
+        bias = act.sigmoid_bias_code(self.bundle.n)
+        return lambda scores: act.sigmoid_lut(scores, bias)
 
     def coords_of(self, out):
         return dequantize_array(out)
+
+
+def _float_codes(bundle: ModelBundle) -> ModelBundle:
+    """A quantized view with every int16 array converted to float64 codes, once."""
+    def arrays(obj):
+        return {f.name: v.astype(np.float64) for f in fields(obj)
+                if isinstance(v := getattr(obj, f.name), np.ndarray)}
+
+    return replace(bundle, **arrays(bundle),
+                   segments={sc: tuple(replace(seg, **arrays(seg)) for seg in segs)
+                             for sc, segs in bundle.segments.items()},
+                   fcnn={sc: replace(head, **arrays(head)) for sc, head in bundle.fcnn.items()})
 
 
 def make_engine(kind: str, bundle: ModelBundle, cfg: EngineConfig | None = None):

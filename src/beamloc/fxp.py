@@ -27,6 +27,17 @@ each product (at most 2**30) and every partial sum of fewer than 2**23
 such terms is exact in any summation order, and scaling by 1/256 is
 exact.  Integer results therefore do not depend on the datatype that
 computes them.
+
+Codes come in two dtypes with the same bits: int16, as
+:func:`quantize_array` makes them, and float64 integers, the integer
+engine's working form from its row mask to its coordinates, which spares
+a conversion on both sides of every kernel.  :func:`qmatmul` takes its
+operands and bias all int16 or all float64 and returns codes of that
+dtype; :func:`sat_add` takes each operand in either dtype and returns
+int16 only when both are int16.  Any other dtype raises TypeError, since
+only these two hold Q8.8 codes exactly.  :func:`requantize_array` returns
+float64 codes.  Float64 operands are trusted to hold integers in the
+code range; checking that would cost more than the conversion it saves.
 """
 
 from __future__ import annotations
@@ -91,33 +102,44 @@ def check_headroom(acc: np.ndarray) -> np.ndarray:
 
 
 def requantize_array(acc: np.ndarray) -> np.ndarray:
-    """Q16.16 accumulators -> Q8.8 codes: acc / 256 rounded half to even, saturated.
+    """Q16.16 accumulators -> Q8.8 codes as float64: acc / 256 rounded half to even, saturated.
 
     ``acc`` holds integers of magnitude below 2**53, in any numeric dtype;
     the scaling is exact and np.rint rounds ties to even.
     """
-    q = np.rint(acc * ULP)
-    np.clip(q, CODE_MIN, CODE_MAX, out=q)
-    return q.astype(np.int16)
+    q = np.multiply(acc, ULP, dtype=np.float64)
+    np.rint(q, out=q)
+    np.maximum(q, CODE_MIN, out=q)  # two ufuncs cost less than np.clip on small arrays
+    return np.minimum(q, CODE_MAX, out=q)
+
+
+_CODE_DTYPES = (np.dtype(np.int16), np.dtype(np.float64))
 
 
 def qmatmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Integer matmul of Q8.8 codes, requantized back to Q8.8.
+    """Integer matmul of Q8.8 codes, requantized back to Q8.8 codes of the operands' dtype.
 
-    Operands and bias must be int16 codes, which keeps the float64 (BLAS)
-    accumulation exact; the bias is aligned to the Q16.16 accumulator
-    scale before the single requantization.
+    Operands and bias are all int16 or all float64 codes, which keeps the
+    float64 (BLAS) accumulation exact; the bias is aligned to the Q16.16
+    accumulator scale before the single requantization.
     """
-    if any(x is not None and x.dtype != np.int16 for x in (a, b, bias)):
-        raise TypeError(f"qmatmul takes int16 codes, got {a.dtype}, {b.dtype}, {getattr(bias, 'dtype', None)}")
-    acc = a.astype(np.float64) @ b.astype(np.float64)
+    dtype = a.dtype
+    if dtype not in _CODE_DTYPES or b.dtype != dtype or (bias is not None and bias.dtype != dtype):
+        raise TypeError(f"qmatmul takes all-int16 or all-float64 codes, got "
+                        f"{a.dtype}, {b.dtype}, {getattr(bias, 'dtype', None)}")
+    acc = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
     if bias is not None:
         acc += bias * float(SCALE)
     check_headroom(acc)
-    return requantize_array(acc)
+    codes = requantize_array(acc)
+    return codes if dtype == np.float64 else codes.astype(np.int16)
 
 
 def sat_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Saturating Q8.8 addition (residual connections)."""
-    s = a.astype(np.int32) + b.astype(np.int32)
-    return np.clip(s, CODE_MIN, CODE_MAX).astype(np.int16)
+    """Saturating Q8.8 addition (residual connections) of int16 or float64 codes."""
+    if a.dtype not in _CODE_DTYPES or b.dtype not in _CODE_DTYPES:
+        raise TypeError(f"sat_add takes int16 or float64 codes, got {a.dtype}, {b.dtype}")
+    s = np.add(a, b, dtype=np.float64)
+    np.maximum(s, CODE_MIN, out=s)
+    np.minimum(s, CODE_MAX, out=s)
+    return s.astype(np.int16) if a.dtype == b.dtype == np.int16 else s

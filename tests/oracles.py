@@ -144,6 +144,22 @@ def requantize_int64(acc):
     return np.clip(rne_shift(np.asarray(acc, dtype=np.int64), 8), -32768, 32767).astype(np.int16)
 
 
+# The LUT index rules, as the kernels computed them before the code-indexed
+# tables: a clamped code snaps to its grid point, rounded half to even.
+
+
+def sigmoid_lut_index(codes) -> np.ndarray:
+    """SIG_TABLE index of each Q8.8 input code: clamp to +-16, then code/8 + 512."""
+    x = np.clip(np.asarray(codes, dtype=np.float64), -_SIG_CODE_LIMIT, _SIG_CODE_LIMIT)
+    return np.rint(x / 8 + SIG_SIZE // 2).astype(np.intp)
+
+
+def exp_lut_index(diffs) -> np.ndarray:
+    """EXP_TABLE index of each max-subtracted difference: clamp to -16, then diff/4 + 1024."""
+    x = np.maximum(np.asarray(diffs, dtype=np.float64), -_EXP_CODE_LIMIT)
+    return np.rint(x / 4 + (EXP_SIZE - 1)).astype(np.intp)
+
+
 # The int64 integer activations, as they stood before the float64 kernels.
 
 

@@ -25,6 +25,26 @@ def test_sigmoid_lut_matches_int64_oracle():
     assert np.array_equal(act.sigmoid_lut(codes.astype(np.int32)), oracles.sigmoid_lut(codes))
 
 
+def test_code_indexed_luts_follow_the_index_rule():
+    # Every int16 code, and every max-subtracted difference of int16 codes.
+    codes = np.arange(-32768, 32768)
+    clamped = np.clip(codes, -4096, 4096) + 4096
+    assert np.array_equal(act.SIG_BY_CODE[clamped], act.SIG_TABLE[oracles.sigmoid_lut_index(codes)])
+    assert np.array_equal(act.sigmoid_lut(codes), act.SIG_TABLE[oracles.sigmoid_lut_index(codes)])
+    diffs = np.arange(-65535, 1)
+    assert np.array_equal(act.EXP_BY_CODE[np.maximum(diffs, -4096) + 4096],
+                          act.EXP_TABLE[oracles.exp_lut_index(diffs)])
+    assert act.SIG_BY_CODE.shape == (8193,) and act.EXP_BY_CODE.shape == (4097,)
+
+
+def test_sigmoid_lut_bias_shifts_the_input():
+    codes = np.arange(-40000, 40000)
+    for bias in (-1242, -1, 0, 7, 4096):
+        assert np.array_equal(act.sigmoid_lut(codes, bias), oracles.sigmoid_lut(codes + bias))
+        assert np.array_equal(act.sigmoid_lut(codes.astype(np.float64), bias),
+                              oracles.sigmoid_lut(codes + bias))
+
+
 def test_sigmoid_lut_table_shape():
     assert act.SIG_TABLE.shape == (1025,)
     assert act.SIG_TABLE[512] == 128

@@ -146,8 +146,13 @@ def test_encoder_layer_passes_skipped_rows_through(toy_bundle):
         assert np.array_equal(engine.encoder_layer(x, seg, _mask([True] * 8)), x)
         got = engine.encoder_layer(x, seg, _mask(skip))
         assert np.array_equal(got[skip], x[skip])
-        if engine.is_integer:  # the ReLU and residuals keep Q8.8 codes int16
-            assert got.dtype == engine.ffn(x, seg).dtype == np.int16
+        if engine.is_integer:  # Q8.8 codes: integral, in the int16 range, the oracles' bits
+            h1 = np.maximum(naive_matmul_q(x, seg.ffn_w1, seg.ffn_b1), 0)
+            for out, ref in ((got, _masked_dense(engine, x, seg, _mask(skip))),
+                             (engine.ffn(x, seg), naive_matmul_q(h1, seg.ffn_w2, seg.ffn_b2))):
+                assert np.array_equal(out, np.rint(out))
+                assert -32768 <= out.min() and out.max() <= 32767
+                assert np.array_equal(out, ref)
         # the kept rows see only each other
         assert np.array_equal(got[~skip], engine.encoder_layer(x[~skip], seg))
 
@@ -346,12 +351,15 @@ def test_engine_agreement_without_sparsity(full_bundle, s1_batch):
         assert np.max(np.abs(cf - ci)) < 0.05  # loose sanity; tight bound in acceptance
 
 
-def _check_against_masked_dense(ie, x, seg, mask):
-    ref = masked_dense_layer_int(
+def _masked_dense(ie, x, seg, mask):
+    return masked_dense_layer_int(
         x, seg, mask, kind=ie.activation, bias_code=sigmoid_bias_code(ie.bundle.n),
         m_code=quantize(seg.gamma / math.sqrt(ie.bundle.d_k)), heads=ie.bundle.heads,
     )
-    assert np.array_equal(ie.encoder_layer(x, seg, mask), ref)
+
+
+def _check_against_masked_dense(ie, x, seg, mask):
+    assert np.array_equal(ie.encoder_layer(x, seg, mask), _masked_dense(ie, x, seg, mask))
 
 
 def test_mask_equivalence_toy_spot_checks(toy_bundle, full_bundle, rng):
@@ -444,9 +452,10 @@ def test_make_engine(full_bundle):
 
 
 @pytest.mark.parametrize("kind", ["int", "float"])
-@pytest.mark.parametrize("activation", ["softmax-int", 2])
+@pytest.mark.parametrize("activation", ["softmax-int", 2, True, 1.0])
 def test_engine_activation_must_be_a_kind(full_bundle, kind, activation):
-    # A config name or a retired code would never match a kind and run sigmoid-bias.
+    # A config name or a retired code would never match a kind and run sigmoid-bias;
+    # True and 1.0 equal SOFTMAX_INT's value 1 but name no kind.
     with pytest.raises(ValueError, match="is not a valid ActivationKind"):
         make_engine(kind, full_bundle, EngineConfig(activation=activation))
 

@@ -177,6 +177,40 @@ def test_qmatmul_matches_triple_loop_everywhere(operands):
     assert np.array_equal(fxp.qmatmul(*operands), naive_matmul_q(*operands))
 
 
+@st.composite
+def _code_pairs(draw):
+    a, b, bias = draw(_qmatmul_operands())
+    return a, b, bias, draw(arrays(np.int16, a.shape, elements=_CODES))
+
+
+@given(_code_pairs())
+@settings(max_examples=300, deadline=None)
+def test_float64_codes_give_the_int16_bits(operands):
+    a, b, bias, c = operands
+    wide = [None if x is None else x.astype(np.float64) for x in (a, b, bias, c)]
+    got = fxp.qmatmul(*wide[:3])
+    assert got.dtype == np.float64 and np.array_equal(got, fxp.qmatmul(a, b, bias))
+    added = fxp.sat_add(a, c)
+    assert added.dtype == np.int16
+    for x, y in ((wide[0], wide[3]), (a, wide[3]), (wide[0], c)):
+        got = fxp.sat_add(x, y)
+        assert got.dtype == np.float64 and np.array_equal(got, added)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float32])
+def test_kernels_reject_other_code_dtypes(dtype):
+    a = np.ones((2, 3), dtype=dtype)
+    b = np.ones((3, 2), dtype=dtype)
+    with pytest.raises(TypeError):
+        fxp.qmatmul(a, b, np.ones(2, dtype=dtype))
+    with pytest.raises(TypeError):
+        fxp.qmatmul(a, b)
+    with pytest.raises(TypeError):
+        fxp.sat_add(a, a)
+    with pytest.raises(TypeError):
+        fxp.sat_add(a.astype(np.int16), a)
+
+
 def test_qmatmul_headroom_check():
     # 1536 is the coordinate head's flattened length: overflow is its contract
     for k in (600, 1536):
