@@ -71,10 +71,9 @@ def sigmoid_lut(codes: np.ndarray, bias: int = 0) -> np.ndarray:
 
     The integer ``bias`` shifts the clamp bounds rather than every element.
     """
-    idx = np.maximum(codes, -_SIG_CODE_LIMIT - bias)
-    np.minimum(idx, _SIG_CODE_LIMIT - bias, out=idx)
+    idx = codes.clip(-_SIG_CODE_LIMIT - bias, _SIG_CODE_LIMIT - bias)
     idx += _SIG_CODE_LIMIT + bias
-    return SIG_BY_CODE[idx.astype(np.intp)]
+    return SIG_BY_CODE.take(idx.astype(np.intp))
 
 
 # --------------------------------------------------------------------------
@@ -112,7 +111,7 @@ def softmax_int(scores: np.ndarray) -> np.ndarray:
     diff = np.subtract(scores, scores.max(axis=1, keepdims=True), dtype=np.float64)
     np.maximum(diff, -_EXP_CODE_LIMIT, out=diff)
     diff += _EXP_CODE_LIMIT
-    e = EXP_BY_CODE[diff.astype(np.intp)]
+    e = EXP_BY_CODE.take(diff.astype(np.intp))
     e *= rne_div(1 << _RECIP_BITS, e.sum(axis=1, keepdims=True).astype(np.int64))
     steps = np.cumsum(e, axis=1)
     steps *= 2.0 ** (8 - _RECIP_BITS)

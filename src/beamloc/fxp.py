@@ -107,10 +107,9 @@ def requantize_array(acc: np.ndarray) -> np.ndarray:
     ``acc`` holds integers of magnitude below 2**53, in any numeric dtype;
     the scaling is exact and np.rint rounds ties to even.
     """
-    q = np.multiply(acc, ULP, dtype=np.float64)
+    q = acc * ULP
     np.rint(q, out=q)
-    np.maximum(q, CODE_MIN, out=q)  # two ufuncs cost less than np.clip on small arrays
-    return np.minimum(q, CODE_MAX, out=q)
+    return q.clip(CODE_MIN, CODE_MAX, out=q)
 
 
 _CODE_DTYPES = (np.dtype(np.int16), np.dtype(np.float64))
@@ -140,6 +139,5 @@ def sat_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.dtype not in _CODE_DTYPES or b.dtype not in _CODE_DTYPES:
         raise TypeError(f"sat_add takes int16 or float64 codes, got {a.dtype}, {b.dtype}")
     s = np.add(a, b, dtype=np.float64)
-    np.maximum(s, CODE_MIN, out=s)
-    np.minimum(s, CODE_MAX, out=s)
+    s.clip(CODE_MIN, CODE_MAX, out=s)
     return s.astype(np.int16) if a.dtype == b.dtype == np.int16 else s
