@@ -20,13 +20,13 @@ even, saturating), evaluates the biased sigmoid through the Q8.8 LUT, and
 scales by a constant (``gamma / sqrt(d_k)``, the leaky-ReLU slope) with one
 multiply by its Q8.8 code and a requantize.  It holds Q8.8 codes in the
 two dtypes of :mod:`beamloc.fxp`: ``prepare_input`` makes int16 codes,
-which thresholding, the row mask and the reuse key read; ``locate``
-converts the masked input to float64 codes once, and the bundle's codes
-are float64 from construction, so the encoder and head run on float64
-codes with no conversion per kernel.  Its primitives also take a
-caller's int16 codes.  The float engine saturates nothing, so a snapshot
-whose coordinates overflow to inf or NaN raises ValueError instead of
-returning them.
+which the router, thresholding, the row mask and the reuse key read, and
+``locate`` converts the masked input to float64 codes once.  The encoder
+and head then run on float64 codes with no conversion per kernel, on a
+float64 copy of a scenario's weights made on that scenario's first
+snapshot, so an engine pays only for the scenarios it runs.  The float
+engine saturates nothing, so a snapshot whose coordinates overflow to inf
+or NaN raises ValueError instead of returning them.
 """
 
 from __future__ import annotations
@@ -65,8 +65,9 @@ class _EngineBase:
     Subclasses provide the six numeric primitives: ``prepare_input``,
     ``matmul``, ``residual_add``, ``scale`` (``x`` times a real constant),
     ``coords_of`` and ``activation_form``, which gives ``activation_op``
-    its function once, at construction.  An integer engine quantizes the
-    float bundle it is given, once.  A float engine given a quantized view,
+    its function once, at construction; ``model`` gives the weights a
+    scenario runs on.  An integer engine quantizes the float bundle it is
+    given, once.  A float engine given a quantized view,
     or an activation that is neither an ``ActivationKind`` nor an int (not
     a bool) naming one, raises ValueError.
     """
@@ -76,7 +77,7 @@ class _EngineBase:
     def __init__(self, bundle: ModelBundle, cfg: EngineConfig | None = None):
         self.cfg = cfg = cfg or EngineConfig()
         if self.is_integer:
-            bundle = _float_codes(bundle.quantized())
+            bundle = bundle.quantized()
         elif bundle.dtype == "int16":
             raise ValueError("the float engine runs on a float bundle, not its quantized view")
         self.bundle = bundle
@@ -157,11 +158,16 @@ class _EngineBase:
     def threshold(self, mat, t_elem):
         return threshold_elements(mat, t_elem)
 
+    def model(self, scenario: str):
+        """The encoder segments and coordinate head of a scenario."""
+        return self.bundle.layers(scenario), self.bundle.fcnn[scenario]
+
     def locate(self, mat, mask: RowMask, scenario: str):
         """The folded encoder, pooling and coordinate head over a masked input."""
-        for i, seg in enumerate(self.bundle.layers(scenario)):
+        segments, head = self.model(scenario)
+        for i, seg in enumerate(segments):
             mat = self.encoder_layer(mat, seg, mask if i == 0 else None)
-        return self.coords_of(self.fcnn(self.maxpool_flatten(mat), self.bundle.fcnn[scenario]))
+        return self.coords_of(self.fcnn(self.maxpool_flatten(mat), head))
 
     def infer(self, fingerprint, state: RouterState | None = None,
               sparsity: dict | None = None, seen: dict | None = None) -> InferResult:
@@ -246,14 +252,26 @@ class IntEngine(_EngineBase):
 
     is_integer = True
 
+    def __init__(self, bundle: ModelBundle, cfg: EngineConfig | None = None):
+        super().__init__(bundle, cfg)
+        self._models = {}
+
     def prepare_input(self, fingerprint):
         return quantize_array(fingerprint)
+
+    def model(self, scenario: str):
+        # Converted on first use: a copy made at construction would cost every
+        # engine fresh pages for all three scenarios' weights.
+        if scenario not in self._models:
+            segments, head = super().model(scenario)
+            self._models[scenario] = tuple(map(_float_codes, segments)), _float_codes(head)
+        return self._models[scenario]
 
     def locate(self, mat, mask: RowMask, scenario: str):
         return super().locate(mat.astype(np.float64), mask, scenario)
 
     def matmul(self, x, w, bias=None):
-        # int16 codes (the router's input column, a caller's) take the weights' dtype
+        # scale and the LUTs give float64 codes, which a caller's int16 weights narrow exactly
         return qmatmul(x if x.dtype == w.dtype else x.astype(w.dtype), w, bias)
 
     def residual_add(self, a, b):
@@ -274,16 +292,10 @@ class IntEngine(_EngineBase):
         return dequantize_array(out)
 
 
-def _float_codes(bundle: ModelBundle) -> ModelBundle:
-    """A quantized view with every int16 array converted to float64 codes, once."""
-    def arrays(obj):
-        return {f.name: v.astype(np.float64) for f in fields(obj)
-                if isinstance(v := getattr(obj, f.name), np.ndarray)}
-
-    return replace(bundle, **arrays(bundle),
-                   segments={sc: tuple(replace(seg, **arrays(seg)) for seg in segs)
-                             for sc, segs in bundle.segments.items()},
-                   fcnn={sc: replace(head, **arrays(head)) for sc, head in bundle.fcnn.items()})
+def _float_codes(params):
+    """An ``EncoderSegment`` or ``HeadParams`` of int16 codes with its arrays as float64 codes."""
+    return replace(params, **{f.name: v.astype(np.float64) for f in fields(params)
+                              if isinstance(v := getattr(params, f.name), np.ndarray)})
 
 
 def make_engine(kind: str, bundle: ModelBundle, cfg: EngineConfig | None = None):

@@ -32,12 +32,12 @@ Codes come in two dtypes with the same bits: int16, as
 :func:`quantize_array` makes them, and float64 integers, the integer
 engine's working form from its row mask to its coordinates, which spares
 a conversion on both sides of every kernel.  :func:`qmatmul` takes its
-operands and bias all int16 or all float64 and returns codes of that
-dtype; :func:`sat_add` takes each operand in either dtype and returns
-int16 only when both are int16.  Any other dtype raises TypeError, since
-only these two hold Q8.8 codes exactly.  :func:`requantize_array` returns
-float64 codes.  Float64 operands are trusted to hold integers in the
-code range; checking that would cost more than the conversion it saves.
+operands and bias, and :func:`sat_add` its two operands, all int16 or
+all float64, and return codes of that dtype.  Any other dtype, or a mix,
+raises TypeError: a wider integer array is more likely an accumulator
+than codes.  :func:`requantize_array` returns float64 codes.
+Float64 operands are trusted to hold integers in the code range; checking
+that would cost more than the conversion it saves.
 """
 
 from __future__ import annotations
@@ -135,9 +135,9 @@ def qmatmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) -> np.
 
 
 def sat_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Saturating Q8.8 addition (residual connections) of int16 or float64 codes."""
-    if a.dtype not in _CODE_DTYPES or b.dtype not in _CODE_DTYPES:
-        raise TypeError(f"sat_add takes int16 or float64 codes, got {a.dtype}, {b.dtype}")
+    """Saturating Q8.8 addition (residual connections), in the operands' dtype."""
+    if a.dtype not in _CODE_DTYPES or b.dtype != a.dtype:
+        raise TypeError(f"sat_add takes two int16 or two float64 code arrays, got {a.dtype}, {b.dtype}")
     s = np.add(a, b, dtype=np.float64)
     s.clip(CODE_MIN, CODE_MAX, out=s)
-    return s.astype(np.int16) if a.dtype == b.dtype == np.int16 else s
+    return s if a.dtype == np.float64 else s.astype(np.int16)
