@@ -62,8 +62,8 @@ SIG_TABLE = quantize_array(1.0 / (1.0 + np.exp(-_SIG_GRID)))
 _SIG_CODE_LIMIT = int(SIG_RANGE) * SCALE  # 4096
 # Entry c + 4096 serves input code c: the grid is 8 codes wide, and
 # c/8 + 512 rounds to even like c/8 does, because 512 is even.
-_SIG_CODES = np.arange(-_SIG_CODE_LIMIT, _SIG_CODE_LIMIT + 1)
-SIG_BY_CODE = SIG_TABLE[np.rint(_SIG_CODES / 8 + SIG_SIZE // 2).astype(np.intp)].astype(np.float64)
+SIG_BY_CODE = SIG_TABLE[np.rint(np.arange(-_SIG_CODE_LIMIT, _SIG_CODE_LIMIT + 1) / 8
+                                 + SIG_SIZE // 2).astype(np.intp)].astype(np.float64)
 
 
 def sigmoid_lut(codes: np.ndarray, bias: int = 0) -> np.ndarray:
@@ -89,8 +89,7 @@ EXP_TABLE = np.rint(np.exp(_EXP_GRID) * EXP_ONE)
 _EXP_CODE_LIMIT = int(SIG_RANGE) * SCALE  # 4096
 # Entry diff + 4096 serves max-subtracted difference diff: the grid is 4
 # codes wide, and diff/4 + 1024 rounds to even like diff/4 does.
-_EXP_DIFFS = np.arange(-_EXP_CODE_LIMIT, 1)
-EXP_BY_CODE = EXP_TABLE[np.rint(_EXP_DIFFS / 4 + (EXP_SIZE - 1)).astype(np.intp)]
+EXP_BY_CODE = EXP_TABLE[np.rint(np.arange(-_EXP_CODE_LIMIT, 1) / 4 + (EXP_SIZE - 1)).astype(np.intp)]
 _RECIP_BITS = 30
 
 

@@ -146,13 +146,11 @@ def test_encoder_layer_passes_skipped_rows_through(toy_bundle):
         assert np.array_equal(engine.encoder_layer(x, seg, _mask([True] * 8)), x)
         got = engine.encoder_layer(x, seg, _mask(skip))
         assert np.array_equal(got[skip], x[skip])
-        if engine.is_integer:  # Q8.8 codes: integral, in the int16 range, the oracles' bits
+        if engine.is_integer:  # the ReLU and residuals keep Q8.8 codes int16, with the oracles' bits
+            assert got.dtype == engine.ffn(x, seg).dtype == np.int16
             h1 = np.maximum(naive_matmul_q(x, seg.ffn_w1, seg.ffn_b1), 0)
-            for out, ref in ((got, _masked_dense(engine, x, seg, _mask(skip))),
-                             (engine.ffn(x, seg), naive_matmul_q(h1, seg.ffn_w2, seg.ffn_b2))):
-                assert np.array_equal(out, np.rint(out))
-                assert -32768 <= out.min() and out.max() <= 32767
-                assert np.array_equal(out, ref)
+            assert np.array_equal(engine.ffn(x, seg), naive_matmul_q(h1, seg.ffn_w2, seg.ffn_b2))
+            _check_against_masked_dense(engine, x, "S1", _mask(skip))
         # the kept rows see only each other
         assert np.array_equal(got[~skip], engine.encoder_layer(x[~skip], seg))
 
@@ -351,24 +349,23 @@ def test_engine_agreement_without_sparsity(full_bundle, s1_batch):
         assert np.max(np.abs(cf - ci)) < 0.05  # loose sanity; tight bound in acceptance
 
 
-def _masked_dense(ie, x, seg, mask):
-    return masked_dense_layer_int(
+def _check_against_masked_dense(ie, x, scenario, mask):
+    # The scenario's first layer, on int16 codes and in locate's float64 working form.
+    seg = ie.bundle.layers(scenario)[0]
+    ref = masked_dense_layer_int(
         x, seg, mask, kind=ie.activation, bias_code=sigmoid_bias_code(ie.bundle.n),
         m_code=quantize(seg.gamma / math.sqrt(ie.bundle.d_k)), heads=ie.bundle.heads,
     )
-
-
-def _check_against_masked_dense(ie, x, seg, mask):
-    assert np.array_equal(ie.encoder_layer(x, seg, mask), _masked_dense(ie, x, seg, mask))
+    assert np.array_equal(ie.encoder_layer(x, seg, mask), ref)
+    assert np.array_equal(ie.encoder_layer(x.astype(np.float64), ie.model(scenario)[0][0], mask), ref)
 
 
 def test_mask_equivalence_toy_spot_checks(toy_bundle, full_bundle, rng):
     for kind in ActivationKind:
         ie = IntEngine(toy_bundle, EngineConfig(activation=kind))
-        seg = ie.bundle.segments["S1"][0]
         for bits in ([0] * 8, [1] * 8, [1, 0, 1, 0, 1, 0, 1, 0], [0, 0, 1, 1, 0, 0, 1, 1]):
             x = quantize_array(rng.uniform(0, 1.5, size=(8, 4)))
-            _check_against_masked_dense(ie, x, seg, _mask(bits))
+            _check_against_masked_dense(ie, x, "S1", _mask(bits))
     # The default operating point's masks, from each scenario's own snapshots,
     # on the first encoder layer of its model.  These S1 snapshots skip 47 to
     # 58 rows each; at S3's operating point two of the four skip one row.
@@ -377,13 +374,12 @@ def test_mask_equivalence_toy_spot_checks(toy_bundle, full_bundle, rng):
         fps = generate_fingerprints(default_profile(scenario, seed=3), 4)
         for kind in ActivationKind:
             ie = IntEngine(full_bundle, EngineConfig(activation=kind))
-            seg = ie.bundle.layers(scenario)[0]
             skipped = 0
             for fp in fps:
                 x = ie.threshold(ie.prepare_input(fp), scfg.t_elem)
                 mask = build_row_mask(x, scfg)
                 skipped += mask.n_skipped
-                _check_against_masked_dense(ie, x, seg, mask)
+                _check_against_masked_dense(ie, x, scenario, mask)
             assert skipped > 0
 
 
