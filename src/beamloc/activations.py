@@ -107,16 +107,19 @@ def softmax_int(scores: np.ndarray) -> np.ndarray:
     """
     if scores.size == 0:
         return np.zeros(scores.shape)
-    diff = np.subtract(scores, scores.max(axis=1, keepdims=True), dtype=np.float64)
-    np.maximum(diff, -_EXP_CODE_LIMIT, out=diff)
-    diff += _EXP_CODE_LIMIT
-    e = EXP_BY_CODE.take(diff.astype(np.intp))
+    # the EXP_BY_CODE offset rides on the row max, in float64: int16 max - 4096 can wrap
+    shift = np.subtract(scores.max(axis=1, keepdims=True), _EXP_CODE_LIMIT, dtype=np.float64)
+    idx = np.subtract(scores, shift, dtype=np.float64)
+    np.maximum(idx, 0, out=idx)
+    e = EXP_BY_CODE.take(idx.astype(np.intp))
     e *= rne_div(1 << _RECIP_BITS, e.sum(axis=1, keepdims=True).astype(np.int64))
     steps = np.cumsum(e, axis=1)
     steps *= 2.0 ** (8 - _RECIP_BITS)
     np.rint(steps, out=steps)
+    # one contiguous difference over the flattened rows; column 0 is then rewritten
+    flat = steps.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=e.reshape(-1)[1:])
     e[:, 0] = steps[:, 0]
-    np.subtract(steps[:, 1:], steps[:, :-1], out=e[:, 1:])
     return e
 
 

@@ -141,8 +141,12 @@ class _EngineBase:
         n, d = x.shape
         if (d + p) % k != 0:
             raise ValueError(f"(d + p) = {d + p} not divisible by pool factor {k}")
-        padded = np.concatenate([x, np.zeros((n, p), dtype=x.dtype)], axis=1)
-        pooled = padded.reshape(n, (d + p) // k, k).max(axis=2)
+        padded = np.zeros((n, d + p), dtype=x.dtype)
+        padded[:, :d] = x
+        # k - 1 strided maxima; a max over a short last axis runs per window
+        pooled = padded[:, ::k].copy()
+        for j in range(1, k):
+            np.maximum(pooled, padded[:, j::k], out=pooled)
         return pooled.reshape(-1)
 
     def activation_op(self, scores):

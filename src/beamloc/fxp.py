@@ -13,11 +13,16 @@ Model parameters fixed here, and documented only in this docstring:
 * rounding: round-to-nearest, ties to even, on every requantization;
 * overflow policy: saturation to the Q8.8 code range, not wraparound.
 
-A k-term dot of int16 codes reaches magnitude k * 2**30 (plus an aligned
-bias below 2**23).  The projections, FFN and attention products have at
-most 128 terms, at most 2**37, well inside the 40-bit range of +-2**39.
-The coordinate head's first layer dots over 1536 terms, up to about
-2**40.6, so extreme weights and inputs can overflow there: that raises
+Headroom: a code lies in [-2**15, 2**15), so a product of two codes has
+magnitude at most 2**30, and an aligned bias (code * 256) at most 2**23.
+A k-term dot plus bias therefore stays within k * 2**30 + 2**23, which is
+at most ACC_MAX for every k up to 511 (511 * 2**30 + 2**23 < 2**39 - 1).
+:func:`qmatmul` skips the check on such products, which cannot overflow,
+and runs :func:`check_headroom` on products of 512 terms or more.  The
+projections, FFN and attention products of a 128x46 bundle have at most
+128 terms.  The coordinate head's first layer dots over 1536 terms, up to
+about 2**40.6, so extreme weights and inputs can overflow there, as can
+any layer whose ``d_ff`` or ``d_h`` reaches 512: that raises
 :class:`AccumulatorOverflow` (CLI exit 4), which is the contract, rather
 than a wider modeled accumulator.
 
@@ -36,8 +41,9 @@ operands and bias, and :func:`sat_add` its two operands, all int16 or
 all float64, and return codes of that dtype.  Any other dtype, or a mix,
 raises TypeError: a wider integer array is more likely an accumulator
 than codes.  :func:`requantize_array` returns float64 codes.
-Float64 operands are trusted to hold integers in the code range; checking
-that would cost more than the conversion it saves.
+Float64 operands are trusted to hold integers in the code range, which
+the headroom bound above also rests on; checking that would cost more
+than the conversion it saves.
 """
 
 from __future__ import annotations
@@ -96,6 +102,11 @@ def rne_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def check_headroom(acc: np.ndarray) -> np.ndarray:
+    """Raise AccumulatorOverflow if any accumulator leaves the 40-bit range.
+
+    :func:`qmatmul` calls it only on products of 512 terms or more; shorter
+    products stay within 511 * 2**30 + 2**23 < ACC_MAX (see the module docstring).
+    """
     if acc.size and (acc.max() > ACC_MAX or acc.min() < ACC_MIN):
         raise AccumulatorOverflow(f"accumulator [{acc.min():.0f}, {acc.max():.0f}] exceeds {ACC_BITS} bits")
     return acc
@@ -126,10 +137,11 @@ def qmatmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) -> np.
     if dtype not in _CODE_DTYPES or b.dtype != dtype or (bias is not None and bias.dtype != dtype):
         raise TypeError(f"qmatmul takes all-int16 or all-float64 codes, got "
                         f"{a.dtype}, {b.dtype}, {getattr(bias, 'dtype', None)}")
-    acc = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+    acc = a @ b if dtype == np.float64 else a.astype(np.float64) @ b.astype(np.float64)
     if bias is not None:
         acc += bias * float(SCALE)
-    check_headroom(acc)
+    if a.shape[-1] * 2**30 + 2**23 > ACC_MAX:
+        check_headroom(acc)
     codes = requantize_array(acc)
     return codes if dtype == np.float64 else codes.astype(np.int16)
 

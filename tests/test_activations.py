@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -115,6 +116,17 @@ _ROWS = st.tuples(st.integers(1, 4), st.integers(1, 130))
 @settings(max_examples=200, deadline=None)
 def test_softmax_int_matches_int64_oracle(scores):
     assert np.array_equal(act.softmax_int(scores), oracles.softmax_int(scores))
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float64])
+def test_softmax_int_edge_shapes_match_int64_oracle(dtype):
+    # Single rows and columns, rows at the bottom rail, and a max of -28673,
+    # where max - 4096 wraps in int16.
+    rng = np.random.default_rng(11)
+    for rows in (rng.integers(-32768, 32768, (1, 130)), rng.integers(-32768, 32768, (130, 1)),
+                 np.full((3, 7), -32768), np.full((1, 1), -32768), np.array([[-28673]]),
+                 np.array([[-28673, -32768, -28672]])):
+        assert np.array_equal(act.softmax_int(rows.astype(dtype)), oracles.softmax_int(rows))
 
 
 def test_softmax_float_matches_highprec(rng):

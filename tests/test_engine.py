@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from beamloc.activations import ActivationKind, sigmoid_bias_code
@@ -274,6 +275,33 @@ def test_maxpool_windows(rng, toy_bundle):
     pooled = fe.maxpool_flatten(x)
     ref = np.concatenate([[max(row[0], row[1]), max(row[2], row[3])] for row in x])
     assert np.array_equal(pooled, ref)
+
+
+@st.composite
+def _pool_inputs(draw):
+    """A pooling geometry, every valid (k, p) with p up to two windows past d, and rows."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    k = draw(st.integers(1, d + 3))
+    p = (-d) % k + k * draw(st.integers(0, 2))
+    codes = draw(arrays(np.int16, (n, d), elements=st.integers(-32768, 32767) | st.integers(-2, 2)))
+    values = draw(arrays(np.float64, (n, d), elements=st.floats(-1e6, 1e6, allow_subnormal=False)))
+    # all-negative rows, where the zero padding wins the last window
+    negative = draw(arrays(np.bool_, n))
+    codes[negative] = -(np.abs(codes[negative].astype(np.int64)) % 32768) - 1
+    values[negative] = -np.abs(values[negative]) - 0.5
+    return k, p, codes.astype(np.float64), values
+
+
+@given(_pool_inputs())
+@settings(max_examples=200, deadline=None)
+def test_maxpool_matches_the_loop_oracle(inputs):
+    k, p, codes, values = inputs
+    n, d = codes.shape
+    bundle = random_bundle(seed=0, n=n, d=d, heads=1, d_ff=1, d_h=1, pool_k=k, pool_p=p)
+    for engine, x in ((IntEngine(bundle), codes), (FloatEngine(bundle), values)):
+        pooled = engine.maxpool_flatten(x)
+        assert pooled.dtype == np.float64
+        assert np.array_equal(pooled, oracles.maxpool_loop(x, k, p))
 
 
 # --- full inference ---------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from beamloc import fxp
-from oracles import naive_matmul_q, qmac, rational_requantize, requantize, requantize_int64
+from oracles import matmul_checked, naive_matmul_q, qmac, rational_requantize, requantize, requantize_int64
 
 
 def test_quantize_anchors():
@@ -216,6 +216,27 @@ def test_qmatmul_headroom_check():
         b = np.full((k, 1), 32767, dtype=np.int16)
         with pytest.raises(fxp.AccumulatorOverflow):
             fxp.qmatmul(a, b)
+
+
+def _filled(k, a, b, bias, dtype):
+    return np.full((1, k), a, dtype=dtype), np.full((k, 1), b, dtype=dtype), np.full(1, bias, dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float64])
+def test_headroom_bound_is_tight(dtype):
+    # 511 terms of the largest product plus the largest bias stay inside 40 bits,
+    # unchecked, and so does the most negative 511-term sum: both equal the oracle.
+    for a, b, bias in ((-32768, -32768, 32767), (-32768, 32767, -32768)):
+        operands = _filled(511, a, b, bias, dtype)
+        assert np.array_equal(fxp.qmatmul(*operands), matmul_checked(*operands))
+    # 512 such products reach 2**39, one past ACC_MAX
+    operands = _filled(512, -32768, -32768, 0, dtype)
+    for kernel in (fxp.qmatmul, matmul_checked):
+        with pytest.raises(fxp.AccumulatorOverflow):
+            kernel(*operands)
+    # 512 products of 32767 * 32767 plus the largest bias fit: 2**39 - 2**25 + 2**23 + 256
+    operands = _filled(512, 32767, 32767, 32767, dtype)
+    assert np.array_equal(fxp.qmatmul(*operands), matmul_checked(*operands))
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
