@@ -27,6 +27,16 @@ the 1025-entry tables and the grid-snapping rule, so a kernel clamps and
 gathers, with no division or rounding per element.  A row's running
 ``numer * recip`` sum stays near 2**30, and only the per-row reciprocal is
 an int64 division.
+
+Scaled scores: the integer engine's attention scores are Q8.8 codes that
+still owe a multiply by the score scale's code ``m`` (``gamma / sqrt(d_k)``)
+and a requantize before the biased sigmoid.  A score code takes one of
+65536 values, so ``sigmoid_lut(codes, bias, m)`` gathers from a table of
+the finished weight of every code, built on first use by
+:func:`scaled_sigmoid_table` from :func:`~beamloc.fxp.requantize_array` and
+the unscaled :func:`sigmoid_lut`.  A table is 65536 float64 entries
+(512 KiB); at most 8 (m, bias) pairs are cached, 4 MiB in all, and the
+least recently used is dropped first.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ import functools
 
 import numpy as np
 
-from .fxp import SCALE, quantize, quantize_array, rne_div
+from .fxp import CODE_MIN, CODE_MAX, SCALE, quantize, quantize_array, requantize_array, rne_div
 
 
 class ActivationKind(enum.IntEnum):
@@ -66,14 +76,30 @@ SIG_BY_CODE = SIG_TABLE[np.rint(np.arange(-_SIG_CODE_LIMIT, _SIG_CODE_LIMIT + 1)
                                  + SIG_SIZE // 2).astype(np.intp)].astype(np.float64)
 
 
-def sigmoid_lut(codes: np.ndarray, bias: int = 0) -> np.ndarray:
+def sigmoid_lut(codes: np.ndarray, bias: int = 0, scale: int | None = None) -> np.ndarray:
     """Elementwise LUT sigmoid of ``codes + bias``, Q8.8 codes in, float64 codes out.
 
     The integer ``bias`` shifts the clamp bounds rather than every element.
+    With a ``scale`` code, each code is first multiplied by it and
+    requantized, through one gather from :func:`scaled_sigmoid_table`; the
+    codes must then lie in the int16 range.
     """
+    if scale is not None:
+        idx = codes.astype(np.intp)
+        idx -= CODE_MIN
+        return scaled_sigmoid_table(scale, bias).take(idx)
     idx = codes.clip(-_SIG_CODE_LIMIT - bias, _SIG_CODE_LIMIT - bias)
     idx += _SIG_CODE_LIMIT + bias
     return SIG_BY_CODE.take(idx.astype(np.intp))
+
+
+@functools.lru_cache(maxsize=8)
+def scaled_sigmoid_table(scale: int, bias: int) -> np.ndarray:
+    """``sigmoid_lut(requantize_array(s * scale), bias)`` at entry ``s + 32768``, every code s."""
+    codes = np.arange(CODE_MIN, CODE_MAX + 1, dtype=np.float64)
+    table = sigmoid_lut(requantize_array(codes * scale), bias)
+    table.setflags(write=False)
+    return table
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 
@@ -50,6 +51,13 @@ def _engine(cfg: RunConfig, bundle):
     ))
 
 
+def _cycle_reports(results, activation, perf_cfg) -> list:
+    """Each result's cycle report, priced once per (scenario, kept-row count), all it reads."""
+    report = functools.cache(lambda scenario, n_kept: pipeline_report(n_kept, scenario, activation,
+                                                                       perf_cfg))
+    return [report(r.scenario, r.mask.n_kept) for r in results]
+
+
 def _load_inputs(cfg: RunConfig, need_snapshots: bool = False):
     if cfg.bundle is None or cfg.fingerprints is None:
         raise ConfigError("this command requires --bundle and --fingerprints")
@@ -80,9 +88,10 @@ def cmd_infer(cfg: RunConfig, args) -> int:
     bundle, fps = _load_inputs(cfg)
     engine = _engine(cfg, bundle)
     perf_cfg = cfg.perf_config(bundle)
+    results = engine.run(fps, cfg.sparsity)
+    reports = _cycle_reports(results, engine.activation, perf_cfg)
     rows = []
-    for i, res in enumerate(engine.run(fps, cfg.sparsity)):
-        report = pipeline_report(res.mask, res.scenario, engine.activation, perf_cfg)
+    for i, (res, report) in enumerate(zip(results, reports)):
         rows.append({
             "index": i,
             "scenario": res.scenario,
@@ -159,10 +168,7 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
                                              activation=rung["activation"]), bundle)
         results = engine.run(fps, cfg.sparsity if rung["sparsity"] else None)
         coords = np.array([r.coords for r in results])
-        cycles = [
-            pipeline_report(r.mask, r.scenario, engine.activation, perf_cfg).total_cycles
-            for r in results
-        ]
+        cycles = [report.total_cycles for report in _cycle_reports(results, engine.activation, perf_cfg)]
         entry = {
             "engine": rung["engine"],
             "activation": rung["activation"],

@@ -2,13 +2,19 @@
 
 Both engines share one structural flow and differ only in six numeric
 primitives: ``prepare_input``, ``matmul``, ``residual_add``, ``scale``,
-``activation_form`` (the attention function, chosen once per engine) and
-``coords_of``.  The float engine runs on the float bundle as given, the
-integer engine on its Q8.8 view.  The masked-execution contract lives in
-``encoder_layer``: a skipped row contributes nothing as query, key, or
-value; its layer-1 output is its (thresholded) input row, carried through
-the residual path.  The second encoder layer, when a scenario has one,
-always processes all rows.
+``activation_op`` and ``coords_of``.  The float engine runs on the float
+bundle as given, the integer engine on its Q8.8 view.  The masked-execution
+contract lives in ``encoder_layer``: a skipped row contributes nothing as
+query, key, or value; its layer-1 output is its (thresholded) input row,
+carried through the residual path.  A layer that skips no row, such as the
+second encoder layer when a scenario has one, runs on its input as it is,
+with no gather or scatter.
+
+Attention: ``attention_scores`` is the product q·kᵀ alone, and
+``activation_op`` applies the score scale ``gamma / sqrt(d_k)`` and then
+the attention function, so the integer sigmoid can fold the scale's
+multiply and requantize into one gather per head
+(:func:`beamloc.activations.sigmoid_lut` with a scale code).
 
 Reuse: a snapshot's coordinates depend only on its scenario, thresholded
 input and layer-1 row mask.  Given a ``seen`` dict, ``infer`` still routes,
@@ -17,11 +23,13 @@ and head once per distinct triple; ``sweep`` shares one dict across its cells.
 
 The integer engine requantizes once per matrix product (round-to-nearest-
 even, saturating), evaluates the biased sigmoid through the Q8.8 LUT, and
-scales by a constant (``gamma / sqrt(d_k)``, the leaky-ReLU slope) with one
-multiply by its Q8.8 code and a requantize.  It holds Q8.8 codes in the
-two dtypes of :mod:`beamloc.fxp`: ``prepare_input`` makes int16 codes,
-which the router, thresholding, the row mask and the reuse key read, and
-``locate`` converts the masked input to float64 codes once.  The encoder
+scales by a constant (``gamma / sqrt(d_k)`` before softmax, the leaky-ReLU
+slope) with one multiply by its Q8.8 code and a requantize; before the
+sigmoid, the same multiply and requantize are read from the sigmoid's
+table of the scale code.  It holds Q8.8 codes in the two dtypes of
+:mod:`beamloc.fxp`: ``prepare_input`` makes int16 codes, which the router,
+thresholding, the row mask and the reuse key read, and ``locate``
+converts the masked input to float64 codes once.  The encoder
 and head then run on float64 codes with no conversion per kernel, on a
 float64 copy of a scenario's weights made on that scenario's first
 snapshot, so an engine pays only for the scenarios it runs.  The float
@@ -64,12 +72,14 @@ class _EngineBase:
 
     Subclasses provide the six numeric primitives: ``prepare_input``,
     ``matmul``, ``residual_add``, ``scale`` (``x`` times a real constant),
-    ``coords_of`` and ``activation_form``, which gives ``activation_op``
-    its function once, at construction; ``model`` gives the weights a
-    scenario runs on.  An integer engine quantizes the float bundle it is
-    given, once.  A float engine given a quantized view,
-    or an activation that is neither an ``ActivationKind`` nor an int (not
-    a bool) naming one, raises ValueError.
+    ``coords_of`` and ``activation_op`` (the attention weights of unscaled
+    scores and the score scale); ``model`` gives the weights a scenario
+    runs on.  Scores reach ``activation_op`` unscaled, so the integer
+    sigmoid applies the scale within its table gather.  A layer whose mask
+    skips no row runs without a gather or scatter.  An integer engine
+    quantizes the float bundle it is given, once.  A float engine given a
+    quantized view, or an activation that is neither an ``ActivationKind``
+    nor an int (not a bool) naming one, raises ValueError.
     """
 
     is_integer = False
@@ -86,7 +96,6 @@ class _EngineBase:
             raise ValueError(f"{kind!r} is not a valid ActivationKind")
         self.activation = bundle.activation if kind is None else ActivationKind(kind)
         self.router_window = bundle.router_window if cfg.router_window is None else cfg.router_window
-        self._activate = self.activation_form()
 
     def slp_logits(self, x):
         """Class logits from one delay-bin column: W x + b."""
@@ -99,8 +108,8 @@ class _EngineBase:
             self.matmul(x, seg.w_v),
         )
 
-    def attention_scores(self, qh, kh, gamma):
-        return self.scale(self.matmul(qh, kh.T), gamma / math.sqrt(qh.shape[1]))
+    def attention_scores(self, qh, kh):
+        return self.matmul(qh, kh.T)
 
     def head_output(self, a, vh):
         return self.matmul(a, vh)
@@ -109,11 +118,12 @@ class _EngineBase:
         """Multi-head attention over every row of ``x``: x + concat(heads) @ w_o."""
         q, k, v = self.qkv_project(x, seg)
         d_k = self.bundle.d_k
+        c = seg.gamma / math.sqrt(d_k)
         heads = []
         for h in range(self.bundle.heads):
             cols = slice(h * d_k, (h + 1) * d_k)
-            scores = self.attention_scores(q[:, cols], k[:, cols], seg.gamma)
-            weights = self.activation_op(scores)
+            scores = self.attention_scores(q[:, cols], k[:, cols])
+            weights = self.activation_op(scores, c)
             heads.append(self.head_output(weights, v[:, cols]))
         proj = self.matmul(np.concatenate(heads, axis=1), seg.w_o)
         return self.residual_add(x, proj)
@@ -127,9 +137,11 @@ class _EngineBase:
 
         The kept rows are gathered once, run through ``mha`` and ``ffn`` and
         scattered back; skipped rows, and all rows when every one is skipped,
-        pass through unchanged.
+        pass through unchanged.  With no row skipped, ``x`` runs as it is.
         """
-        kept = np.arange(x.shape[0]) if mask is None else np.flatnonzero(~mask.skip)
+        if mask is None or not mask.skip.any():
+            return self.ffn(self.mha(x, seg), seg)
+        kept = np.flatnonzero(~mask.skip)
         out = x.copy()
         if kept.size:
             out[kept] = self.ffn(self.mha(x[kept], seg), seg)
@@ -148,9 +160,6 @@ class _EngineBase:
         for j in range(1, k):
             np.maximum(pooled, padded[:, j::k], out=pooled)
         return pooled.reshape(-1)
-
-    def activation_op(self, scores):
-        return self._activate(scores)
 
     def leaky_relu(self, x):
         return np.where(x >= 0, x, self.scale(x, 0.3))
@@ -241,11 +250,10 @@ class FloatEngine(_EngineBase):
     def scale(self, x, c):
         return x * c
 
-    def activation_form(self):
+    def activation_op(self, scores, c):
         if self.activation == ActivationKind.SOFTMAX_INT:
-            return act.softmax_rows
-        log_n = math.log(self.bundle.n)
-        return lambda scores: act.sigmoid(scores - log_n)
+            return act.softmax_rows(scores * c)
+        return act.sigmoid(scores * c - math.log(self.bundle.n))
 
     def coords_of(self, out):
         return np.asarray(out, dtype=np.float64)
@@ -285,12 +293,11 @@ class IntEngine(_EngineBase):
         # c's Q8.8 code: leaky-ReLU's 0.3 is 77, an effective 0.30078125
         return requantize_array(x * float(quantize(c)))
 
-    def activation_form(self):
-        # each call looks the kernel up in its module, where a wrapper may sit
+    def activation_op(self, scores, c):
+        # the kernels are looked up in their module, where a wrapper may sit
         if self.activation == ActivationKind.SOFTMAX_INT:
-            return lambda scores: act.softmax_int(scores)
-        bias = act.sigmoid_bias_code(self.bundle.n)
-        return lambda scores: act.sigmoid_lut(scores, bias)
+            return act.softmax_int(self.scale(scores, c))
+        return act.sigmoid_lut(scores, act.sigmoid_bias_code(self.bundle.n), quantize(c))
 
     def coords_of(self, out):
         return dequantize_array(out)

@@ -46,6 +46,27 @@ def test_sigmoid_lut_bias_shifts_the_input():
                               oracles.sigmoid_lut(codes + bias))
 
 
+def test_scaled_sigmoid_lut_matches_the_oracle_on_every_code():
+    # Every int16 score code times scale codes that drive the product past
+    # both rails, then the bias: one gather from the (m, bias) table.
+    codes = np.arange(-32768, 32768)
+    for m in (-32768, -427, -10, -3, -1, 0, 1, 77, 256, 427, 32767):
+        scaled = oracles.requantize_int64(codes * m).astype(np.int64)
+        for bias in (-1242, 0, 7):
+            expect = oracles.sigmoid_lut(scaled + bias)
+            assert np.array_equal(act.sigmoid_lut(codes.astype(np.float64), bias, m), expect)
+            assert np.array_equal(act.sigmoid_lut(codes.astype(np.int16), bias, m), expect)
+    # 33 distinct pairs built, at most 8 tables (4 MiB) kept
+    info = act.scaled_sigmoid_table.cache_info()
+    assert info.maxsize == 8 and info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_softmax_of_no_rows(k):
+    for out in (act.softmax_int(np.zeros((0, k), dtype=np.int16)), act.softmax_rows(np.zeros((0, k)))):
+        assert out.shape == (0, k) and out.dtype == np.float64
+
+
 def test_sigmoid_lut_table_shape():
     assert act.SIG_TABLE.shape == (1025,)
     assert act.SIG_TABLE[512] == 128

@@ -75,14 +75,14 @@ def test_qkv_matches_naive_oracles(rng, toy_bundle):
 def test_scores_gamma_zero(toy_bundle):
     fe, ie = _engines(toy_bundle)
     qh = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert not fe.attention_scores(qh, qh, 0.0).any()
-    assert not ie.attention_scores(quantize_array(qh), quantize_array(qh), 0.0).any()
+    assert not fe.scale(fe.attention_scores(qh, qh), 0.0).any()
+    assert not ie.scale(ie.attention_scores(quantize_array(qh), quantize_array(qh)), 0.0).any()
 
 
 def test_scores_one_hot_gram(toy_bundle):
     fe, _ = _engines(toy_bundle)
     qh = np.eye(2)
-    s = fe.attention_scores(qh, qh, math.sqrt(2))
+    s = fe.scale(fe.attention_scores(qh, qh), math.sqrt(2) / math.sqrt(2))
     assert np.allclose(s, np.eye(2))
 
 
@@ -93,13 +93,17 @@ def test_scores_match_explicit_form(rng, toy_bundle):
         qh = rng.uniform(-2, 2, size=(3, 2))
         kh = rng.uniform(-2, 2, size=(3, 2))
         ref = gamma * naive_matmul_float(qh, kh.T) / math.sqrt(2)
-        assert np.max(np.abs(fe.attention_scores(qh, kh, gamma) - ref)) < 1e-12
+        assert np.max(np.abs(fe.scale(fe.attention_scores(qh, kh), gamma / math.sqrt(2)) - ref)) < 1e-12
         # integer path: requantized dot, then one folded Q8.8 multiplier
         qq, kq = quantize_array(qh), quantize_array(kh)
         raw = naive_matmul_q(qq, kq.T)
+        assert np.array_equal(ie.attention_scores(qq, kq), raw)
         m = quantize(gamma / math.sqrt(2))
         expect = np.array([[requantize(int(r) * m) for r in row] for row in raw])
-        assert np.array_equal(ie.attention_scores(qq, kq, gamma), expect)
+        assert np.array_equal(ie.scale(raw, gamma / math.sqrt(2)), expect)
+        # the sigmoid takes the same multiplier within its table gather
+        assert np.array_equal(ie.activation_op(raw, gamma / math.sqrt(2)),
+                              oracles.sigmoid_lut(expect + sigmoid_bias_code(toy_bundle.n)))
 
 
 @pytest.mark.parametrize("kind", list(ActivationKind), ids=lambda kind: kind.name)
@@ -111,7 +115,7 @@ def test_float_activation_is_the_exact_form(full_bundle, rng, kind):
         ActivationKind.SIGMOID_BIAS_LUT: 1.0 / (1.0 + np.exp(np.log(full_bundle.n) - scores)),
     }[kind]
     fe = FloatEngine(full_bundle, EngineConfig(activation=kind))
-    np.testing.assert_allclose(fe.activation_op(scores), exact, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(fe.activation_op(scores, 1.0), exact, rtol=1e-12, atol=0)
 
 
 # --- head output and mha ---------------------------------------------------
@@ -489,7 +493,7 @@ def test_softmax_rows_sum_inside_engine(full_bundle, s1_batch):
                                              scenario_override="S1"))
     weights = []
     activation_op = ie.activation_op
-    ie.activation_op = lambda scores: weights.append(activation_op(scores)) or weights[-1]
+    ie.activation_op = lambda scores, c: weights.append(activation_op(scores, c)) or weights[-1]
     ie.infer(s1_batch[0])
     assert len(weights) == full_bundle.heads  # one S1 layer, one call per head
     sums = dequantize_array(weights[0]).sum(axis=1)
@@ -554,6 +558,51 @@ def test_runs_match_the_pipeline_oracles(run):
         assert res.scenario == scenario
         assert np.array_equal(res.mask.skip, skip)
         assert np.max(np.abs(res.coords - coords), initial=0.0) <= tol
+
+
+@st.composite
+def _cli_runs(draw):
+    """A bundle of the CLI's 128x46 geometry, two snapshots and engine settings.
+
+    Weight scales up to 8 and gammas of 0 and +-127 give score-scale codes
+    that are negative, zero and large enough to saturate the scaled scores.
+    """
+    bundle = random_bundle(seed=draw(st.integers(0, 2**16)),
+                           scale=draw(st.sampled_from([0.25, 1.0, 8.0])),
+                           heads=draw(st.sampled_from([1, 2, 23])))
+    gamma = draw(st.sampled_from([None, 0.0, 127.0, -127.0]))
+    if gamma is not None:
+        bundle = dataclasses.replace(bundle, segments={
+            sc: tuple(dataclasses.replace(seg, gamma=gamma) for seg in segs)
+            for sc, segs in bundle.segments.items()})
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shape = (2, bundle.n, bundle.d)
+    amp = draw(st.sampled_from([1.0, 30.0]))
+    fps = rng.uniform(-amp / 4, amp, shape) * (rng.random(shape) < draw(st.sampled_from([0.5, 1.0])))
+    sparsity = draw(st.sampled_from([None, DEFAULT_SPARSITY]))
+    cfg = EngineConfig(activation=draw(st.sampled_from(list(ActivationKind))),
+                       scenario_override=draw(st.none() | st.sampled_from(SCENARIOS)))
+    return bundle, fps, sparsity, cfg
+
+
+@given(_cli_runs())
+@settings(max_examples=8, deadline=None)
+def test_cli_geometry_runs_match_the_int_oracle(run):
+    # The integer engine where the CLI runs it: 128-entry score rows, d_k of
+    # 46, 23 and 2, and the sigmoid's scaled-score tables.  Bit-equal to the
+    # oracle, or both raise AccumulatorOverflow.
+    bundle, fps, sparsity, cfg = run
+    try:
+        expect = oracles.run_int(bundle, *_oracle_args(fps, sparsity, cfg))
+    except AccumulatorOverflow:
+        with pytest.raises(AccumulatorOverflow):
+            IntEngine(bundle, cfg).run(fps, sparsity)
+        return
+    got = IntEngine(bundle, cfg).run(fps, sparsity)
+    for res, (scenario, skip, coords) in zip(got, expect, strict=True):
+        assert res.scenario == scenario
+        assert np.array_equal(res.mask.skip, skip)
+        assert np.array_equal(res.coords, coords)
 
 
 @pytest.mark.parametrize("acc", [ACC_MAX, ACC_MAX + 1, ACC_MIN, ACC_MIN - 1])
