@@ -21,22 +21,32 @@ exactly 1.0, for rows of at most 128 entries (see :func:`softmax_int`).
 The kernels read Q8.8 codes in any integer dtype or as float64 integers
 (see :mod:`beamloc.fxp`) and return float64 codes.  Both LUTs are indexed
 by code: ``SIG_BY_CODE`` holds the sigmoid LUT entry of every input code
-in [-4096, 4096] and ``EXP_BY_CODE`` the exp LUT entry of every
-max-subtracted difference in [-4096, 0].  They are built at import from
-the 1025-entry tables and the grid-snapping rule, so a kernel clamps and
-gathers, with no division or rounding per element.  A row's running
-``numer * recip`` sum stays near 2**30, and only the per-row reciprocal is
-an int64 division.
+in [-4096, 4096], and ``EXP_BY_DISTANCE`` the exp LUT entry of every
+distance d in [0, 65535] of a code below its row max, which is exp(-16) =
+0, the clamped entry, for every d past 4096.  They are built at import
+from the 1025-entry tables and the grid-snapping rule, so the sigmoid
+clamps and gathers and the softmax gathers, with no clamp, division or
+rounding per element.
+
+The softmax's one division per row is a float64 one: its reciprocal is
+``rint(2**30 / S)`` of the row sum S, which the prefix sum already holds
+in its last column.  This equals the round-half-even integer quotient:
+2**30 / S is a half-integer only for S = 2**31, and otherwise lies at
+least 1 / (2S) from one, while the correctly rounded float64 quotient is
+within 2**-53 * 2**30 / S = 2**-23 / S of it.  A row of n entries sums
+to at most n * 2**15, and the tests check every sum below 2**23.
 
 Scaled scores: the integer engine's attention scores are Q8.8 codes that
 still owe a multiply by the score scale's code ``m`` (``gamma / sqrt(d_k)``)
-and a requantize before the biased sigmoid.  A score code takes one of
-65536 values, so ``sigmoid_lut(codes, bias, m)`` gathers from a table of
-the finished weight of every code, built on first use by
-:func:`scaled_sigmoid_table` from :func:`~beamloc.fxp.requantize_array` and
-the unscaled :func:`sigmoid_lut`.  A table is 65536 float64 entries
-(512 KiB); at most 8 (m, bias) pairs are cached, 4 MiB in all, and the
-least recently used is dropped first.
+and a requantize before either activation.  A score code takes one of
+65536 values, so both kernels take ``m`` and gather the scaled code of
+every score once: :func:`scaled_codes` holds ``requantize_array(s * m)``
+for every code s as 65536 intp entries (512 KiB).  ``softmax_int(codes,
+m)`` gathers from it directly; ``sigmoid_lut(codes, bias, m)`` gathers
+the finished weight of every code from :func:`scaled_sigmoid_table`,
+built on first use from that table and the unscaled :func:`sigmoid_lut`
+(65536 float64 entries, 512 KiB).  Each cache keeps at most 8 tables, 4
+MiB, and drops the least recently used first.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ import functools
 
 import numpy as np
 
-from .fxp import CODE_MIN, CODE_MAX, SCALE, quantize, quantize_array, requantize_array, rne_div
+from .fxp import CODE_MIN, CODE_MAX, SCALE, quantize, quantize_array, requantize_array
 
 
 class ActivationKind(enum.IntEnum):
@@ -94,10 +104,19 @@ def sigmoid_lut(codes: np.ndarray, bias: int = 0, scale: int | None = None) -> n
 
 
 @functools.lru_cache(maxsize=8)
+def scaled_codes(scale: int) -> np.ndarray:
+    """``requantize_array(s * scale)`` as intp at entry ``s + 32768``, every code s."""
+    codes = np.arange(CODE_MIN, CODE_MAX + 1, dtype=np.float64)
+    codes *= scale
+    table = requantize_array(codes).astype(np.intp)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=8)
 def scaled_sigmoid_table(scale: int, bias: int) -> np.ndarray:
     """``sigmoid_lut(requantize_array(s * scale), bias)`` at entry ``s + 32768``, every code s."""
-    codes = np.arange(CODE_MIN, CODE_MAX + 1, dtype=np.float64)
-    table = sigmoid_lut(requantize_array(codes * scale), bias)
+    table = sigmoid_lut(scaled_codes(scale), bias)
     table.setflags(write=False)
     return table
 
@@ -113,18 +132,26 @@ _EXP_GRID = -SIG_RANGE + np.arange(EXP_SIZE) / EXP_STEPS_PER_UNIT
 EXP_TABLE = np.rint(np.exp(_EXP_GRID) * EXP_ONE)
 
 _EXP_CODE_LIMIT = int(SIG_RANGE) * SCALE  # 4096
-# Entry diff + 4096 serves max-subtracted difference diff: the grid is 4
-# codes wide, and diff/4 + 1024 rounds to even like diff/4 does.
-EXP_BY_CODE = EXP_TABLE[np.rint(np.arange(-_EXP_CODE_LIMIT, 1) / 4 + (EXP_SIZE - 1)).astype(np.intp)]
+# Entry d serves a code d below its row max, for every distance of two int16
+# codes: the difference -d clamps at -4096, to exp(-16), and snaps to the
+# 4-code grid, where -d/4 + 1024 rounds to even like -d/4 does.
+EXP_BY_DISTANCE = np.full(CODE_MAX - CODE_MIN + 1, EXP_TABLE[0])
+EXP_BY_DISTANCE[:_EXP_CODE_LIMIT + 1] = EXP_TABLE[
+    np.rint(np.arange(0, -_EXP_CODE_LIMIT - 1, -1) / 4 + (EXP_SIZE - 1)).astype(np.intp)]
 _RECIP_BITS = 30
 
 
-def softmax_int(scores: np.ndarray) -> np.ndarray:
+def softmax_int(scores: np.ndarray, scale: int | None = None) -> np.ndarray:
     """Integer-only stable softmax over each row of Q8.8 codes, as float64 codes.
 
-    Max subtraction happens on the raw codes, so a constant shift of a row
-    changes nothing; the exp LUT then sees only non-positive inputs.  Each
-    row's maximum maps to exp(0) = 32768, so every row sum is positive.
+    With a ``scale`` code, each code is first multiplied by it and
+    requantized, through one gather from :func:`scaled_codes`.  The codes,
+    before any scale, must lie in the int16 range: a code's distance below
+    its row max indexes ``EXP_BY_DISTANCE``, which ends at 65535.
+
+    Max subtraction happens on the (scaled) codes, so a constant shift of
+    them changes nothing; the exp LUT then sees only non-positive inputs.
+    Each row's maximum maps to exp(0) = 32768, so every row sum is positive.
 
     Error-feedback rounding: entry i is the difference of the running
     rounded cumulative sum at i and i-1, so a row's codes sum to 256 while
@@ -133,14 +160,17 @@ def softmax_int(scores: np.ndarray) -> np.ndarray:
     """
     if scores.size == 0:
         return np.zeros(scores.shape)
-    # the EXP_BY_CODE offset rides on the row max, in float64: int16 max - 4096 can wrap
-    shift = np.subtract(scores.max(axis=1, keepdims=True), _EXP_CODE_LIMIT, dtype=np.float64)
-    idx = np.subtract(scores, shift, dtype=np.float64)
-    np.maximum(idx, 0, out=idx)
-    e = EXP_BY_CODE.take(idx.astype(np.intp))
-    e *= rne_div(1 << _RECIP_BITS, e.sum(axis=1, keepdims=True).astype(np.int64))
+    dist = scores.astype(np.intp)
+    if scale is not None:
+        dist -= CODE_MIN
+        dist = scaled_codes(scale).take(dist)
+    np.subtract(dist.max(axis=1, keepdims=True), dist, out=dist)
+    e = EXP_BY_DISTANCE.take(dist)
     steps = np.cumsum(e, axis=1)
-    steps *= 2.0 ** (8 - _RECIP_BITS)
+    # the row sum S is the prefix sum's last column; rint(2**30 / S) rounds half to even
+    recip = np.rint((1 << _RECIP_BITS) / steps[:, -1:])
+    recip *= 2.0 ** (8 - _RECIP_BITS)
+    steps *= recip
     np.rint(steps, out=steps)
     # one contiguous difference over the flattened rows; column 0 is then rewritten
     flat = steps.reshape(-1)

@@ -12,9 +12,10 @@ with no gather or scatter.
 
 Attention: ``attention_scores`` is the product q·kᵀ alone, and
 ``activation_op`` applies the score scale ``gamma / sqrt(d_k)`` and then
-the attention function, so the integer sigmoid can fold the scale's
+the attention function, so both integer activations fold the scale's
 multiply and requantize into one gather per head
-(:func:`beamloc.activations.sigmoid_lut` with a scale code).
+(:func:`beamloc.activations.sigmoid_lut` and
+:func:`~beamloc.activations.softmax_int` with a scale code).
 
 Reuse: a snapshot's coordinates depend only on its scenario, thresholded
 input and layer-1 row mask.  Given a ``seen`` dict, ``infer`` still routes,
@@ -22,14 +23,13 @@ thresholds and masks, and returns its own ``RowMask``, but runs the encoder
 and head once per distinct triple; ``sweep`` shares one dict across its cells.
 
 The integer engine requantizes once per matrix product (round-to-nearest-
-even, saturating), evaluates the biased sigmoid through the Q8.8 LUT, and
-scales by a constant (``gamma / sqrt(d_k)`` before softmax, the leaky-ReLU
-slope) with one multiply by its Q8.8 code and a requantize; before the
-sigmoid, the same multiply and requantize are read from the sigmoid's
-table of the scale code.  It holds Q8.8 codes in the two dtypes of
-:mod:`beamloc.fxp`: ``prepare_input`` makes int16 codes, which the router,
-thresholding, the row mask and the reuse key read, and ``locate``
-converts the masked input to float64 codes once.  The encoder
+even, saturating) and evaluates both activations through Q8.8 LUTs,
+which read the score scale's multiply and requantize from a table of the
+scale code.  ``scale`` serves only the leaky ReLU: one multiply by the
+slope's Q8.8 code and a requantize.  The engine holds Q8.8 codes in the
+two dtypes of :mod:`beamloc.fxp`: ``prepare_input`` makes int16 codes,
+which the router, thresholding, the row mask and the reuse key read, and
+``locate`` converts the masked input to float64 codes once.  The encoder
 and head then run on float64 codes with no conversion per kernel, on a
 float64 copy of a scenario's weights made on that scenario's first
 snapshot, so an engine pays only for the scenarios it runs.  The float
@@ -75,8 +75,8 @@ class _EngineBase:
     ``coords_of`` and ``activation_op`` (the attention weights of unscaled
     scores and the score scale); ``model`` gives the weights a scenario
     runs on.  Scores reach ``activation_op`` unscaled, so the integer
-    sigmoid applies the scale within its table gather.  A layer whose mask
-    skips no row runs without a gather or scatter.  An integer engine
+    activations apply the scale within their table gathers.  A layer whose
+    mask skips no row runs without a gather or scatter.  An integer engine
     quantizes the float bundle it is given, once.  A float engine given a
     quantized view, or an activation that is neither an ``ActivationKind``
     nor an int (not a bool) naming one, raises ValueError.
@@ -296,7 +296,7 @@ class IntEngine(_EngineBase):
     def activation_op(self, scores, c):
         # the kernels are looked up in their module, where a wrapper may sit
         if self.activation == ActivationKind.SOFTMAX_INT:
-            return act.softmax_int(self.scale(scores, c))
+            return act.softmax_int(scores, quantize(c))
         return act.sigmoid_lut(scores, act.sigmoid_bias_code(self.bundle.n), quantize(c))
 
     def coords_of(self, out):

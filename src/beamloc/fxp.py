@@ -93,14 +93,6 @@ def dequantize_array(codes: np.ndarray) -> np.ndarray:
     return np.asarray(codes, dtype=np.float64) / SCALE
 
 
-def rne_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer division with round-to-nearest-even; b must be positive."""
-    q = a // b
-    r = a - q * b
-    twice = 2 * r
-    return q + ((twice > b) | ((twice == b) & ((q & 1) == 1)))
-
-
 def check_headroom(acc: np.ndarray) -> np.ndarray:
     """Raise AccumulatorOverflow if any accumulator leaves the 40-bit range.
 

@@ -25,7 +25,7 @@ from beamloc.activations import (
     ActivationKind,
 )
 from beamloc.channel import _BEAM_GAIN_SIGMA, _DELAY_SPREAD, N_BEAMS, N_SUBCARRIERS
-from beamloc.fxp import ACC_BITS, ACC_MAX, ACC_MIN, AccumulatorOverflow, quantize, rne_div
+from beamloc.fxp import ACC_BITS, ACC_MAX, ACC_MIN, AccumulatorOverflow, quantize
 from beamloc.sparsity import RowMask
 from beamloc.weights import SCENARIOS, EncoderSegment, HeadParams, random_bundle
 
@@ -128,6 +128,14 @@ def naive_matmul_q(a, b, bias=None):
                 acc += int(bias[j]) << 8
             out[i][j] = requantize(acc)
     return np.array(out, dtype=np.int16)
+
+
+def rne_div(a, b):
+    """Integer division with round-to-nearest-even; b must be positive."""
+    q = a // b
+    r = a - q * b
+    twice = 2 * r
+    return q + ((twice > b) | ((twice == b) & ((q & 1) == 1)))
 
 
 def rne_shift(v: np.ndarray, bits: int) -> np.ndarray:

@@ -32,10 +32,9 @@ def test_code_indexed_luts_follow_the_index_rule():
     clamped = np.clip(codes, -4096, 4096) + 4096
     assert np.array_equal(act.SIG_BY_CODE[clamped], act.SIG_TABLE[oracles.sigmoid_lut_index(codes)])
     assert np.array_equal(act.sigmoid_lut(codes), act.SIG_TABLE[oracles.sigmoid_lut_index(codes)])
-    diffs = np.arange(-65535, 1)
-    assert np.array_equal(act.EXP_BY_CODE[np.maximum(diffs, -4096) + 4096],
-                          act.EXP_TABLE[oracles.exp_lut_index(diffs)])
-    assert act.SIG_BY_CODE.shape == (8193,) and act.EXP_BY_CODE.shape == (4097,)
+    dists = np.arange(65536)
+    assert np.array_equal(act.EXP_BY_DISTANCE[dists], act.EXP_TABLE[oracles.exp_lut_index(-dists)])
+    assert act.SIG_BY_CODE.shape == (8193,) and act.EXP_BY_DISTANCE.shape == (65536,)
 
 
 def test_sigmoid_lut_bias_shifts_the_input():
@@ -59,6 +58,30 @@ def test_scaled_sigmoid_lut_matches_the_oracle_on_every_code():
     # 33 distinct pairs built, at most 8 tables (4 MiB) kept
     info = act.scaled_sigmoid_table.cache_info()
     assert info.maxsize == 8 and info.currsize <= info.maxsize
+
+
+def test_scaled_softmax_int_matches_the_oracle_on_every_code():
+    # Every int16 score code in rows of 128, in order (row maxima across the
+    # whole range) and shuffled (distances past the exp clamp), plus rows at
+    # both rails, times scale codes that drive the product past both rails:
+    # one gather from the scale code's table.
+    codes = np.arange(-32768, 32768)
+    rails = np.array([[-32768] * 128, [32767] * 128, [-32768, 32767] * 64])
+    rows = np.concatenate([codes.reshape(-1, 128),
+                           np.random.default_rng(5).permutation(codes).reshape(-1, 128), rails])
+    for m in (-32768, -427, -10, -3, -1, 0, 1, 77, 256, 427, 32767):
+        expect = oracles.softmax_int(oracles.requantize_int64(rows * m))
+        assert np.array_equal(act.softmax_int(rows.astype(np.float64), m), expect)
+        assert np.array_equal(act.softmax_int(rows.astype(np.int16), m), expect)
+    # 11 scale codes built, at most 8 tables (4 MiB) kept
+    info = act.scaled_codes.cache_info()
+    assert info.maxsize == 8 and info.currsize <= info.maxsize
+
+
+def test_float_reciprocal_is_rne_div():
+    # softmax_int's reciprocal of a row sum S, for every S below 2**23
+    sums = np.arange(1, 1 << 23)
+    assert np.array_equal(np.rint((1 << 30) / sums), oracles.rne_div(1 << 30, sums))
 
 
 @pytest.mark.parametrize("k", [0, 5])

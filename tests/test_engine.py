@@ -569,7 +569,7 @@ def _cli_runs(draw):
     """
     bundle = random_bundle(seed=draw(st.integers(0, 2**16)),
                            scale=draw(st.sampled_from([0.25, 1.0, 8.0])),
-                           heads=draw(st.sampled_from([1, 2, 23])))
+                           heads=draw(st.sampled_from([1, 2, 23, 46])))
     gamma = draw(st.sampled_from([None, 0.0, 127.0, -127.0]))
     if gamma is not None:
         bundle = dataclasses.replace(bundle, segments={
@@ -589,8 +589,8 @@ def _cli_runs(draw):
 @settings(max_examples=8, deadline=None)
 def test_cli_geometry_runs_match_the_int_oracle(run):
     # The integer engine where the CLI runs it: 128-entry score rows, d_k of
-    # 46, 23 and 2, and the sigmoid's scaled-score tables.  Bit-equal to the
-    # oracle, or both raise AccumulatorOverflow.
+    # 46, 23, 2 and 1, and both activations' scaled-score tables.  Bit-equal
+    # to the oracle, or both raise AccumulatorOverflow.
     bundle, fps, sparsity, cfg = run
     try:
         expect = oracles.run_int(bundle, *_oracle_args(fps, sparsity, cfg))
