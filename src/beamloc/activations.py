@@ -24,8 +24,8 @@ by code: ``SIG_BY_CODE`` holds the sigmoid LUT entry of every input code
 in [-4096, 4096], and ``EXP_BY_DISTANCE`` the exp LUT entry of every
 distance d in [0, 65535] of a code below its row max, which is exp(-16) =
 0, the clamped entry, for every d past 4096.  They are built at import
-from the 1025-entry tables and the grid-snapping rule, so the sigmoid
-clamps and gathers and the softmax gathers, with no clamp, division or
+from the 1025-entry tables and the grid-snapping rule, so a LUT lookup
+is one gather, after a clamp for the sigmoid, with no division or
 rounding per element.
 
 The softmax's one division per row is a float64 one: its reciprocal is
@@ -38,15 +38,16 @@ to at most n * 2**15, and the tests check every sum below 2**23.
 
 Scaled scores: the integer engine's attention scores are Q8.8 codes that
 still owe a multiply by the score scale's code ``m`` (``gamma / sqrt(d_k)``)
-and a requantize before either activation.  A score code takes one of
-65536 values, so both kernels take ``m`` and gather the scaled code of
-every score once: :func:`scaled_codes` holds ``requantize_array(s * m)``
-for every code s as 65536 intp entries (512 KiB).  ``softmax_int(codes,
-m)`` gathers from it directly; ``sigmoid_lut(codes, bias, m)`` gathers
-the finished weight of every code from :func:`scaled_sigmoid_table`,
-built on first use from that table and the unscaled :func:`sigmoid_lut`
-(65536 float64 entries, 512 KiB).  Each cache keeps at most 8 tables, 4
-MiB, and drops the least recently used first.
+and a requantize before either activation, so both kernels take ``m``.
+``softmax_int(codes, m)`` requantizes the products itself, so the engine
+runs no separate scale op, and every distance of two scaled codes has an
+entry in ``EXP_BY_DISTANCE``.  A score code takes one of 65536 values, so
+``sigmoid_lut(codes, bias, m)`` gathers from a table of the finished
+weight of every code, built on first use by :func:`scaled_sigmoid_table`
+from :func:`~beamloc.fxp.requantize_array` and the unscaled
+:func:`sigmoid_lut`.  A table is 65536 float64 entries (512 KiB); at most
+8 (m, bias) pairs are cached, 4 MiB in all, and the least recently used
+is dropped first.
 """
 
 from __future__ import annotations
@@ -92,11 +93,13 @@ def sigmoid_lut(codes: np.ndarray, bias: int = 0, scale: int | None = None) -> n
     The integer ``bias`` shifts the clamp bounds rather than every element.
     With a ``scale`` code, each code is first multiplied by it and
     requantized, through one gather from :func:`scaled_sigmoid_table`; the
-    codes must then lie in the int16 range.
+    codes must then lie in the int16 range, and any other raises IndexError.
     """
     if scale is not None:
         idx = codes.astype(np.intp)
         idx -= CODE_MIN
+        if idx.min(initial=0) < 0:  # take would wrap a negative index
+            raise IndexError("scaled sigmoid_lut: codes must lie in the int16 range")
         return scaled_sigmoid_table(scale, bias).take(idx)
     idx = codes.clip(-_SIG_CODE_LIMIT - bias, _SIG_CODE_LIMIT - bias)
     idx += _SIG_CODE_LIMIT + bias
@@ -104,19 +107,10 @@ def sigmoid_lut(codes: np.ndarray, bias: int = 0, scale: int | None = None) -> n
 
 
 @functools.lru_cache(maxsize=8)
-def scaled_codes(scale: int) -> np.ndarray:
-    """``requantize_array(s * scale)`` as intp at entry ``s + 32768``, every code s."""
-    codes = np.arange(CODE_MIN, CODE_MAX + 1, dtype=np.float64)
-    codes *= scale
-    table = requantize_array(codes).astype(np.intp)
-    table.setflags(write=False)
-    return table
-
-
-@functools.lru_cache(maxsize=8)
 def scaled_sigmoid_table(scale: int, bias: int) -> np.ndarray:
     """``sigmoid_lut(requantize_array(s * scale), bias)`` at entry ``s + 32768``, every code s."""
-    table = sigmoid_lut(scaled_codes(scale), bias)
+    codes = np.arange(CODE_MIN, CODE_MAX + 1, dtype=np.float64)
+    table = sigmoid_lut(requantize_array(codes * scale), bias)
     table.setflags(write=False)
     return table
 
@@ -141,15 +135,16 @@ EXP_BY_DISTANCE[:_EXP_CODE_LIMIT + 1] = EXP_TABLE[
 _RECIP_BITS = 30
 
 
-def softmax_int(scores: np.ndarray, scale: int | None = None) -> np.ndarray:
+def softmax_int(scores: np.ndarray, scale: int = SCALE) -> np.ndarray:
     """Integer-only stable softmax over each row of Q8.8 codes, as float64 codes.
 
-    With a ``scale`` code, each code is first multiplied by it and
-    requantized, through one gather from :func:`scaled_codes`.  The codes,
-    before any scale, must lie in the int16 range: a code's distance below
-    its row max indexes ``EXP_BY_DISTANCE``, which ends at 65535.
+    Each code is first multiplied by the ``scale`` code and requantized,
+    saturating to the int16 range, as the engine's scale op does; the
+    default 256, 1.0, leaves every int16 code as it is.  So a scaled
+    code's distance below its row max lies in [0, 65535], the range of
+    ``EXP_BY_DISTANCE``.
 
-    Max subtraction happens on the (scaled) codes, so a constant shift of
+    Max subtraction happens on the scaled codes, so a constant shift of
     them changes nothing; the exp LUT then sees only non-positive inputs.
     Each row's maximum maps to exp(0) = 32768, so every row sum is positive.
 
@@ -160,10 +155,7 @@ def softmax_int(scores: np.ndarray, scale: int | None = None) -> np.ndarray:
     """
     if scores.size == 0:
         return np.zeros(scores.shape)
-    dist = scores.astype(np.intp)
-    if scale is not None:
-        dist -= CODE_MIN
-        dist = scaled_codes(scale).take(dist)
+    dist = requantize_array(scores * float(scale)).astype(np.intp)
     np.subtract(dist.max(axis=1, keepdims=True), dist, out=dist)
     e = EXP_BY_DISTANCE.take(dist)
     steps = np.cumsum(e, axis=1)

@@ -12,10 +12,10 @@ with no gather or scatter.
 
 Attention: ``attention_scores`` is the product q·kᵀ alone, and
 ``activation_op`` applies the score scale ``gamma / sqrt(d_k)`` and then
-the attention function, so both integer activations fold the scale's
-multiply and requantize into one gather per head
-(:func:`beamloc.activations.sigmoid_lut` and
-:func:`~beamloc.activations.softmax_int` with a scale code).
+the attention function.  The integer kernels take the scale's code:
+:func:`beamloc.activations.sigmoid_lut` folds its multiply and requantize
+into one gather per head, and :func:`~beamloc.activations.softmax_int`
+requantizes the scaled scores itself.
 
 Reuse: a snapshot's coordinates depend only on its scenario, thresholded
 input and layer-1 row mask.  Given a ``seen`` dict, ``infer`` still routes,
@@ -24,8 +24,8 @@ and head once per distinct triple; ``sweep`` shares one dict across its cells.
 
 The integer engine requantizes once per matrix product (round-to-nearest-
 even, saturating) and evaluates both activations through Q8.8 LUTs,
-which read the score scale's multiply and requantize from a table of the
-scale code.  ``scale`` serves only the leaky ReLU: one multiply by the
+whose kernels apply the score scale's multiply and requantize.
+``scale`` serves only the leaky ReLU: one multiply by the
 slope's Q8.8 code and a requantize.  The engine holds Q8.8 codes in the
 two dtypes of :mod:`beamloc.fxp`: ``prepare_input`` makes int16 codes,
 which the router, thresholding, the row mask and the reuse key read, and
@@ -75,7 +75,7 @@ class _EngineBase:
     ``coords_of`` and ``activation_op`` (the attention weights of unscaled
     scores and the score scale); ``model`` gives the weights a scenario
     runs on.  Scores reach ``activation_op`` unscaled, so the integer
-    activations apply the scale within their table gathers.  A layer whose
+    activation kernels apply the scale themselves.  A layer whose
     mask skips no row runs without a gather or scatter.  An integer engine
     quantizes the float bundle it is given, once.  A float engine given a
     quantized view, or an activation that is neither an ``ActivationKind``

@@ -63,8 +63,7 @@ def test_scaled_sigmoid_lut_matches_the_oracle_on_every_code():
 def test_scaled_softmax_int_matches_the_oracle_on_every_code():
     # Every int16 score code in rows of 128, in order (row maxima across the
     # whole range) and shuffled (distances past the exp clamp), plus rows at
-    # both rails, times scale codes that drive the product past both rails:
-    # one gather from the scale code's table.
+    # both rails, times scale codes that drive the product past both rails.
     codes = np.arange(-32768, 32768)
     rails = np.array([[-32768] * 128, [32767] * 128, [-32768, 32767] * 64])
     rows = np.concatenate([codes.reshape(-1, 128),
@@ -73,9 +72,19 @@ def test_scaled_softmax_int_matches_the_oracle_on_every_code():
         expect = oracles.softmax_int(oracles.requantize_int64(rows * m))
         assert np.array_equal(act.softmax_int(rows.astype(np.float64), m), expect)
         assert np.array_equal(act.softmax_int(rows.astype(np.int16), m), expect)
-    # 11 scale codes built, at most 8 tables (4 MiB) kept
-    info = act.scaled_codes.cache_info()
-    assert info.maxsize == 8 and info.currsize <= info.maxsize
+
+
+def test_scaled_kernels_on_codes_past_the_int16_range():
+    # A code below -32768 would be a negative table index, which numpy
+    # wraps: the sigmoid raises, as for a code past 32767, and the softmax
+    # saturates the product as the oracle does.
+    for code in (-32769.0, 32768.0):
+        with pytest.raises(IndexError):
+            act.sigmoid_lut(np.array([code, 0.0]), 0, 77)
+    rows = np.array([[-32769, 32767], [-40000, 40000], [-32769, -32768]])
+    for m in (1, 77, 256):
+        assert np.array_equal(act.softmax_int(rows.astype(np.float64), m),
+                              oracles.softmax_int(oracles.requantize_int64(rows * m)))
 
 
 def test_float_reciprocal_is_rne_div():
