@@ -18,8 +18,9 @@ error-feedback rounding: each individual entry stays within one code of
 its exact value, and the emitted Q8.8 codes of a row sum to 256, i.e.
 exactly 1.0, for rows of at most 128 entries (see :func:`softmax_int`).
 
-The kernels read Q8.8 codes in any integer dtype or as float64 integers
-(see :mod:`beamloc.fxp`) and return float64 codes.  Both LUTs are indexed
+The kernels take Q8.8 codes as float64 integers, the one code dtype of
+:mod:`beamloc.fxp`, and return them so; an integer array of the same
+codes gives the same result.  Both LUTs are indexed
 by code: ``SIG_BY_CODE`` holds the sigmoid LUT entry of every input code
 in [-4096, 4096], and ``EXP_BY_DISTANCE`` the exp LUT entry of every
 distance d in [0, 65535] of a code below its row max, which is exp(-16) =
@@ -84,7 +85,7 @@ _SIG_CODE_LIMIT = int(SIG_RANGE) * SCALE  # 4096
 # Entry c + 4096 serves input code c: the grid is 8 codes wide, and
 # c/8 + 512 rounds to even like c/8 does, because 512 is even.
 SIG_BY_CODE = SIG_TABLE[np.rint(np.arange(-_SIG_CODE_LIMIT, _SIG_CODE_LIMIT + 1) / 8
-                                 + SIG_SIZE // 2).astype(np.intp)].astype(np.float64)
+                                 + SIG_SIZE // 2).astype(np.intp)]
 
 
 def sigmoid_lut(codes: np.ndarray, bias: int = 0, scale: int | None = None) -> np.ndarray:
@@ -93,13 +94,13 @@ def sigmoid_lut(codes: np.ndarray, bias: int = 0, scale: int | None = None) -> n
     The integer ``bias`` shifts the clamp bounds rather than every element.
     With a ``scale`` code, each code is first multiplied by it and
     requantized, through one gather from :func:`scaled_sigmoid_table`; the
-    codes must then lie in the int16 range, and any other raises IndexError.
+    codes must then lie in the Q8.8 code range, and any other raises IndexError.
     """
     if scale is not None:
         idx = codes.astype(np.intp)
         idx -= CODE_MIN
         if idx.min(initial=0) < 0:  # take would wrap a negative index
-            raise IndexError("scaled sigmoid_lut: codes must lie in the int16 range")
+            raise IndexError("scaled sigmoid_lut: codes must lie in the Q8.8 code range")
         return scaled_sigmoid_table(scale, bias).take(idx)
     idx = codes.clip(-_SIG_CODE_LIMIT - bias, _SIG_CODE_LIMIT - bias)
     idx += _SIG_CODE_LIMIT + bias
@@ -126,7 +127,7 @@ _EXP_GRID = -SIG_RANGE + np.arange(EXP_SIZE) / EXP_STEPS_PER_UNIT
 EXP_TABLE = np.rint(np.exp(_EXP_GRID) * EXP_ONE)
 
 _EXP_CODE_LIMIT = int(SIG_RANGE) * SCALE  # 4096
-# Entry d serves a code d below its row max, for every distance of two int16
+# Entry d serves a code d below its row max, for every distance of two Q8.8
 # codes: the difference -d clamps at -4096, to exp(-16), and snaps to the
 # 4-code grid, where -d/4 + 1024 rounds to even like -d/4 does.
 EXP_BY_DISTANCE = np.full(CODE_MAX - CODE_MIN + 1, EXP_TABLE[0])
@@ -139,8 +140,8 @@ def softmax_int(scores: np.ndarray, scale: int = SCALE) -> np.ndarray:
     """Integer-only stable softmax over each row of Q8.8 codes, as float64 codes.
 
     Each code is first multiplied by the ``scale`` code and requantized,
-    saturating to the int16 range, as the engine's scale op does; the
-    default 256, 1.0, leaves every int16 code as it is.  So a scaled
+    saturating to the code range, as the engine's scale op does; the
+    default 256, 1.0, leaves every code as it is.  So a scaled
     code's distance below its row max lies in [0, 65535], the range of
     ``EXP_BY_DISTANCE``.
 

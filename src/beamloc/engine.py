@@ -26,22 +26,21 @@ The integer engine requantizes once per matrix product (round-to-nearest-
 even, saturating) and evaluates both activations through Q8.8 LUTs,
 whose kernels apply the score scale's multiply and requantize.
 ``scale`` serves only the leaky ReLU: one multiply by the
-slope's Q8.8 code and a requantize.  The engine holds Q8.8 codes in the
-two dtypes of :mod:`beamloc.fxp`: ``prepare_input`` makes int16 codes,
-which the router, thresholding, the row mask and the reuse key read, and
-``locate`` converts the masked input to float64 codes once.  The encoder
-and head then run on float64 codes with no conversion per kernel, on a
-float64 copy of a scenario's weights made on that scenario's first
-snapshot, so an engine pays only for the scenarios it runs.  The float
-engine saturates nothing, so a snapshot whose coordinates overflow to inf
-or NaN raises ValueError instead of returning them.
+slope's Q8.8 code and a requantize.  The engine holds Q8.8 codes in one
+dtype, float64 integers (see :mod:`beamloc.fxp`), from ``prepare_input``
+and the quantized bundle to the coordinates: the router, thresholding
+(against the threshold's code), the row mask, the encoder and the head
+convert nothing.  Only the reuse key narrows the thresholded codes to
+int16, whose bytes hash faster.  The float engine saturates nothing, so
+a snapshot whose coordinates overflow to inf or NaN raises ValueError
+instead of returning them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,13 +72,12 @@ class _EngineBase:
     Subclasses provide the six numeric primitives: ``prepare_input``,
     ``matmul``, ``residual_add``, ``scale`` (``x`` times a real constant),
     ``coords_of`` and ``activation_op`` (the attention weights of unscaled
-    scores and the score scale); ``model`` gives the weights a scenario
-    runs on.  Scores reach ``activation_op`` unscaled, so the integer
-    activation kernels apply the scale themselves.  A layer whose
-    mask skips no row runs without a gather or scatter.  An integer engine
-    quantizes the float bundle it is given, once.  A float engine given a
-    quantized view, or an activation that is neither an ``ActivationKind``
-    nor an int (not a bool) naming one, raises ValueError.
+    scores and the score scale).  Scores reach ``activation_op`` unscaled,
+    so the integer activation kernels apply the scale themselves.  A layer
+    whose mask skips no row runs without a gather or scatter.  An integer
+    engine quantizes the float bundle it is given, once.  A float engine
+    given a quantized view, or an activation that is neither an
+    ``ActivationKind`` nor an int (not a bool) naming one, raises ValueError.
     """
 
     is_integer = False
@@ -88,7 +86,7 @@ class _EngineBase:
         self.cfg = cfg = cfg or EngineConfig()
         if self.is_integer:
             bundle = bundle.quantized()
-        elif bundle.dtype == "int16":
+        elif bundle.dtype == "q8.8":
             raise ValueError("the float engine runs on a float bundle, not its quantized view")
         self.bundle = bundle
         kind = cfg.activation
@@ -171,16 +169,11 @@ class _EngineBase:
     def threshold(self, mat, t_elem):
         return threshold_elements(mat, t_elem)
 
-    def model(self, scenario: str):
-        """The encoder segments and coordinate head of a scenario."""
-        return self.bundle.layers(scenario), self.bundle.fcnn[scenario]
-
     def locate(self, mat, mask: RowMask, scenario: str):
         """The folded encoder, pooling and coordinate head over a masked input."""
-        segments, head = self.model(scenario)
-        for i, seg in enumerate(segments):
+        for i, seg in enumerate(self.bundle.layers(scenario)):
             mat = self.encoder_layer(mat, seg, mask if i == 0 else None)
-        return self.coords_of(self.fcnn(self.maxpool_flatten(mat), head))
+        return self.coords_of(self.fcnn(self.maxpool_flatten(mat), self.bundle.fcnn[scenario]))
 
     def infer(self, fingerprint, state: RouterState | None = None,
               sparsity: dict | None = None, seen: dict | None = None) -> InferResult:
@@ -197,7 +190,7 @@ class _EngineBase:
         scenario = self.cfg.scenario_override
         if scenario is None:
             state = RouterState.create(self.router_window) if state is None else state
-            scenario = route(state, np.asarray(logits, dtype=np.float64))
+            scenario = route(state, logits)
         elif scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}")
 
@@ -211,7 +204,8 @@ class _EngineBase:
         if seen is None:
             coords = self.locate(mat, mask, scenario)
         else:
-            key = hashlib.sha256(scenario.encode() + mask.skip.tobytes() + mat.tobytes()).digest()
+            codes = mat.astype(np.int16) if self.is_integer else mat  # int16 bytes hash faster
+            key = hashlib.sha256(scenario.encode() + mask.skip.tobytes() + codes.tobytes()).digest()
             if key not in seen:
                 seen[key] = self.locate(mat, mask, scenario)
             coords = seen[key]
@@ -264,27 +258,15 @@ class IntEngine(_EngineBase):
 
     is_integer = True
 
-    def __init__(self, bundle: ModelBundle, cfg: EngineConfig | None = None):
-        super().__init__(bundle, cfg)
-        self._models = {}
-
     def prepare_input(self, fingerprint):
         return quantize_array(fingerprint)
 
-    def model(self, scenario: str):
-        # Converted on first use: a copy made at construction would cost every
-        # engine fresh pages for all three scenarios' weights.
-        if scenario not in self._models:
-            segments, head = super().model(scenario)
-            self._models[scenario] = tuple(map(_float_codes, segments)), _float_codes(head)
-        return self._models[scenario]
-
-    def locate(self, mat, mask: RowMask, scenario: str):
-        return super().locate(mat.astype(np.float64), mask, scenario)
+    def threshold(self, mat, t_elem):
+        # compared in the code domain: detection needs no dequantized copy
+        return threshold_elements(mat, quantize(t_elem))
 
     def matmul(self, x, w, bias=None):
-        # scale and the LUTs give float64 codes, which a caller's int16 weights narrow exactly
-        return qmatmul(x if x.dtype == w.dtype else x.astype(w.dtype), w, bias)
+        return qmatmul(x, w, bias)
 
     def residual_add(self, a, b):
         return sat_add(a, b)
@@ -301,12 +283,6 @@ class IntEngine(_EngineBase):
 
     def coords_of(self, out):
         return dequantize_array(out)
-
-
-def _float_codes(params):
-    """An ``EncoderSegment`` or ``HeadParams`` of int16 codes with its arrays as float64 codes."""
-    return replace(params, **{f.name: v.astype(np.float64) for f in fields(params)
-                              if isinstance(v := getattr(params, f.name), np.ndarray)})
 
 
 def make_engine(kind: str, bundle: ModelBundle, cfg: EngineConfig | None = None):

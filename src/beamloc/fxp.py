@@ -31,22 +31,16 @@ BLAS multiplies.  Every integer of magnitude below 2**53 is a float64, so
 each product (at most 2**30) and every partial sum of fewer than 2**23
 such terms is exact in any summation order, and scaling by 1/256 is
 exact.  Integer results therefore do not depend on the datatype that
-computes them.
-
-Codes come in two dtypes with the same bits: int16, as
-:func:`quantize_array` makes them, and float64 integers, the integer
-engine's working form from its row mask to its coordinates, which spares
-a conversion on both sides of every kernel.  :func:`qmatmul` takes its
-operands and bias, and :func:`sat_add` its two operands, all int16 or
-all float64, and return codes of that dtype.  Any other dtype, or a mix,
-raises TypeError: a wider integer array is more likely an accumulator
-than codes.  :func:`requantize_array` returns float64 codes.
-Float64 operands are trusted to hold integers in the code range, which
-the headroom bound above also rests on; checking that would cost more
-than the conversion it saves.
+computes them, and codes are float64 integers from :func:`quantize_array`
+to the coordinates.  :func:`qmatmul` and :func:`sat_add` raise TypeError
+on an operand of any other dtype, integer codes included, so no second
+dtype enters the engine; they trust float64 operands to hold integers in
+the code range, which the headroom bound above also rests on.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -69,7 +63,7 @@ class AccumulatorOverflow(ArithmeticError):
 
 def quantize(x: float) -> int:
     """Round-to-nearest-even of ``x * 256``, ``x`` first clamped to [VALUE_MIN, VALUE_MAX]."""
-    if not np.isfinite(x):
+    if not math.isfinite(x):  # on a scalar, np.isfinite costs twice the rest of quantize
         raise ValueError(f"cannot quantize non-finite value {x!r}")
     return round(min(max(x, VALUE_MIN), VALUE_MAX) * SCALE)  # round() is round-half-even
 
@@ -79,14 +73,18 @@ def dequantize(code: int) -> float:
 
 
 def quantize_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`quantize` (np.rint rounds half to even).  Rejects NaN and inf."""
+    """Elementwise :func:`quantize` as float64 codes (np.rint rounds half to even).
+
+    Rejects NaN and inf.  A zero code is +0.0, also for inputs in [-1/512, 0].
+    """
     if not np.isfinite(x).all():
         raise ValueError("cannot quantize non-finite values")
     codes = np.maximum(np.asarray(x, dtype=np.float64), VALUE_MIN)
     np.minimum(codes, VALUE_MAX, out=codes)  # two ufuncs cost less than np.clip on small arrays
     codes *= SCALE
     np.rint(codes, out=codes)
-    return codes.astype(np.int16)
+    codes += 0.0  # rint keeps the sign of a zero; -0.0 + 0.0 is +0.0
+    return codes
 
 
 def dequantize_array(codes: np.ndarray) -> np.ndarray:
@@ -115,33 +113,26 @@ def requantize_array(acc: np.ndarray) -> np.ndarray:
     return q.clip(CODE_MIN, CODE_MAX, out=q)
 
 
-_CODE_DTYPES = (np.dtype(np.int16), np.dtype(np.float64))
-
-
 def qmatmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Integer matmul of Q8.8 codes, requantized back to Q8.8 codes of the operands' dtype.
+    """Integer matmul of float64 Q8.8 codes, requantized back to Q8.8 codes.
 
-    Operands and bias are all int16 or all float64 codes, which keeps the
-    float64 (BLAS) accumulation exact; the bias is aligned to the Q16.16
-    accumulator scale before the single requantization.
+    Float64 (BLAS) accumulation is exact (see the module docstring); the
+    bias is aligned to the Q16.16 accumulator scale before the single
+    requantization.
     """
-    dtype = a.dtype
-    if dtype not in _CODE_DTYPES or b.dtype != dtype or (bias is not None and bias.dtype != dtype):
-        raise TypeError(f"qmatmul takes all-int16 or all-float64 codes, got "
-                        f"{a.dtype}, {b.dtype}, {getattr(bias, 'dtype', None)}")
-    acc = a @ b if dtype == np.float64 else a.astype(np.float64) @ b.astype(np.float64)
+    if a.dtype != np.float64 or b.dtype != np.float64 or (bias is not None and bias.dtype != np.float64):
+        raise TypeError(f"qmatmul takes float64 codes, got {a.dtype}, {b.dtype}, {getattr(bias, 'dtype', None)}")
+    acc = a @ b
     if bias is not None:
         acc += bias * float(SCALE)
     if a.shape[-1] * 2**30 + 2**23 > ACC_MAX:
         check_headroom(acc)
-    codes = requantize_array(acc)
-    return codes if dtype == np.float64 else codes.astype(np.int16)
+    return requantize_array(acc)
 
 
 def sat_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Saturating Q8.8 addition (residual connections), in the operands' dtype."""
-    if a.dtype not in _CODE_DTYPES or b.dtype != a.dtype:
-        raise TypeError(f"sat_add takes two int16 or two float64 code arrays, got {a.dtype}, {b.dtype}")
-    s = np.add(a, b, dtype=np.float64)
-    s.clip(CODE_MIN, CODE_MAX, out=s)
-    return s if a.dtype == np.float64 else s.astype(np.int16)
+    """Saturating Q8.8 addition of float64 codes (residual connections)."""
+    if a.dtype != np.float64 or b.dtype != np.float64:
+        raise TypeError(f"sat_add takes float64 codes, got {a.dtype}, {b.dtype}")
+    s = a + b
+    return s.clip(CODE_MIN, CODE_MAX, out=s)

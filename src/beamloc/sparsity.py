@@ -15,8 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .fxp import quantize
-
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -74,15 +72,14 @@ class RowMask:
 def threshold_elements(x: np.ndarray, t_elem: float) -> np.ndarray:
     """Replace every element below the threshold with an exact zero.
 
-    int16 Q8.8 codes compare against quantize(t_elem), so the integer path
-    detects entirely in the quantized domain; other arrays compare as reals.
+    ``x`` and ``t_elem`` share one domain: the integer engine passes Q8.8
+    codes and the threshold's code, so it detects entirely on codes; the
+    float engine passes reals.  A threshold that is not ``>= 0``, NaN
+    included, raises ValueError.
     """
-    if t_elem < 0:
-        raise ValueError("t_elem must be >= 0")
-    x = np.asarray(x)
-    if x.dtype == np.int16:
-        return np.where(x < quantize(t_elem), np.int16(0), x)
-    return np.where(x < t_elem, 0.0, x)
+    if not t_elem >= 0:
+        raise ValueError(f"t_elem must be >= 0, got {t_elem!r}")
+    return np.where(np.asarray(x) < t_elem, 0.0, x)
 
 
 def build_row_mask(x: np.ndarray, cfg: SparsityConfig) -> RowMask:

@@ -66,15 +66,15 @@ class ModelBundle:
     activation: ActivationKind
     delay_bin: int
     router_window: int
-    dtype: str  # "float32" as generated or loaded; "int16" for the quantized() view
+    dtype: str  # "float32" as generated or loaded; "q8.8" for the quantized() view
     slp_w: np.ndarray
     slp_b: np.ndarray
     segments: dict
     fcnn: dict
 
     def __post_init__(self):
-        if self.dtype not in ("float32", "int16"):
-            raise ValueError(f"bundle dtype must be float32 or int16, got {self.dtype}")
+        if self.dtype not in ("float32", "q8.8"):
+            raise ValueError(f"bundle dtype must be float32 or q8.8, got {self.dtype}")
         if min(self.heads, self.pool_k, self.router_window) < 1:
             raise ValueError(f"heads, pool_k and router_window must be >= 1, got "
                              f"{self.heads}, {self.pool_k} and {self.router_window}")
@@ -106,10 +106,10 @@ class ModelBundle:
     def quantized(self) -> "ModelBundle":
         """Q8.8 view of a float bundle (identity on a quantized view).
 
-        Arrays become int16 codes; each gamma snaps onto the Q8.8 grid and
-        stays a float.
+        Arrays become Q8.8 codes as float64 integers, the integer engine's
+        one code dtype; each gamma snaps onto the Q8.8 grid and stays a float.
         """
-        if self.dtype == "int16":
+        if self.dtype == "q8.8":
             return self
 
         def convert(obj):
@@ -120,7 +120,7 @@ class ModelBundle:
         segments = {sc: tuple(EncoderSegment(**convert(seg)) for seg in segs)
                     for sc, segs in self.segments.items()}
         fcnn = {sc: HeadParams(**convert(head)) for sc, head in self.fcnn.items()}
-        return replace(self, dtype="int16", segments=segments, fcnn=fcnn, **convert(self))
+        return replace(self, dtype="q8.8", segments=segments, fcnn=fcnn, **convert(self))
 
 
 # Every learned parameter's shape in ModelBundle size names (an int is a
@@ -208,7 +208,7 @@ def save_bundle(path, bundle: ModelBundle) -> None:
     A quantized view raises ValueError before the file is opened: files hold
     the float weights, and the integer engine quantizes them itself.
     """
-    if bundle.dtype == "int16":
+    if bundle.dtype == "q8.8":
         raise ValueError("bundle files hold float weights; save the bundle, not its quantized view")
     groups = [bundle, *(seg for sc in SCENARIOS for seg in bundle.segments[sc]),
               *(bundle.fcnn[sc] for sc in SCENARIOS)]

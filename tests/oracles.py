@@ -7,6 +7,7 @@ something.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -226,7 +227,8 @@ def masked_dense_layer_int(x, seg, mask: RowMask, *, kind, bias_code, m_code,
     Computes every product over all rows, then zeroes the skipped rows'
     query/key/value contributions: attention is restricted to kept-by-kept
     score entries before the activation, skipped rows copy their input via
-    the residual path, and the FFN touches kept rows only.
+    the residual path, and the FFN touches kept rows only.  Every
+    accumulator obeys qmac's 40-bit rule, or AccumulatorOverflow is raised.
     """
     n, d = x.shape
     d_k = d // heads
@@ -234,12 +236,7 @@ def masked_dense_layer_int(x, seg, mask: RowMask, *, kind, bias_code, m_code,
     out = x.copy()
     if kept.size == 0:
         return out
-
-    def mm(a, b, bias=None):
-        acc = a.astype(np.int64) @ b.astype(np.int64)
-        if bias is not None:
-            acc = acc + (bias.astype(np.int64) << 8)
-        return requantize_int64(acc)
+    mm = matmul_checked
 
     # Dense projections over all rows, skipped rows included.
     q = mm(x, seg.w_q)
@@ -313,7 +310,7 @@ def masked_dense_layer_float(x, seg, mask: RowMask, *, kind, heads):
 def quantize_scalars(x) -> np.ndarray:
     """``fxp.quantize`` applied to one element at a time, as int64 codes."""
     x = np.asarray(x, dtype=np.float64)
-    return np.array([quantize(float(v)) for v in x.reshape(-1)], dtype=np.int64).reshape(x.shape)
+    return np.array([quantize(v) for v in x.reshape(-1).tolist()], dtype=np.int64).reshape(x.shape)
 
 
 def matmul_checked(a, b, bias=None):
@@ -396,21 +393,25 @@ def run_int(bundle, fps, sparsity=None, window=None, activation=None, scenario=N
         return {name: quantize_scalars(getattr(obj, name)) for name in names}
 
     enc_names = ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")
-    segments = {sc: [(codes(seg, enc_names), quantize(seg.gamma) / 256) for seg in segs]
-                for sc, segs in bundle.segments.items()}
-    heads = {sc: codes(head, ("w1", "b1", "w2", "b2")) for sc, head in bundle.fcnn.items()}
+
+    @functools.cache
+    def scenario_codes(sc):
+        """A scenario's (segment codes, gamma) pairs and head codes, quantized on first use."""
+        segments = [(codes(seg, enc_names), quantize(seg.gamma) / 256) for seg in bundle.segments[sc]]
+        return segments, codes(bundle.fcnn[sc], ("w1", "b1", "w2", "b2"))
+
     slp_w, slp_b = quantize_scalars(bundle.slp_w), quantize_scalars(bundle.slp_b)
     bias_code = quantize(-float(np.log(bundle.n)))
 
     def locate(x, skip, sc):
         mask = RowMask(skip=skip.copy(), zero_counts=np.zeros(bundle.n, dtype=np.int64))
-        for i, (seg, gamma) in enumerate(segments[sc]):
+        segments, head = scenario_codes(sc)
+        for i, (seg, gamma) in enumerate(segments):
             layer_mask = mask if i == 0 else RowMask.keep_all(bundle.n)
             x = masked_dense_layer_int(
                 x.astype(np.int16), SimpleNamespace(**seg), layer_mask, kind=kind,
                 bias_code=bias_code, m_code=quantize(gamma / math.sqrt(d_k)), heads=bundle.heads,
             ).astype(np.int64)
-        head = heads[sc]
         v = [maxpool_loop(x, bundle.pool_k, bundle.pool_p)]
         h = matmul_checked(v, head["w1"], head["b1"])
         h = [[c if c >= 0 else requantize(c * 77) for c in h[0].tolist()]]

@@ -50,9 +50,9 @@ def test_qkv_identity_weight(toy_bundle):
 
 def test_qkv_zero_input(toy_bundle):
     fe, ie = _engines(toy_bundle)
-    for eng, x in ((fe, np.zeros((3, 4))), (ie, np.zeros((3, 4), dtype=np.int16))):
+    for eng in (fe, ie):  # reals and Q8.8 codes are both float64
         seg = eng.bundle.segments["S1"][0]
-        q, k, v = eng.qkv_project(x, seg)
+        q, k, v = eng.qkv_project(np.zeros((3, 4)), seg)
         assert not q.any() and not k.any() and not v.any()
 
 
@@ -151,8 +151,8 @@ def test_encoder_layer_passes_skipped_rows_through(toy_bundle):
         assert np.array_equal(engine.encoder_layer(x, seg, _mask([True] * 8)), x)
         got = engine.encoder_layer(x, seg, _mask(skip))
         assert np.array_equal(got[skip], x[skip])
-        if engine.is_integer:  # the ReLU and residuals keep Q8.8 codes int16, with the oracles' bits
-            assert got.dtype == engine.ffn(x, seg).dtype == np.int16
+        if engine.is_integer:  # the ReLU and residuals keep Q8.8 codes float64, with the oracles' bits
+            assert got.dtype == engine.ffn(x, seg).dtype == np.float64
             h1 = np.maximum(naive_matmul_q(x, seg.ffn_w1, seg.ffn_b1), 0)
             assert np.array_equal(engine.ffn(x, seg), naive_matmul_q(h1, seg.ffn_w2, seg.ffn_b2))
             _check_against_masked_dense(engine, x, "S1", _mask(skip))
@@ -382,14 +382,13 @@ def test_engine_agreement_without_sparsity(full_bundle, s1_batch):
 
 
 def _check_against_masked_dense(ie, x, scenario, mask):
-    # The scenario's first layer, on int16 codes and in locate's float64 working form.
+    # The scenario's first layer on float64 codes; the oracle takes them as int16.
     seg = ie.bundle.layers(scenario)[0]
     ref = masked_dense_layer_int(
-        x, seg, mask, kind=ie.activation, bias_code=sigmoid_bias_code(ie.bundle.n),
+        x.astype(np.int16), seg, mask, kind=ie.activation, bias_code=sigmoid_bias_code(ie.bundle.n),
         m_code=quantize(seg.gamma / math.sqrt(ie.bundle.d_k)), heads=ie.bundle.heads,
     )
     assert np.array_equal(ie.encoder_layer(x, seg, mask), ref)
-    assert np.array_equal(ie.encoder_layer(x.astype(np.float64), ie.model(scenario)[0][0], mask), ref)
 
 
 def test_mask_equivalence_toy_spot_checks(toy_bundle, full_bundle, rng):
@@ -549,6 +548,10 @@ def test_runs_match_the_pipeline_oracles(run):
         assert res.scenario == scenario
         assert np.array_equal(res.mask.skip, skip)
         assert np.array_equal(res.coords, coords)
+    _check_float_run(bundle, fps, sparsity, cfg)
+
+
+def _check_float_run(bundle, fps, sparsity, cfg):
     # The float twin sums in another order: routing and masks compare exactly,
     # coordinates to 1e-9 of the largest coordinate of the run (at least 1).
     expect = oracles.run_float(bundle, *_oracle_args(fps, sparsity, cfg))
@@ -566,10 +569,14 @@ def _cli_runs(draw):
 
     Weight scales up to 8 and gammas of 0 and +-127 give score-scale codes
     that are negative, zero and large enough to saturate the scaled scores.
+    A ``d_ff`` or ``d_h`` of 512 or more makes ``ffn2`` or the head's second
+    layer a product that ``qmatmul`` checks for headroom.
     """
+    widths = st.sampled_from([64, 512, 640])
     bundle = random_bundle(seed=draw(st.integers(0, 2**16)),
                            scale=draw(st.sampled_from([0.25, 1.0, 8.0])),
-                           heads=draw(st.sampled_from([1, 2, 23, 46])))
+                           heads=draw(st.sampled_from([1, 2, 23, 46])),
+                           d_ff=draw(widths), d_h=draw(widths))
     gamma = draw(st.sampled_from([None, 0.0, 127.0, -127.0]))
     if gamma is not None:
         bundle = dataclasses.replace(bundle, segments={
@@ -589,8 +596,9 @@ def _cli_runs(draw):
 @settings(max_examples=8, deadline=None)
 def test_cli_geometry_runs_match_the_int_oracle(run):
     # The integer engine where the CLI runs it: 128-entry score rows, d_k of
-    # 46, 23, 2 and 1, and both activations' scaled-score tables.  Bit-equal
-    # to the oracle, or both raise AccumulatorOverflow.
+    # 46, 23, 2 and 1, both activations' scaled-score tables, and headroom
+    # checks on ffn2 and the head's second layer.  Bit-equal to the oracle,
+    # or both raise AccumulatorOverflow.
     bundle, fps, sparsity, cfg = run
     try:
         expect = oracles.run_int(bundle, *_oracle_args(fps, sparsity, cfg))
@@ -603,6 +611,34 @@ def test_cli_geometry_runs_match_the_int_oracle(run):
         assert res.scenario == scenario
         assert np.array_equal(res.mask.skip, skip)
         assert np.array_equal(res.coords, coords)
+
+
+@given(_cli_runs())
+@settings(max_examples=8, deadline=None)
+def test_cli_geometry_float_runs_match_the_float_oracle(run):
+    # The float engine where the CLI runs it, to the small geometry's tolerance.
+    _check_float_run(*run)
+
+
+@pytest.mark.parametrize("d_ff", [512, 513])
+def test_ffn2_accumulator_at_the_40_bit_edge(s1_batch, d_ff):
+    # Zero ffn_w1 and an ffn_b1 of 32767 codes make every hidden unit 32767
+    # codes, as is every ffn_w2 code: 512 such terms fit in 40 bits with
+    # 33553919 to spare, far more than ffn_b2 adds; 513 do not.
+    base = random_bundle(seed=7, d_ff=d_ff)
+    seg = base.segments["S1"][0]
+    edge = dataclasses.replace(seg, ffn_w1=np.zeros_like(seg.ffn_w1), ffn_b1=np.full(d_ff, 32767 / 256),
+                               ffn_w2=np.full_like(seg.ffn_w2, 32767 / 256))
+    bundle = dataclasses.replace(base, segments={**base.segments, "S1": (edge,)})
+    engine = IntEngine(bundle, EngineConfig(scenario_override="S1"))
+    if d_ff == 512:
+        [(_, _, coords)] = oracles.run_int(bundle, s1_batch[:1], scenario="S1")
+        assert np.array_equal(engine.infer(s1_batch[0]).coords, coords)
+    else:
+        with pytest.raises(AccumulatorOverflow):
+            oracles.run_int(bundle, s1_batch[:1], scenario="S1")
+        with pytest.raises(AccumulatorOverflow):
+            engine.infer(s1_batch[0])
 
 
 @pytest.mark.parametrize("acc", [ACC_MAX, ACC_MAX + 1, ACC_MIN, ACC_MIN - 1])

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from beamloc import fxp
-from oracles import matmul_checked, naive_matmul_q, qmac, rational_requantize, requantize, requantize_int64
+from oracles import (
+    matmul_checked,
+    naive_matmul_q,
+    qmac,
+    quantize_scalars,
+    rational_requantize,
+    requantize,
+    requantize_int64,
+)
 
 
 def test_quantize_anchors():
@@ -38,6 +46,18 @@ def test_quantize_rejects_non_finite():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             fxp.quantize_array(np.array([[0.5, bad], [1.0, 2.0]]))
+
+
+def test_quantize_array_gives_the_scalar_codes_as_float64():
+    # Every code's value and the half-code ties beside it, which round to the
+    # even code, and inputs in [-1/512, 0], which np.rint alone maps to -0.0.
+    codes = np.arange(fxp.CODE_MIN, fxp.CODE_MAX + 1, dtype=np.float64)
+    tiny = np.array([-1 / 512, np.nextafter(-1 / 512, 0), -1 / 1024, -1e-300, -5e-324, -0.0])
+    x = np.concatenate([codes / 256, (codes - 0.5) / 256, (codes + 0.5) / 256, tiny])
+    got = fxp.quantize_array(x)
+    expect = quantize_scalars(x).astype(np.float64)
+    assert got.dtype == np.float64 and got.tobytes() == expect.tobytes()
+    assert not np.signbit(got[got == 0]).any()
 
 
 def test_dequantize_anchors():
@@ -137,9 +157,9 @@ def test_requantize_array_matches_scalar(rng):
 def test_qmatmul_matches_triple_loop(rng):
     for _ in range(20):
         m, k, n = rng.integers(1, 6, size=3)
-        a = rng.integers(-2048, 2048, size=(m, k), dtype=np.int64).astype(np.int16)
-        b = rng.integers(-2048, 2048, size=(k, n), dtype=np.int64).astype(np.int16)
-        bias = rng.integers(-2048, 2048, size=n, dtype=np.int64).astype(np.int16)
+        a = rng.integers(-2048, 2048, size=(m, k)).astype(np.float64)
+        b = rng.integers(-2048, 2048, size=(k, n)).astype(np.float64)
+        bias = rng.integers(-2048, 2048, size=n).astype(np.float64)
         assert np.array_equal(fxp.qmatmul(a, b, bias), naive_matmul_q(a, b, bias))
 
 
@@ -162,95 +182,87 @@ _CODES = st.one_of(
 )
 
 
+def _float_codes(draw, shape):
+    return draw(arrays(np.int16, shape, elements=_CODES)).astype(np.float64)
+
+
 @st.composite
 def _qmatmul_operands(draw):
     m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
-    a = draw(arrays(np.int16, (m, k), elements=_CODES))
-    b = draw(arrays(np.int16, (k, n), elements=_CODES))
-    bias = draw(st.none() | arrays(np.int16, n, elements=_CODES))
-    return a, b, bias
+    bias = _float_codes(draw, n) if draw(st.booleans()) else None
+    return _float_codes(draw, (m, k)), _float_codes(draw, (k, n)), bias
 
 
 @given(_qmatmul_operands())
 @settings(max_examples=300, deadline=None)
 def test_qmatmul_matches_triple_loop_everywhere(operands):
-    assert np.array_equal(fxp.qmatmul(*operands), naive_matmul_q(*operands))
+    got = fxp.qmatmul(*operands)
+    assert got.dtype == np.float64 and np.array_equal(got, naive_matmul_q(*operands))
 
 
 @st.composite
 def _code_pairs(draw):
-    a, b, bias = draw(_qmatmul_operands())
-    return a, b, bias, draw(arrays(np.int16, a.shape, elements=_CODES))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    return _float_codes(draw, shape), _float_codes(draw, shape)
 
 
 @given(_code_pairs())
 @settings(max_examples=300, deadline=None)
 def test_float64_codes_give_the_int16_bits(operands):
-    a, b, bias, c = operands
-    wide = [None if x is None else x.astype(np.float64) for x in (a, b, bias, c)]
-    got = fxp.qmatmul(*wide[:3])
-    assert got.dtype == np.float64 and np.array_equal(got, fxp.qmatmul(a, b, bias))
-    got = fxp.sat_add(wide[0], wide[3])
-    assert got.dtype == np.float64 and np.array_equal(got, fxp.sat_add(a, c))
+    # the saturating sum of the codes as integers, narrowed to int16
+    a, c = operands
+    got = fxp.sat_add(a, c)
+    expect = np.clip(a.astype(np.int64) + c.astype(np.int64), -32768, 32767).astype(np.int16)
+    assert got.dtype == np.float64 and np.array_equal(got, expect)
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float32])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, np.float32])
 def test_kernels_reject_other_code_dtypes(dtype):
+    # Codes are float64; any other dtype, integer codes included, raises,
+    # in every operand alone and in all of them.
     a = np.ones((2, 3), dtype=dtype)
     b = np.ones((3, 2), dtype=dtype)
-    with pytest.raises(TypeError):
-        fxp.qmatmul(a, b, np.ones(2, dtype=dtype))
-    with pytest.raises(TypeError):
-        fxp.qmatmul(a, b)
-    with pytest.raises(TypeError):
-        fxp.sat_add(a, a)
-    for mixed in ((a.astype(np.int16), a), (a.astype(np.int16), a.astype(np.float64))):
+    bias = np.ones(2, dtype=dtype)
+    a64, b64, bias64 = (x.astype(np.float64) for x in (a, b, bias))
+    for args in ((a, b, bias), (a, b), (a, b64, bias64), (a64, b, bias64), (a64, b64, bias)):
         with pytest.raises(TypeError):
-            fxp.sat_add(*mixed)
+            fxp.qmatmul(*args)
+    for args in ((a, a), (a, a64), (a64, a)):
+        with pytest.raises(TypeError):
+            fxp.sat_add(*args)
 
 
 def test_qmatmul_headroom_check():
     # 1536 is the coordinate head's flattened length: overflow is its contract
     for k in (600, 1536):
-        a = np.full((1, k), 32767, dtype=np.int16)
-        b = np.full((k, 1), 32767, dtype=np.int16)
+        a = np.full((1, k), 32767.0)
+        b = np.full((k, 1), 32767.0)
         with pytest.raises(fxp.AccumulatorOverflow):
             fxp.qmatmul(a, b)
 
 
-def _filled(k, a, b, bias, dtype):
-    return np.full((1, k), a, dtype=dtype), np.full((k, 1), b, dtype=dtype), np.full(1, bias, dtype=dtype)
+def _filled(k, a, b, bias):
+    return np.full((1, k), float(a)), np.full((k, 1), float(b)), np.full(1, float(bias))
 
 
-@pytest.mark.parametrize("dtype", [np.int16, np.float64])
-def test_headroom_bound_is_tight(dtype):
+def test_headroom_bound_is_tight():
     # 511 terms of the largest product plus the largest bias stay inside 40 bits,
     # unchecked, and so does the most negative 511-term sum: both equal the oracle.
     for a, b, bias in ((-32768, -32768, 32767), (-32768, 32767, -32768)):
-        operands = _filled(511, a, b, bias, dtype)
+        operands = _filled(511, a, b, bias)
         assert np.array_equal(fxp.qmatmul(*operands), matmul_checked(*operands))
     # 512 such products reach 2**39, one past ACC_MAX
-    operands = _filled(512, -32768, -32768, 0, dtype)
+    operands = _filled(512, -32768, -32768, 0)
     for kernel in (fxp.qmatmul, matmul_checked):
         with pytest.raises(fxp.AccumulatorOverflow):
             kernel(*operands)
     # 512 products of 32767 * 32767 plus the largest bias fit: 2**39 - 2**25 + 2**23 + 256
-    operands = _filled(512, 32767, 32767, 32767, dtype)
+    operands = _filled(512, 32767, 32767, 32767)
     assert np.array_equal(fxp.qmatmul(*operands), matmul_checked(*operands))
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
-def test_qmatmul_requires_int16_codes(dtype):
-    a = np.ones((2, 3), dtype=np.int16)
-    b = np.ones((3, 2), dtype=np.int16)
-    bias = np.ones(2, dtype=np.int16)
-    for args in ((a.astype(dtype), b, bias), (a, b.astype(dtype), bias), (a, b, bias.astype(dtype))):
-        with pytest.raises(TypeError):
-            fxp.qmatmul(*args)
-
-
 def test_sat_add_saturates():
-    a = np.array([32000, -32000, 100], dtype=np.int16)
-    b = np.array([32000, -32000, -50], dtype=np.int16)
+    a = np.array([32000.0, -32000.0, 100.0])
+    b = np.array([32000.0, -32000.0, -50.0])
     assert fxp.sat_add(a, b).tolist() == [32767, -32768, 50]
 

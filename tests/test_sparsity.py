@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from beamloc.engine import IntEngine
 from beamloc.fxp import quantize, quantize_array
 from beamloc.sparsity import (
     RowMask,
@@ -24,8 +25,10 @@ def test_threshold_basics():
     # t = 0 keeps non-negative amplitudes untouched
     assert np.array_equal(threshold_elements(mat, 0.0), mat)
     assert np.all(threshold_elements(mat, 99.0) == 0)
-    with pytest.raises(ValueError, match="t_elem must be >= 0"):
-        threshold_elements(mat, -0.1)
+    # NaN fails every comparison, so a `t_elem < 0` test would let it threshold nothing
+    for bad in (-0.1, -1, math.nan):
+        with pytest.raises(ValueError, match="t_elem must be >= 0"):
+            threshold_elements(mat, bad)
 
 
 def test_threshold_boundary_is_strict():
@@ -35,23 +38,23 @@ def test_threshold_boundary_is_strict():
     assert out[0, 1] == 0.0
 
 
-def test_threshold_qtensor_uses_quantized_cutoff():
-    # int16 codes are compared against the quantized threshold
-    codes = np.array([[9, 10, 11]], dtype=np.int16)
-    out = threshold_elements(codes, 0.039)  # quantize(0.039) = 10
+def test_threshold_qtensor_uses_quantized_cutoff(toy_bundle):
+    # the integer engine compares codes against the quantized threshold
+    codes = np.array([[9.0, 10.0, 11.0]])
+    out = IntEngine(toy_bundle).threshold(codes, 0.039)  # quantize(0.039) = 10
     assert quantize(0.039) == 10
-    assert out.dtype == np.int16
+    assert out.dtype == np.float64
     assert out.tolist() == [[0, 10, 11]]
-    # the same numbers as floats use the real-valued cutoff
-    assert threshold_elements(codes.astype(np.float64), 0.039).tolist() == [[9.0, 10.0, 11.0]]
+    # the same numbers as reals use the real-valued cutoff
+    assert threshold_elements(codes, 0.039).tolist() == [[9.0, 10.0, 11.0]]
 
 
-def test_quantization_coherence(rng):
+def test_quantization_coherence(rng, toy_bundle):
     # detection on codes == detection on dequantized-then-compared floats
     mat = np.abs(rng.standard_normal((64, 46)))
     t_elem = 0.02
     codes = quantize_array(mat)
-    int_path = threshold_elements(codes, t_elem) == 0
+    int_path = IntEngine(toy_bundle).threshold(codes, t_elem) == 0
     float_path = (codes / 256.0) < (quantize(t_elem) / 256.0)
     assert np.array_equal(int_path, float_path)
 

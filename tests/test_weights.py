@@ -46,8 +46,8 @@ def test_random_bundle_deterministic_and_bounded():
 
 def test_quantized_view(tmp_path, full_bundle):
     q = full_bundle.quantized()
-    assert q.dtype == "int16"
-    assert q.slp_w.dtype == np.int16
+    assert q.dtype == "q8.8"
+    assert q.slp_w.dtype == np.float64
     seg_f = full_bundle.segments["S1"][0]
     seg_q = q.segments["S1"][0]
     assert seg_q.w_q[0, 0] == quantize(seg_f.w_q[0, 0])
