@@ -232,6 +232,18 @@ def test_kernels_reject_other_code_dtypes(dtype):
             fxp.sat_add(*args)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_qmatmul_requires_int16_codes(dtype):
+    # Codes are int16 values held as float64: the same values in a wider
+    # integer array raise, in each operand alone.
+    a = fxp.quantize_array(np.array([[1.0, -128.0, 127.99], [0.5, -0.5, 0.0]]))
+    b = a.T.copy()
+    bias = fxp.quantize_array(np.array([-128.0, 127.99]))
+    for args in ((a.astype(dtype), b, bias), (a, b.astype(dtype), bias), (a, b, bias.astype(dtype))):
+        with pytest.raises(TypeError):
+            fxp.qmatmul(*args)
+
+
 def test_qmatmul_headroom_check():
     # 1536 is the coordinate head's flattened length: overflow is its contract
     for k in (600, 1536):
