@@ -6,7 +6,8 @@ for exactly the ``RunConfig`` settings it reads (``SETTING_FLAGS``), and its
 artifact embeds those settings and no others.  A ``--config`` file may hold
 any setting, so one file serves every command.
 
-Exit codes: 0 success, 2 config error, 3 I/O error, 4 contract violation.
+Exit codes: 0 success, 2 config error, 3 I/O error or out of memory, 4
+contract violation.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ def _load_inputs(cfg: RunConfig, need_snapshots: bool = False):
 
 
 def cmd_generate(cfg: RunConfig, args) -> int:
-    if args.count < 0:
-        raise ConfigError(f"count must be >= 0, got {args.count}")
+    if not 0 <= args.count < 2**32:  # a fingerprint file's header holds it as a u32
+        raise ConfigError(f"count must be in 0..{2**32 - 1}, got {args.count}")
     fps = channel.generate_fingerprints(channel.default_profile(args.scenario, seed=args.seed),
                                         args.count)
     channel.write_fingerprints(args.out, fps)
@@ -312,6 +313,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
         return EXIT_IO
     except (AccumulatorOverflow, ValueError) as e:
         print(f"contract violation: {e}", file=sys.stderr)

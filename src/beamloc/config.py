@@ -78,10 +78,10 @@ class RunConfig:
         return None if self.activation is None else ACTIVATIONS[self.activation]
 
     def perf_config(self, bundle=None) -> PerfConfig:
-        """The default hardware, at the bundle's geometry when one is given.
+        """The geometry a report prices: the bundle's when one is given, else the defaults.
 
-        No loadable bundle overflows it: header sizes are u16, ``n`` is at most
-        128, and ``layer_overhead`` (25000 > 0) keeps every total above 0.
+        No loadable bundle overflows the model: header sizes are u16, ``n`` is at
+        most 128, and ``perf.LAYER_OVERHEAD`` (25000 > 0) keeps every total above 0.
         """
         if bundle is None:
             return PerfConfig()

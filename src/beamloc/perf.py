@@ -12,20 +12,20 @@ softmax serializes two full passes per row plus one division per row.
 head, and the layer sums.
 
 Beyond the per-stage compute, each encoder layer pays a fixed
-control/weight-streaming overhead and the whole pipeline a multiplicative
-calibration factor.  Every CLI run prices ``PerfConfig``'s defaults at
-the bundle's geometry; a library caller may pass another ``PerfConfig``,
-and every report echoes its two constants, so runs are self-describing.
+control/weight-streaming overhead (``LAYER_OVERHEAD``) and the whole
+pipeline a multiplicative calibration factor (``C_OVERHEAD``).  The model
+describes one accelerator: its hardware (divider latency, pipeline fill,
+clock) and calibration are module constants, and a ``PerfConfig`` is only
+the geometry it prices, a bundle's or the defaults.  Every report echoes
+the two calibration constants, so runs are self-describing.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass, asdict
 
 from .activations import ActivationKind
-from .sparsity import RowMask, _is_int, _is_number
+from .sparsity import RowMask
 from .weights import SCENARIOS, SEGMENTS_PER_SCENARIO
 
 STAGES = (
@@ -37,57 +37,23 @@ STAGES = (
 # their lanes: 32 for the router SLP, 64 for the coordinate head.
 SLP_WIDTH = 32
 HEAD_WIDTH = 64
+DIV_LATENCY = 16     # integer divider latency per row division
+PIPELINE_FILL = 6    # multiplier stage + log2(46)-deep adder tree
+CLOCK_HZ = 1e8
+# Calibration constants; every report echoes them.
+C_OVERHEAD = 1.0
+LAYER_OVERHEAD = 25000  # per-layer weight streaming + FSM control
 
 
 @dataclass(frozen=True)
 class PerfConfig:
-    """The modeled hardware; runs use these defaults, a library caller may pass others."""
+    """The geometry a report prices: a bundle's sizes; the defaults are the benchmark bundle's."""
     n: int = 128
     d: int = 46
     d_ff: int = 64
     d_h: int = 64
     pool_k: int = 4
     pool_p: int = 2
-    div_latency: int = 16          # integer divider latency per row division
-    pipeline_fill: int = 6         # multiplier stage + log2(46)-deep adder tree
-    clock_hz: float = 1e8
-    # Calibration constants; fitted values are echoed into every report.
-    c_overhead: float = 1.0
-    layer_overhead: int = 25000    # per-layer weight streaming + FSM control
-
-    def __post_init__(self):
-        for name in ("div_latency", "pipeline_fill", "layer_overhead"):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= 0):
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-        for name in ("clock_hz", "c_overhead"):
-            value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
-        # No report counts more cycles or takes longer than the densest: a
-        # two-layer scenario, all rows kept, under softmax.
-        _, layers, densest = max((_pipeline_stages(self.n, sc, ActivationKind.SOFTMAX_INT, self)
-                                  for sc in SCENARIOS), key=lambda p: p[2])
-        if densest > sys.float_info.max:
-            raise ValueError(f"div_latency = {self.div_latency} and pipeline_fill = "
-                             f"{self.pipeline_fill} overflow the densest pipeline's cycles")
-        if not math.isfinite(densest * self.c_overhead):
-            raise ValueError(f"c_overhead = {self.c_overhead} overflows the densest "
-                             f"pipeline's {densest} compute cycles")
-        total = _total_cycles(densest, len(layers), self)
-        if total > sys.float_info.max or not math.isfinite(total / self.clock_hz):
-            raise ValueError(f"layer_overhead = {self.layer_overhead} and clock_hz = "
-                             f"{self.clock_hz} overflow the densest pipeline's latency")
-        # Every report divides by its total.  The smallest is S1 with no rows
-        # kept, one layer doing no work.
-        _, layers, floor = _pipeline_stages(0, "S1", ActivationKind.SIGMOID_BIAS_LUT, self)
-        total = _total_cycles(floor, len(layers), self)
-        if total == 0:
-            raise ValueError(f"c_overhead = {self.c_overhead} and layer_overhead = "
-                             f"{self.layer_overhead} round the smallest pipeline to 0 cycles")
-        if not math.isfinite(1.0 / (total / self.clock_hz)):
-            raise ValueError(f"clock_hz = {self.clock_hz} makes the smallest pipeline's "
-                             f"throughput infinite")
 
 
 @dataclass(frozen=True)
@@ -112,25 +78,24 @@ class CycleReport:
         return out
 
 
-def _filled(work: int, fill: int) -> int:
+def _filled(work: int) -> int:
     # A stage with no work issues nothing, so it pays no pipeline fill.
-    return work + fill if work > 0 else 0
+    return work + PIPELINE_FILL if work > 0 else 0
 
 
 def _layer(n: int, kind: ActivationKind, cfg: PerfConfig) -> dict:
     """One encoder layer's stage cycles at ``n`` effective rows."""
-    fill = cfg.pipeline_fill
     # Softmax makes two buffered passes per row plus one division per row;
     # the element-wise sigmoid overlaps with streaming and pays only the fill.
-    serial = 2 * n * n + cfg.div_latency * n if kind == ActivationKind.SOFTMAX_INT else 0
+    serial = 2 * n * n + DIV_LATENCY * n if kind == ActivationKind.SOFTMAX_INT else 0
     return {
-        "qkv": _filled(3 * n * cfg.d, fill),
-        "scores": _filled(2 * n * n, fill),
-        "activation": serial + fill if n else 0,
-        "headmul": _filled(2 * n * n, fill),
-        "wo": _filled(n * cfg.d, fill),
-        "ffn1": _filled(n * cfg.d_ff, fill),
-        "ffn2": _filled(n * cfg.d, fill),
+        "qkv": _filled(3 * n * cfg.d),
+        "scores": _filled(2 * n * n),
+        "activation": serial + PIPELINE_FILL if n else 0,
+        "headmul": _filled(2 * n * n),
+        "wo": _filled(n * cfg.d),
+        "ffn1": _filled(n * cfg.d_ff),
+        "ffn2": _filled(n * cfg.d),
     }
 
 
@@ -139,11 +104,11 @@ def _pipeline_stages(first_layer_rows: int, scenario: str, kind: ActivationKind,
     """Cycles per stage, per layer and in all: layer 1 on the kept rows, any second dense."""
     if not 0 <= first_layer_rows <= cfg.n:
         raise ValueError(f"effective rows must be in 0..{cfg.n}")
-    fill = cfg.pipeline_fill
     stages = dict.fromkeys(STAGES, 0)  # pool overlaps the coordinate-head weight streaming
-    stages["slp"] = (cfg.n * 3) // SLP_WIDTH + fill
+    stages["slp"] = (cfg.n * 3) // SLP_WIDTH + PIPELINE_FILL
     stages["sparsity_detect"] = cfg.n  # one row per cycle
-    stages["fcnn"] = cfg.n * (cfg.d + cfg.pool_p) // cfg.pool_k * cfg.d_h // HEAD_WIDTH + cfg.d_h * 2 + fill
+    stages["fcnn"] = (cfg.n * (cfg.d + cfg.pool_p) // cfg.pool_k * cfg.d_h // HEAD_WIDTH
+                      + cfg.d_h * 2 + PIPELINE_FILL)
     layers = [_layer(first_layer_rows if i == 0 else cfg.n, kind, cfg)
               for i in range(len(SEGMENTS_PER_SCENARIO[scenario]))]
     for per in layers:
@@ -152,26 +117,25 @@ def _pipeline_stages(first_layer_rows: int, scenario: str, kind: ActivationKind,
     return stages, tuple(sum(per.values()) for per in layers), sum(stages.values())
 
 
-def _total_cycles(compute: int, layers: int, cfg: PerfConfig) -> int:
-    """Compute cycles times ``c_overhead``, rounded, plus each layer's fixed overhead."""
-    return round(compute * cfg.c_overhead) + layers * cfg.layer_overhead
+def _total_cycles(compute: int, layers: int) -> int:
+    """Compute cycles times ``C_OVERHEAD``, rounded, plus each layer's fixed overhead."""
+    return round(compute * C_OVERHEAD) + layers * LAYER_OVERHEAD
 
 
 def pipeline_report(mask: RowMask | int, scenario: str,
-                    activation_kind: ActivationKind, cfg: PerfConfig | None = None) -> CycleReport:
+                    activation_kind: ActivationKind, cfg: PerfConfig) -> CycleReport:
     """Full-inference cycle count, latency, speedup, and throughput.
 
     Layer 1 runs at the mask's effective row count; any second layer runs
     dense.  ``mask`` may be a RowMask or a kept-row count directly.
     """
-    cfg = cfg or PerfConfig()
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     n_eff = mask if isinstance(mask, int) else mask.n_kept
     stages, layer_totals, compute = _pipeline_stages(n_eff, scenario, activation_kind, cfg)
     dense = _pipeline_stages(cfg.n, scenario, activation_kind, cfg)[2]
-    total, dense_total = (_total_cycles(c, len(layer_totals), cfg) for c in (compute, dense))
-    latency = total / cfg.clock_hz
+    total, dense_total = (_total_cycles(c, len(layer_totals)) for c in (compute, dense))
+    latency = total / CLOCK_HZ
     return CycleReport(
         scenario=scenario,
         activation=activation_kind,
@@ -184,7 +148,7 @@ def pipeline_report(mask: RowMask | int, scenario: str,
         latency_s=latency,
         speedup_vs_dense=dense_total / total,
         throughput_pos_per_s=1.0 / latency,
-        calibration={"c_overhead": cfg.c_overhead, "layer_overhead": cfg.layer_overhead},
+        calibration={"c_overhead": C_OVERHEAD, "layer_overhead": LAYER_OVERHEAD},
     )
 
 

@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamloc import channel, cli
 from beamloc.activations import ACTIVATIONS, ActivationKind
@@ -480,12 +485,25 @@ def test_forged_bundle_size_is_an_io_error(inputs, tmp_path, capsys):
 @pytest.mark.parametrize("flags, setting", [
     (["--count", "-1"], "count"),
     (["--seed", "-1"], "seed"),
+    (["--count", str(2**32)], "count"),  # past the file header's u32
 ])
 def test_bad_generator_setting_is_a_config_error(tmp_path, capsys, flags, setting):
     out = tmp_path / "caps.bdfp"
     assert cli.main(["generate", "--count", "2", "--out", str(out), *flags]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and setting in err
+    assert not out.exists()
+
+
+def test_generate_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    # An in-range count too large to allocate: one line on stderr, no file.
+    def no_memory(profile, count):
+        raise MemoryError(f"Unable to allocate the {count} snapshot(s)")
+    monkeypatch.setattr(channel, "generate_fingerprints", no_memory)
+    out = tmp_path / "caps.bdfp"
+    assert cli.main(["generate", "--count", str(10**9), "--out", str(out)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err == "out of memory: Unable to allocate the 1000000000 snapshot(s)\n"
     assert not out.exists()
 
 
@@ -752,3 +770,50 @@ def test_no_sparsity_is_an_empty_threshold_map(inputs, tmp_path, capsys):
         assert _infer(bundle, fps, runs[name], *flags) == cli.EXIT_OK
     assert runs["file"].read_bytes() == runs["flag"].read_bytes()
     assert all(r["row_sparsity"] == 0.0 for r in json.loads(runs["flag"].read_text())["results"])
+
+
+def _strict_json(text):
+    def reject(name):
+        raise AssertionError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@given(seed=st.integers(0, 2**16), scale=st.sampled_from([0.25, 1.0, 8.0]),
+       heads=st.sampled_from([1, 2, 23, 46]), d_ff=st.sampled_from([64, 512, 640]),
+       d_h=st.sampled_from([64, 512, 640]), activation=st.sampled_from(list(ActivationKind)),
+       engine=st.sampled_from(["int", "float"]))
+@settings(max_examples=4, deadline=None)
+def test_cli_geometry_bundles_run_through_every_command(inputs, tmp_path_factory, seed, scale,
+                                                        heads, d_ff, d_h, activation, engine):
+    # Saved 128x46 bundles of any head count and width, with weights that
+    # saturate: every command exits 0 with strict JSON (and sweep's CSV of
+    # finite numbers), or 4 with no output file; never a traceback.
+    _, fps = inputs
+    root = tmp_path_factory.mktemp("geometry")
+    bundle = root / "bundle.axlw"
+    save_bundle(bundle, random_bundle(seed=seed, scale=scale, heads=heads, d_ff=d_ff, d_h=d_h,
+                                      activation=activation))
+    files = ["--bundle", str(bundle), "--fingerprints", str(fps)]
+    commands = {
+        "infer": ["infer", *files, "--engine", engine],
+        "sweep": ["sweep", *files, "--engine", engine],
+        "ablate": ["ablate", *files],
+        "perf": ["perf", "--bundle", str(bundle)],
+    }
+    for name, argv in commands.items():
+        out = root / f"{name}.out"
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = cli.main([*argv, "--out", str(out)])
+        err = stderr.getvalue()
+        assert code in (cli.EXIT_OK, cli.EXIT_CONTRACT), (name, err)
+        assert "Traceback" not in err
+        if code == cli.EXIT_CONTRACT:
+            assert err.startswith("contract violation") and not out.exists()
+        elif name == "sweep":
+            config, *lines = out.read_text().splitlines()
+            _strict_json(config.removeprefix("# config: "))
+            rows = list(csv.DictReader(lines))
+            assert len(rows) == 35  # the default 5x7 grid
+            assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+        else:
+            _strict_json(out.read_text())

@@ -1,15 +1,17 @@
+import dataclasses
 import hashlib
 import json
 import math
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamloc import perf
 from beamloc.activations import ActivationKind
 from beamloc.config import RunConfig
-from beamloc.perf import PerfConfig, pipeline_report, stage_share
-from beamloc.weights import SCENARIOS
+from beamloc.perf import CLOCK_HZ, LAYER_OVERHEAD, PerfConfig, pipeline_report, stage_share
+from beamloc.weights import SCENARIOS, random_bundle
 
 
 @pytest.fixture(scope="module")
@@ -65,30 +67,64 @@ def test_invalid_inputs_rejected(perf_cfg):
                 pipeline_report(n_eff, scenario, ActivationKind.SIGMOID_BIAS_LUT, perf_cfg)
 
 
+# The abstract's numbers under a fit of the two calibration constants.
+PAPER_C_OVERHEAD, PAPER_LAYER_OVERHEAD = 0.471, 40082
+
+
+def _paper_fit(report, cfg):
+    """``report`` priced as ``pipeline_report`` prices it, under the paper's calibration."""
+    def total(compute):
+        return round(compute * PAPER_C_OVERHEAD) + len(report.layer_totals) * PAPER_LAYER_OVERHEAD
+    dense = pipeline_report(cfg.n, report.scenario, report.activation, cfg).compute_cycles
+    cycles = total(report.compute_cycles)
+    latency = cycles / CLOCK_HZ
+    return dataclasses.replace(
+        report, overhead_cycles=cycles - report.compute_cycles, total_cycles=cycles,
+        latency_s=latency, speedup_vs_dense=total(dense) / cycles,
+        throughput_pos_per_s=1.0 / latency,
+        calibration={"c_overhead": PAPER_C_OVERHEAD, "layer_overhead": PAPER_LAYER_OVERHEAD})
+
+
 # SHA-256 over every report's to_dict() and stage_share, for each scenario,
 # activation and n_eff in 0..n: a change to any stage's cost changes the digest.
-@pytest.mark.parametrize("make_cfg, digest", [
-    (lambda toy: RunConfig().perf_config(),
-     "49e55208a2c506710bde2705f73cf28edfcc9fd7ae646741a6fb5c56ccd979a7"),
-    (lambda toy: PerfConfig(c_overhead=0.471, layer_overhead=40082),
-     "18b195ae92ad191c17cbb23b91e018759ba8ae9cee000d1bbcecf4f3563d2c7f"),
-    (lambda toy: RunConfig().perf_config(toy),
-     "babd363ba09465e02ca5158f1a5bf22210a90f5bfbfb435f299e33435463237d"),
-    (lambda toy: PerfConfig(pipeline_fill=3, div_latency=7),
-     "56122dda6abe7ee119bba24f5c573f00240dd9b84e3ba704d1e5aa7175b64f63"),
-], ids=["default", "paper_fit", "toy_bundle", "fill3_div7"])
-def test_reports_are_pinned_stage_by_stage(toy_bundle, make_cfg, digest):
-    cfg = make_cfg(toy_bundle)
+# paper_fit re-prices each report under the paper's calibration; fill3_div7
+# prices another pipeline fill and divider latency, so each constant is seen
+# to enter the stage formulas where it always has.
+REPORT_DIGESTS = {
+    "default": "49e55208a2c506710bde2705f73cf28edfcc9fd7ae646741a6fb5c56ccd979a7",
+    "paper_fit": "18b195ae92ad191c17cbb23b91e018759ba8ae9cee000d1bbcecf4f3563d2c7f",
+    "toy_bundle": "babd363ba09465e02ca5158f1a5bf22210a90f5bfbfb435f299e33435463237d",
+    "fill3_div7": "56122dda6abe7ee119bba24f5c573f00240dd9b84e3ba704d1e5aa7175b64f63",
+}
+
+
+@pytest.mark.parametrize("case", REPORT_DIGESTS)
+def test_reports_are_pinned_stage_by_stage(toy_bundle, monkeypatch, case):
+    cfg = RunConfig().perf_config(toy_bundle if case == "toy_bundle" else None)
+    if case == "fill3_div7":
+        monkeypatch.setattr(perf, "PIPELINE_FILL", 3)
+        monkeypatch.setattr(perf, "DIV_LATENCY", 7)
     sha = hashlib.sha256()
     for scenario in SCENARIOS:
         for kind in ActivationKind:
             for n_eff in range(cfg.n + 1):
                 report = pipeline_report(n_eff, scenario, kind, cfg)
+                if case == "paper_fit":
+                    report = _paper_fit(report, cfg)
                 sha.update(json.dumps([report.to_dict(), stage_share(report)],
                                       sort_keys=True).encode())
-    assert sha.hexdigest() == digest
+    assert sha.hexdigest() == REPORT_DIGESTS[case]
 
 
+def test_perf_config_is_the_geometry():
+    assert [f.name for f in dataclasses.fields(PerfConfig)] == [
+        "n", "d", "d_ff", "d_h", "pool_k", "pool_p"]
+    # perf without --bundle prices the benchmark bundle's geometry
+    assert RunConfig().perf_config() == RunConfig().perf_config(random_bundle())
+
+
+# The hardware and calibration values are module constants, not fields:
+# setting any of them, to any value, is a TypeError.
 @pytest.mark.parametrize("kwargs, setting", [
     ({"clock_hz": 0}, "clock_hz"),
     ({"clock_hz": float("inf")}, "clock_hz"),
@@ -111,56 +147,53 @@ def test_reports_are_pinned_stage_by_stage(toy_bundle, make_cfg, digest):
     ({"layer_overhead": -100000}, "layer_overhead"),
 ])
 def test_bad_perf_config_rejected(kwargs, setting):
-    with pytest.raises(ValueError, match=setting):
+    # ``setting`` starts with the first field the case passes, the one the error names
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{setting.split()[0]}'"):
         PerfConfig(**kwargs)
 
 
 def test_paper_operating_points():
-    # The abstract's numbers under a fit of the two calibration constants.
-    # It does not say which scenario and activation each belongs to; assumed:
-    # 0.51 ms and 1961 positions/s are S1 under sigmoid-bias at its 65% row
-    # sparsity, 2.11 ms is S2 (two dense layers) under softmax-int, and the
-    # "about 2x" speedup is S1 at 65% against S1 dense.
-    cfg = PerfConfig(c_overhead=0.471, layer_overhead=40082)
+    # The abstract's numbers under the paper's calibration.  It does not say
+    # which scenario and activation each belongs to; assumed: 0.51 ms and
+    # 1961 positions/s are S1 under sigmoid-bias at its 65% row sparsity,
+    # 2.11 ms is S2 (two dense layers) under softmax-int, and the "about 2x"
+    # speedup is S1 at 65% against S1 dense.
+    cfg = PerfConfig()
     kept = cfg.n - int(round(0.65 * cfg.n))
-    sparse = pipeline_report(kept, "S1", ActivationKind.SIGMOID_BIAS_LUT, cfg)
+
+    def fit(n_eff, scenario, kind):
+        return _paper_fit(pipeline_report(n_eff, scenario, kind, cfg), cfg)
+
+    sparse = fit(kept, "S1", ActivationKind.SIGMOID_BIAS_LUT)
     assert sparse.latency_s == pytest.approx(0.510e-3, rel=0.01)
     assert sparse.throughput_pos_per_s == pytest.approx(1961, rel=0.01)
-    dense = pipeline_report(cfg.n, "S2", ActivationKind.SOFTMAX_INT, cfg)
+    dense = fit(cfg.n, "S2", ActivationKind.SOFTMAX_INT)
     assert dense.latency_s == pytest.approx(2.11e-3, rel=0.01)
     for kind in (ActivationKind.SIGMOID_BIAS_LUT, ActivationKind.SOFTMAX_INT):
-        assert 1.7 <= pipeline_report(kept, "S1", kind, cfg).speedup_vs_dense <= 2.1
-
-
-def test_smallest_pipeline_may_take_one_cycle():
-    # S1 with no rows kept computes 1816 cycles; 0.5 / 1816 rounds to 0
-    cfg = PerfConfig(c_overhead=0.51 / 1816, layer_overhead=0)
-    assert pipeline_report(0, "S1", ActivationKind.SIGMOID_BIAS_LUT, cfg).total_cycles == 1
+        assert 1.7 <= fit(kept, "S1", kind).speedup_vs_dense <= 2.1
 
 
 @st.composite
-def perf_configs(draw):
-    """Any valid PerfConfig; a draw that rounds a pipeline to 0 cycles is invalid."""
-    try:
-        return PerfConfig(
-            div_latency=draw(st.integers(0, 64)),
-            pipeline_fill=draw(st.integers(0, 32)),
-            clock_hz=draw(st.floats(1e3, 1e10)),
-            c_overhead=draw(st.floats(1e-6, 10.0)),
-            layer_overhead=draw(st.integers(0, 100_000) | st.just(0)),
-        )
-    except ValueError:
-        reject()
+def geometries(draw):
+    """A bundle's geometry, with pool windows that tile the padded width, and a kept-row count."""
+    d = draw(st.integers(1, 64))
+    pool_k = draw(st.integers(1, d + 2))
+    cfg = PerfConfig(n=draw(st.integers(1, 128)), d=d, d_ff=draw(st.integers(0, 640)),
+                     d_h=draw(st.integers(0, 640)), pool_k=pool_k,
+                     pool_p=(-d) % pool_k + pool_k * draw(st.integers(0, 1)))
+    return cfg, draw(st.integers(0, cfg.n))
 
 
-@given(perf_configs(), st.sampled_from(SCENARIOS), st.sampled_from(list(ActivationKind)),
-       st.integers(0, 128))
+@given(geometries(), st.sampled_from(SCENARIOS), st.sampled_from(list(ActivationKind)))
 @settings(max_examples=300, deadline=None)
-def test_pipeline_report_properties(cfg, scenario, kind, n_eff):
+def test_pipeline_report_properties(geometry, scenario, kind):
+    cfg, n_eff = geometry
     report = pipeline_report(n_eff, scenario, kind, cfg)
     assert report.compute_cycles == sum(report.stages.values())
+    assert report.total_cycles == report.compute_cycles + len(report.layer_totals) * LAYER_OVERHEAD
     assert report.speedup_vs_dense >= 1.0
     assert abs(sum(stage_share(report).values()) - 1.0) <= 1e-12
     if n_eff > 0:
         fewer = pipeline_report(n_eff - 1, scenario, kind, cfg)
         assert fewer.total_cycles <= report.total_cycles
+    assert pipeline_report(cfg.n, scenario, kind, cfg).speedup_vs_dense == 1.0
