@@ -37,18 +37,23 @@ least 1 / (2S) from one, while the correctly rounded float64 quotient is
 within 2**-53 * 2**30 / S = 2**-23 / S of it.  A row of n entries sums
 to at most n * 2**15, and the tests check every sum below 2**23.
 
-Scaled scores: the integer engine's attention scores are Q8.8 codes that
-still owe a multiply by the score scale's code ``m`` (``gamma / sqrt(d_k)``)
-and a requantize before either activation, so both kernels take ``m``.
-``softmax_int(codes, m)`` requantizes the products itself, so the engine
-runs no separate scale op, and every distance of two scaled codes has an
-entry in ``EXP_BY_DISTANCE``.  A score code takes one of 65536 values, so
-``sigmoid_lut(codes, bias, m)`` gathers from a table of the finished
-weight of every code, built on first use by :func:`scaled_sigmoid_table`
-from :func:`~beamloc.fxp.requantize_array` and the unscaled
-:func:`sigmoid_lut`.  A table is 65536 float64 entries (512 KiB); at most
-8 (m, bias) pairs are cached, 4 MiB in all, and the least recently used
-is dropped first.
+Scaled scores: the integer engine's attention scores are the product
+q·kᵀ / 256 of :func:`~beamloc.fxp.qproduct`, not yet rounded.  They still
+owe the requantize that makes them Q8.8 codes (round half to even,
+saturate), a multiply by the score scale's code ``m``
+(``gamma / sqrt(d_k)``) and a second requantize, so both kernels take
+``m`` and do all three as part of their own index computation.
+``softmax_int(scores, m)`` rounds, saturates and requantizes the scaled
+codes itself, so the engine runs no separate scale op, and every distance
+of two scaled codes has an entry in ``EXP_BY_DISTANCE``.  A score code
+takes one of 65536 values, so ``sigmoid_lut(scores, bias, m)`` gathers
+from a table of the finished weight of every code, built on first use by
+:func:`scaled_sigmoid_table` from :func:`~beamloc.fxp.requantize_array`
+and the unscaled :func:`sigmoid_lut`; the gather's ``mode="clip"`` is the
+score's saturation.  So a sigmoid head reads its score matrix in four
+passes: a rint, an offset, a cast to indices and the gather.  A table is
+65536 float64 entries (512 KiB); at most 8 (m, bias) pairs are cached,
+4 MiB in all, and the least recently used is dropped first.
 """
 
 from __future__ import annotations
@@ -92,16 +97,16 @@ def sigmoid_lut(codes: np.ndarray, bias: int = 0, scale: int | None = None) -> n
     """Elementwise LUT sigmoid of ``codes + bias``, Q8.8 codes in, float64 codes out.
 
     The integer ``bias`` shifts the clamp bounds rather than every element.
-    With a ``scale`` code, each code is first multiplied by it and
-    requantized, through one gather from :func:`scaled_sigmoid_table`; the
-    codes must then lie in the Q8.8 code range, and any other raises IndexError.
+    With a ``scale`` code, ``codes`` may be any values of magnitude below
+    2**53, such as unrounded scores: each is rounded half to even and
+    saturated to the Q8.8 code range, then multiplied by ``scale`` and
+    requantized, through one gather from :func:`scaled_sigmoid_table`.
     """
     if scale is not None:
-        idx = codes.astype(np.intp)
+        idx = np.rint(codes, dtype=np.float64)
         idx -= CODE_MIN
-        if idx.min(initial=0) < 0:  # take would wrap a negative index
-            raise IndexError("scaled sigmoid_lut: codes must lie in the Q8.8 code range")
-        return scaled_sigmoid_table(scale, bias).take(idx)
+        # clipping the index to the table saturates the rounded code
+        return scaled_sigmoid_table(scale, bias).take(idx.astype(np.intp), mode="clip")
     idx = codes.clip(-_SIG_CODE_LIMIT - bias, _SIG_CODE_LIMIT - bias)
     idx += _SIG_CODE_LIMIT + bias
     return SIG_BY_CODE.take(idx.astype(np.intp))
@@ -139,11 +144,12 @@ _RECIP_BITS = 30
 def softmax_int(scores: np.ndarray, scale: int = SCALE) -> np.ndarray:
     """Integer-only stable softmax over each row of Q8.8 codes, as float64 codes.
 
-    Each code is first multiplied by the ``scale`` code and requantized,
-    saturating to the code range, as the engine's scale op does; the
-    default 256, 1.0, leaves every code as it is.  So a scaled
-    code's distance below its row max lies in [0, 65535], the range of
-    ``EXP_BY_DISTANCE``.
+    ``scores`` may be any values of magnitude below 2**53, such as
+    unrounded scores: each is rounded half to even and saturated to the
+    Q8.8 code range, then multiplied by the ``scale`` code and requantized,
+    saturating again, as the engine's scale op does; the default 256, 1.0,
+    leaves every code as it is.  So a scaled code's distance below its row
+    max lies in [0, 65535], the range of ``EXP_BY_DISTANCE``.
 
     Max subtraction happens on the scaled codes, so a constant shift of
     them changes nothing; the exp LUT then sees only non-positive inputs.
@@ -156,7 +162,11 @@ def softmax_int(scores: np.ndarray, scale: int = SCALE) -> np.ndarray:
     """
     if scores.size == 0:
         return np.zeros(scores.shape)
-    dist = requantize_array(scores * float(scale)).astype(np.intp)
+    codes = np.rint(scores, dtype=np.float64)
+    codes.clip(float(CODE_MIN), float(CODE_MAX), out=codes)
+    codes *= scale / SCALE  # exact: |code * scale| <= 2**30, and 1/256 is a power of two
+    np.rint(codes, out=codes)
+    dist = codes.clip(float(CODE_MIN), float(CODE_MAX), out=codes).astype(np.intp)
     np.subtract(dist.max(axis=1, keepdims=True), dist, out=dist)
     e = EXP_BY_DISTANCE.take(dist)
     steps = np.cumsum(e, axis=1)

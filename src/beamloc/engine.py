@@ -1,21 +1,23 @@
 """Float-oracle and integer-only Q8.8 inference engines.
 
-Both engines share one structural flow and differ only in six numeric
-primitives: ``prepare_input``, ``matmul``, ``residual_add``, ``scale``,
-``activation_op`` and ``coords_of``.  The float engine runs on the float
-bundle as given, the integer engine on its Q8.8 view.  The masked-execution
-contract lives in ``encoder_layer``: a skipped row contributes nothing as
-query, key, or value; its layer-1 output is its (thresholded) input row,
-carried through the residual path.  A layer that skips no row, such as the
+Both engines share one structural flow and differ only in seven numeric
+primitives: ``prepare_input``, ``product``, ``matmul``, ``residual_add``,
+``scale``, ``activation_op`` and ``coords_of``.  The float engine runs on
+the float bundle as given, the integer engine on its Q8.8 view.  The
+masked-execution contract lives in ``encoder_layer``: a skipped row
+contributes nothing as query, key, or value; its layer-1 output is its
+(thresholded) input row, carried through the residual path.  A layer that skips no row, such as the
 second encoder layer when a scenario has one, runs on its input as it is,
 with no gather or scatter.
 
-Attention: ``attention_scores`` is the product q·kᵀ alone, and
-``activation_op`` applies the score scale ``gamma / sqrt(d_k)`` and then
-the attention function.  The integer kernels take the scale's code:
-:func:`beamloc.activations.sigmoid_lut` folds its multiply and requantize
-into one gather per head, and :func:`~beamloc.activations.softmax_int`
-requantizes the scaled scores itself.
+Attention: ``attention_scores`` is the product q·kᵀ alone, not
+requantized (``product``; in the integer engine the exact q·kᵀ / 256 of
+:func:`beamloc.fxp.qproduct`), and ``activation_op`` applies the score
+scale ``gamma / sqrt(d_k)`` and then the attention function.  The integer
+kernels round and saturate the scores and take the scale's code:
+:func:`beamloc.activations.sigmoid_lut` folds both requantizes and the
+multiply into one gather per head, and
+:func:`~beamloc.activations.softmax_int` requantizes the scaled scores itself.
 
 Reuse: a snapshot's coordinates depend only on its scenario, thresholded
 input and layer-1 row mask.  Given a ``seen`` dict, ``infer`` still routes,
@@ -23,8 +25,9 @@ thresholds and masks, and returns its own ``RowMask``, but runs the encoder
 and head once per distinct triple; ``sweep`` shares one dict across its cells.
 
 The integer engine requantizes once per matrix product (round-to-nearest-
-even, saturating) and evaluates both activations through Q8.8 LUTs,
-whose kernels apply the score scale's multiply and requantize.
+even, saturating), the score product inside the activation kernels, and
+evaluates both activations through Q8.8 LUTs, whose kernels apply the
+score scale's multiply and requantize.
 ``scale`` serves only the leaky ReLU: one multiply by the
 slope's Q8.8 code and a requantize.  The engine holds Q8.8 codes in one
 dtype, float64 integers (see :mod:`beamloc.fxp`), from ``prepare_input``
@@ -46,7 +49,7 @@ import numpy as np
 
 from . import activations as act
 from .activations import ActivationKind
-from .fxp import dequantize_array, quantize, quantize_array, qmatmul, requantize_array, sat_add
+from .fxp import dequantize_array, quantize, quantize_array, qmatmul, qproduct, requantize_array, sat_add
 from .router import RouterState, route
 from .sparsity import RowMask, build_row_mask, threshold_elements
 from .weights import ModelBundle, SCENARIOS
@@ -69,15 +72,18 @@ class InferResult:
 class _EngineBase:
     """Structural flow shared by both engines.
 
-    Subclasses provide the six numeric primitives: ``prepare_input``,
-    ``matmul``, ``residual_add``, ``scale`` (``x`` times a real constant),
-    ``coords_of`` and ``activation_op`` (the attention weights of unscaled
-    scores and the score scale).  Scores reach ``activation_op`` unscaled,
-    so the integer activation kernels apply the scale themselves.  A layer
-    whose mask skips no row runs without a gather or scatter.  An integer
-    engine quantizes the float bundle it is given, once.  A float engine
-    given a quantized view, or an activation that is neither an
-    ``ActivationKind`` nor an int (not a bool) naming one, raises ValueError.
+    Subclasses provide the seven numeric primitives: ``prepare_input``,
+    ``product`` (``x @ w``, not requantized: the attention scores),
+    ``matmul`` (``product`` plus a bias, requantized), ``residual_add``,
+    ``scale`` (``x`` times a real constant), ``coords_of`` and
+    ``activation_op`` (the attention weights of unscaled scores and the
+    score scale).  Scores reach ``activation_op`` unscaled and, in the
+    integer engine, unrounded, so its activation kernels apply the
+    requantize and the scale themselves.  A layer whose mask skips no row
+    runs without a gather or scatter.  An integer engine quantizes the
+    float bundle it is given, once.  A float engine given a quantized
+    view, or an activation that is neither an ``ActivationKind`` nor an
+    int (not a bool) naming one, raises ValueError.
     """
 
     is_integer = False
@@ -107,7 +113,7 @@ class _EngineBase:
         )
 
     def attention_scores(self, qh, kh):
-        return self.matmul(qh, kh.T)
+        return self.product(qh, kh.T)
 
     def head_output(self, a, vh):
         return self.matmul(a, vh)
@@ -234,8 +240,11 @@ class FloatEngine(_EngineBase):
                              "(float64 overflow)")
         return coords
 
+    def product(self, x, w):
+        return x @ w
+
     def matmul(self, x, w, bias=None):
-        out = x @ w
+        out = self.product(x, w)
         return out + bias if bias is not None else out
 
     def residual_add(self, a, b):
@@ -264,6 +273,9 @@ class IntEngine(_EngineBase):
     def threshold(self, mat, t_elem):
         # compared in the code domain: detection needs no dequantized copy
         return threshold_elements(mat, quantize(t_elem))
+
+    def product(self, x, w):
+        return qproduct(x, w)
 
     def matmul(self, x, w, bias=None):
         return qmatmul(x, w, bias)

@@ -17,14 +17,14 @@ Headroom: a code lies in [-2**15, 2**15), so a product of two codes has
 magnitude at most 2**30, and an aligned bias (code * 256) at most 2**23.
 A k-term dot plus bias therefore stays within k * 2**30 + 2**23, which is
 at most ACC_MAX for every k up to 511 (511 * 2**30 + 2**23 < 2**39 - 1).
-:func:`qmatmul` skips the check on such products, which cannot overflow,
-and runs :func:`check_headroom` on products of 512 terms or more.  The
-projections, FFN and attention products of a 128x46 bundle have at most
-128 terms.  The coordinate head's first layer dots over 1536 terms, up to
-about 2**40.6, so extreme weights and inputs can overflow there, as can
-any layer whose ``d_ff`` or ``d_h`` reaches 512: that raises
-:class:`AccumulatorOverflow` (CLI exit 4), which is the contract, rather
-than a wider modeled accumulator.
+:func:`qmatmul` and :func:`qproduct` skip the check on such products,
+which cannot overflow, and run :func:`check_headroom` on products of 512
+terms or more.  The projections, FFN and attention products of a 128x46
+bundle have at most 128 terms.  The coordinate head's first layer dots
+over 1536 terms, up to about 2**40.6, so extreme weights and inputs can
+overflow there, as can any layer whose ``d_ff`` or ``d_h`` reaches 512:
+that raises :class:`AccumulatorOverflow` (CLI exit 4), which is the
+contract, rather than a wider modeled accumulator.
 
 The vectorized kernels compute these exact integers in float64, which
 BLAS multiplies.  Every integer of magnitude below 2**53 is a float64, so
@@ -32,8 +32,12 @@ each product (at most 2**30) and every partial sum of fewer than 2**23
 such terms is exact in any summation order, and scaling by 1/256 is
 exact.  Integer results therefore do not depend on the datatype that
 computes them, and codes are float64 integers from :func:`quantize_array`
-to the coordinates.  :func:`qmatmul` and :func:`sat_add` raise TypeError
-on an operand of any other dtype, integer codes included, so no second
+to the coordinates.  Folding the 1/256 into an operand, as :func:`qproduct`
+does, is exact too: every term and partial sum is then a multiple of 2**-8
+below 2**45, so ``qproduct(a, b)`` is the accumulator / 256, and rounding
+it half to even and saturating it gives ``qmatmul(a, b)``.
+:func:`qmatmul`, :func:`qproduct` and :func:`sat_add` raise TypeError on
+an operand of any other dtype, integer codes included, so no second
 dtype enters the engine; they trust float64 operands to hold integers in
 the code range, which the headroom bound above also rests on.
 """
@@ -118,7 +122,7 @@ def qmatmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) -> np.
 
     Float64 (BLAS) accumulation is exact (see the module docstring); the
     bias is aligned to the Q16.16 accumulator scale before the single
-    requantization.
+    requantization, which runs in place on the fresh accumulator.
     """
     if a.dtype != np.float64 or b.dtype != np.float64 or (bias is not None and bias.dtype != np.float64):
         raise TypeError(f"qmatmul takes float64 codes, got {a.dtype}, {b.dtype}, {getattr(bias, 'dtype', None)}")
@@ -127,7 +131,23 @@ def qmatmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) -> np.
         acc += bias * float(SCALE)
     if a.shape[-1] * 2**30 + 2**23 > ACC_MAX:
         check_headroom(acc)
-    return requantize_array(acc)
+    acc *= ULP
+    np.rint(acc, out=acc)
+    return acc.clip(float(CODE_MIN), float(CODE_MAX), out=acc)  # float bounds clip faster
+
+
+def qproduct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exact, unrounded ``a @ b / 256`` of float64 Q8.8 codes: :func:`qmatmul` before rounding.
+
+    The 1/256 is folded into ``a`` (see the module docstring).  Products of
+    512 terms or more are headroom-checked as :func:`qmatmul` checks them.
+    """
+    if a.dtype != np.float64 or b.dtype != np.float64:
+        raise TypeError(f"qproduct takes float64 codes, got {a.dtype}, {b.dtype}")
+    p = (a * ULP) @ b
+    if a.shape[-1] * 2**30 > ACC_MAX:
+        check_headroom(p * SCALE)
+    return p
 
 
 def sat_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -153,6 +153,17 @@ def requantize_int64(acc):
     return np.clip(rne_shift(np.asarray(acc, dtype=np.int64), 8), -32768, 32767).astype(np.int16)
 
 
+def round_half_even_and_saturate(values) -> np.ndarray:
+    """Q8.8 codes of unrounded scores, one value at a time, as int64.
+
+    Python's round() rounds half to even; the code then saturates to the
+    int16 range, as requantizing the product the scores are would.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    codes = [min(max(round(x), -32768), 32767) for x in v.reshape(-1).tolist()]
+    return np.array(codes, dtype=np.int64).reshape(v.shape)
+
+
 # The LUT index rules, as the kernels computed them before the code-indexed
 # tables: a clamped code snaps to its grid point, rounded half to even.
 

@@ -75,16 +75,24 @@ def test_scaled_softmax_int_matches_the_oracle_on_every_code():
 
 
 def test_scaled_kernels_on_codes_past_the_int16_range():
-    # A code below -32768 would be a negative table index, which numpy
-    # wraps: the sigmoid raises, as for a code past 32767, and the softmax
-    # saturates the product as the oracle does.
-    for code in (-32769.0, 32768.0):
-        with pytest.raises(IndexError):
-            act.sigmoid_lut(np.array([code, 0.0]), 0, 77)
-    rows = np.array([[-32769, 32767], [-40000, 40000], [-32769, -32768]])
-    for m in (1, 77, 256):
-        assert np.array_equal(act.softmax_int(rows.astype(np.float64), m),
-                              oracles.softmax_int(oracles.requantize_int64(rows * m)))
+    # The scaled kernels take unrounded scores: half-code ties of both signs,
+    # other multiples of 2**-8, and values past both rails.  Each is rounded
+    # half to even and saturated, as requantizing the score product would,
+    # then scaled and requantized; the kernels leave their input as it was.
+    ties = [s * (c + 0.5) for c in (0, 1, 2, 127, 32766, 32767) for s in (1, -1)] + [-32768.5]
+    steps = [s * c / 256 for c in (1, 127, 128, 129, 383, 384, 385) for s in (1, -1)]
+    rails = [-32769, 32768, 40000, -40000, 2**30, -2**30, 32767, -32768]
+    values = np.array(ties + steps + rails, dtype=np.float64)
+    before = values.copy()
+    codes = oracles.round_half_even_and_saturate(values)
+    for m in (-32768, -427, 1, 77, 256, 32767):
+        scaled = oracles.requantize_int64(codes * m).astype(np.int64)
+        for bias in (-1242, 0):
+            assert np.array_equal(act.sigmoid_lut(values, bias, m), oracles.sigmoid_lut(scaled + bias))
+        rows = values.reshape(-1, 5)
+        assert np.array_equal(act.softmax_int(rows, m),
+                              oracles.softmax_int(scaled.reshape(rows.shape)))
+    assert np.array_equal(values, before)
 
 
 def test_float_reciprocal_is_rne_div():

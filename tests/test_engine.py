@@ -94,16 +94,38 @@ def test_scores_match_explicit_form(rng, toy_bundle):
         kh = rng.uniform(-2, 2, size=(3, 2))
         ref = gamma * naive_matmul_float(qh, kh.T) / math.sqrt(2)
         assert np.max(np.abs(fe.scale(fe.attention_scores(qh, kh), gamma / math.sqrt(2)) - ref)) < 1e-12
-        # integer path: requantized dot, then one folded Q8.8 multiplier
+        # integer path: the exact dot over 256, unrounded; requantized, it is
+        # the Q8.8 product, and then one folded Q8.8 multiplier follows
         qq, kq = quantize_array(qh), quantize_array(kh)
         raw = naive_matmul_q(qq, kq.T)
-        assert np.array_equal(ie.attention_scores(qq, kq), raw)
+        scores = ie.attention_scores(qq, kq)
+        assert np.array_equal(scores * 256, qq.astype(np.int64) @ kq.T.astype(np.int64))
+        assert np.array_equal(oracles.round_half_even_and_saturate(scores), raw)
         m = quantize(gamma / math.sqrt(2))
         expect = np.array([[requantize(int(r) * m) for r in row] for row in raw])
         assert np.array_equal(ie.scale(raw, gamma / math.sqrt(2)), expect)
-        # the sigmoid takes the same multiplier within its table gather
-        assert np.array_equal(ie.activation_op(raw, gamma / math.sqrt(2)),
-                              oracles.sigmoid_lut(expect + sigmoid_bias_code(toy_bundle.n)))
+        # the sigmoid takes the product, or its codes, and rounds, scales and
+        # requantizes it within its table gather
+        for operand in (scores, raw):
+            assert np.array_equal(ie.activation_op(operand, gamma / math.sqrt(2)),
+                                  oracles.sigmoid_lut(expect + sigmoid_bias_code(toy_bundle.n)))
+
+
+@pytest.mark.parametrize("d_k", [511, 512])
+def test_score_product_at_the_40_bit_edge(toy_bundle, d_k):
+    # Rows of 32767 and -32768 codes: the -32768 row's own score is d_k * 2**30,
+    # which fits 40 bits for 511 terms and is one past ACC_MAX for 512.  The
+    # scores leave the engine unrequantized, so their product checks itself.
+    _, ie = _engines(toy_bundle)
+    qh = np.array([[32767.0] * d_k, [-32768.0] * d_k])
+    if d_k < 512:
+        expect = oracles.matmul_checked(qh, qh.T)
+        assert np.array_equal(oracles.round_half_even_and_saturate(ie.attention_scores(qh, qh)), expect)
+    else:
+        with pytest.raises(AccumulatorOverflow):
+            oracles.matmul_checked(qh, qh.T)
+        with pytest.raises(AccumulatorOverflow):
+            ie.attention_scores(qh, qh)
 
 
 @pytest.mark.parametrize("kind", list(ActivationKind), ids=lambda kind: kind.name)

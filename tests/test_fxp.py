@@ -200,6 +200,16 @@ def test_qmatmul_matches_triple_loop_everywhere(operands):
     assert got.dtype == np.float64 and np.array_equal(got, naive_matmul_q(*operands))
 
 
+@given(_qmatmul_operands())
+@settings(max_examples=300, deadline=None)
+def test_qproduct_is_the_accumulator_over_256(operands):
+    # unrounded and exact; rounded half to even and saturated, it is qmatmul
+    a, b, _ = operands
+    got = fxp.qproduct(a, b)
+    assert np.array_equal(got * 256, a.astype(np.int64) @ b.astype(np.int64))
+    assert np.array_equal(fxp.requantize_array(got * 256), fxp.qmatmul(a, b))
+
+
 @st.composite
 def _code_pairs(draw):
     shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
@@ -230,6 +240,9 @@ def test_kernels_reject_other_code_dtypes(dtype):
     for args in ((a, a), (a, a64), (a64, a)):
         with pytest.raises(TypeError):
             fxp.sat_add(*args)
+    for args in ((a, b), (a, b64), (a64, b)):
+        with pytest.raises(TypeError):
+            fxp.qproduct(*args)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
@@ -268,6 +281,8 @@ def test_headroom_bound_is_tight():
     for kernel in (fxp.qmatmul, matmul_checked):
         with pytest.raises(fxp.AccumulatorOverflow):
             kernel(*operands)
+    with pytest.raises(fxp.AccumulatorOverflow):
+        fxp.qproduct(*operands[:2])
     # 512 products of 32767 * 32767 plus the largest bias fit: 2**39 - 2**25 + 2**23 + 256
     operands = _filled(512, 32767, 32767, 32767)
     assert np.array_equal(fxp.qmatmul(*operands), matmul_checked(*operands))
