@@ -24,7 +24,7 @@ import numpy as np
 from . import channel, sparsity
 from .activations import ACTIVATIONS, ActivationKind
 from .config import ENGINES, ConfigError, RunConfig, load_config
-from .engine import EngineConfig, make_engine
+from .engine import EngineConfig, SnapshotMemo, make_engine
 # quantize_array is unused here, but the benchmark's tracer wraps cli.quantize_array.
 from .fxp import AccumulatorOverflow, quantize_array  # noqa: F401
 from .perf import pipeline_report, stage_share
@@ -121,8 +121,10 @@ def _grid(text: str, flag: str, parse) -> list:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     """One CSV row per (t_elem, t_rowcount) cell of one engine.
 
-    The baseline and every cell share one ``seen`` dict for this command only:
-    each cell keeps its own row masks for the statistics, and a (scenario,
+    The baseline and every cell run through ``infer`` on one store of
+    snapshot memos, for this command only: each snapshot is prepared and
+    routed once, and thresholded, zero-counted and hashed once per ``t_elem``.
+    Each cell builds its own row masks for the statistics, and a (scenario,
     thresholded input, row mask) already run reuses its coordinates.
     """
     t_elems = _grid(args.t_elem, "--t-elem", lambda v: SparsityConfig(float(v), 0).t_elem)
@@ -131,12 +133,13 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     bundle, fps = _load_inputs(cfg, need_snapshots=True)
     engine = _engine(cfg, bundle)
     seen = {}
-    baseline = np.array([r.coords for r in engine.run(fps, seen=seen)])
+    store = [SnapshotMemo(seen) for _ in fps]
+    baseline = np.array([r.coords for r in engine.run(fps, store=store)])
     rows = []
     for t_elem in t_elems:
         for t_rowcount in t_rowcounts:
             scfg = SparsityConfig(t_elem=t_elem, t_rowcount=t_rowcount)
-            results = engine.run(fps, dict.fromkeys(SCENARIOS, scfg), seen)
+            results = engine.run(fps, dict.fromkeys(SCENARIOS, scfg), store)
             coords = np.array([r.coords for r in results])
             rows.append({"t_elem": t_elem, "t_rowcount": t_rowcount,
                          **sparsity.sparsity_stats([r.mask for r in results], fps.shape[-1]),

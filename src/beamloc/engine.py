@@ -20,9 +20,17 @@ multiply into one gather per head, and
 :func:`~beamloc.activations.softmax_int` requantizes the scaled scores itself.
 
 Reuse: a snapshot's coordinates depend only on its scenario, thresholded
-input and layer-1 row mask.  Given a ``seen`` dict, ``infer`` still routes,
-thresholds and masks, and returns its own ``RowMask``, but runs the encoder
-and head once per distinct triple; ``sweep`` shares one dict across its cells.
+input and layer-1 row mask.  ``sweep`` runs the same snapshots, on one
+engine, from a fresh router state, once per cell, so it passes ``run`` a
+store of one ``SnapshotMemo`` per snapshot position.  A memo keeps the
+snapshot's prepared input and scenario (routing precedes thresholding, so a
+routed scenario is the same in every run), and its input thresholded at the
+last ``t_elem`` asked for, with that input's zero counts and digest: the
+store holds the prepared codes plus one thresholded copy per snapshot.  So
+a sweep prepares and routes each snapshot once, and thresholds, counts and
+hashes it once per ``t_elem`` (again if the grid returns to one).  Each
+cell's ``infer`` still builds and returns its own ``RowMask``, and runs the
+encoder and head once per distinct (scenario, thresholded input, row mask).
 
 The integer engine requantizes once per matrix product (round-to-nearest-
 even, saturating), the score product inside the activation kernels, and
@@ -67,6 +75,18 @@ class InferResult:
     scenario: str
     coords: np.ndarray  # (2,) float
     mask: RowMask
+
+
+@dataclass
+class SnapshotMemo:
+    """What ``infer`` did for one snapshot before its row mask (see "Reuse" above)."""
+    seen: dict | None = None        # reuse key -> coordinates, shared by a store's memos
+    mat: np.ndarray | None = None   # the prepared input
+    scenario: str = ""              # routed, or the override
+    t_elem: float | None = None     # x's threshold; None: x is mat
+    x: np.ndarray | None = None
+    zero_counts: np.ndarray | None = None  # x's exact zeros per row
+    digest: bytes = b""             # x's hash, made only in a store
 
 
 class _EngineBase:
@@ -182,45 +202,64 @@ class _EngineBase:
         return self.coords_of(self.fcnn(self.maxpool_flatten(mat), self.bundle.fcnn[scenario]))
 
     def infer(self, fingerprint, state: RouterState | None = None,
-              sparsity: dict | None = None, seen: dict | None = None) -> InferResult:
+              sparsity: dict | None = None, memo: SnapshotMemo | None = None) -> InferResult:
         """Route, threshold/mask, run the folded encoder, pool, and regress.
 
         ``sparsity`` maps scenarios to thresholds; one it omits keeps all rows.
         The row mask gates layer-1 computation only.  With a scenario
         override the router is bypassed: logits are still produced but the
-        voting state is untouched.  ``seen`` maps a digest of (scenario,
-        thresholded input, row mask) to the coordinates computed for it.
+        voting state is untouched.  A ``memo`` of an earlier run of this
+        snapshot on this engine gives its prepared input and scenario, and,
+        if ``t_elem`` is unchanged, its thresholded input, zero counts and
+        digest; ``infer`` fills in the rest.  With a ``seen`` dict, the memo's
+        reuse key (scenario, skip mask, digest) gives coordinates once run.
         """
-        mat = self.prepare_input(fingerprint)
-        logits = self.slp_logits(mat[:, self.bundle.delay_bin])
-        scenario = self.cfg.scenario_override
-        if scenario is None:
-            state = RouterState.create(self.router_window) if state is None else state
-            scenario = route(state, logits)
-        elif scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {scenario!r}")
+        memo = SnapshotMemo() if memo is None else memo
+        if memo.mat is None:
+            mat = self.prepare_input(fingerprint)
+            logits = self.slp_logits(mat[:, self.bundle.delay_bin])
+            scenario = self.cfg.scenario_override
+            if scenario is None:
+                state = RouterState.create(self.router_window) if state is None else state
+                scenario = route(state, logits)
+            elif scenario not in SCENARIOS:
+                raise ValueError(f"unknown scenario {scenario!r}")
+            memo.mat, memo.scenario = mat, scenario
 
-        scfg = (sparsity or {}).get(scenario)
-        if scfg is not None:
-            mat = self.threshold(mat, scfg.t_elem)
-            mask = build_row_mask(mat, scfg)
+        scfg = (sparsity or {}).get(memo.scenario)
+        t_elem = None if scfg is None else scfg.t_elem
+        if memo.x is None or memo.t_elem != t_elem:
+            x = memo.mat if scfg is None else self.threshold(memo.mat, t_elem)
+            memo.t_elem, memo.x, memo.zero_counts = t_elem, x, None
+            if memo.seen is not None:
+                codes = x.astype(np.int16) if self.is_integer else x  # int16 bytes hash faster
+                memo.digest = hashlib.sha256(codes.tobytes()).digest()
+        if scfg is None:
+            mask = RowMask.keep_all(memo.x.shape[0])
         else:
-            mask = RowMask.keep_all(mat.shape[0])
+            mask = build_row_mask(memo.x, scfg, memo.zero_counts)
+            memo.zero_counts = mask.zero_counts
 
-        if seen is None:
-            coords = self.locate(mat, mask, scenario)
+        if memo.seen is None:
+            coords = self.locate(memo.x, mask, memo.scenario)
         else:
-            codes = mat.astype(np.int16) if self.is_integer else mat  # int16 bytes hash faster
-            key = hashlib.sha256(scenario.encode() + mask.skip.tobytes() + codes.tobytes()).digest()
-            if key not in seen:
-                seen[key] = self.locate(mat, mask, scenario)
-            coords = seen[key]
-        return InferResult(scenario=scenario, coords=coords, mask=mask)
+            key = (memo.scenario, mask.skip.tobytes(), memo.digest)
+            if key not in memo.seen:
+                memo.seen[key] = self.locate(memo.x, mask, memo.scenario)
+            coords = memo.seen[key]
+        return InferResult(scenario=memo.scenario, coords=coords, mask=mask)
 
-    def run(self, fps, sparsity: dict | None = None, seen: dict | None = None) -> list[InferResult]:
-        """``infer`` over the snapshots in order; routing is stateful across them."""
+    def run(self, fps, sparsity: dict | None = None,
+            store: list[SnapshotMemo] | None = None) -> list[InferResult]:
+        """``infer`` over the snapshots in order; routing is stateful across them.
+
+        ``store[i]`` is snapshot i's memo, the memos sharing one ``seen`` dict.
+        A store is for runs of the same snapshots on this engine: each starts
+        from a fresh router state, so a memoized scenario is the one it routes.
+        """
         state = RouterState.create(self.router_window)
-        return [self.infer(fp, state, sparsity, seen) for fp in fps]
+        memos = [None] * len(fps) if store is None else store
+        return [self.infer(fp, state, sparsity, memo) for fp, memo in zip(fps, memos, strict=True)]
 
 
 class FloatEngine(_EngineBase):

@@ -82,9 +82,15 @@ def threshold_elements(x: np.ndarray, t_elem: float) -> np.ndarray:
     return np.where(np.asarray(x) < t_elem, 0.0, x)
 
 
-def build_row_mask(x: np.ndarray, cfg: SparsityConfig) -> RowMask:
-    """Count exact zeros per row of an already-thresholded matrix."""
-    zero_counts = (np.asarray(x) == 0).sum(axis=1).astype(np.int64)
+def build_row_mask(x: np.ndarray, cfg: SparsityConfig,
+                   zero_counts: np.ndarray | None = None) -> RowMask:
+    """Skip the rows of an already-thresholded matrix with more than ``cfg.t_rowcount`` zeros.
+
+    ``zero_counts``, if given, are ``x``'s exact zeros per row, as an earlier
+    mask of ``x`` counted them; otherwise they are counted here.
+    """
+    if zero_counts is None:
+        zero_counts = (np.asarray(x) == 0).sum(axis=1).astype(np.int64)
     return RowMask(skip=zero_counts > cfg.t_rowcount, zero_counts=zero_counts)
 
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -96,6 +97,12 @@ def test_non_finite_fingerprint_is_a_contract_violation(inputs, tmp_path, capsys
         assert _infer(bundle, path, tmp_path / "out.json", "--engine", engine) == cli.EXIT_CONTRACT
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+    # sweep routes its snapshots in its baseline run, before it opens the CSV
+    for command in (["sweep", "--engine", "int"], ["sweep", "--engine", "float"], ["ablate"]):
+        assert cli.main([*command, "--bundle", str(bundle), "--fingerprints", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_CONTRACT
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -359,6 +366,43 @@ def test_sweep_runs_each_distinct_encoder_input_once(inputs, tmp_path, monkeypat
     calls.clear()
     assert _infer(bundle, doubled, tmp_path / "out.json", "--engine", "int") == cli.EXIT_OK
     assert len(calls) == len(snapshots)
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_sweep_that_returns_to_a_threshold_equals_reuse_free_runs(inputs, tmp_path, kind):
+    # A snapshot's memo keeps one thresholded input: 0.01 must not reuse
+    # 0.03's input or zero counts, nor 0.03 after it reuse 0.01's.
+    bundle, _ = inputs
+    fps = tmp_path / "mixed.bdfp"
+    channel.write_fingerprints(fps, np.concatenate([
+        channel.generate_fingerprints(channel.default_profile(sc, seed=9), 2)
+        for sc in ("S1", "S3", "S1")]))
+    grid = (0.03, 0.01, 0.03), (8, 46, 8)
+    got = _sweep_body(bundle, fps, tmp_path / "sweep.csv", "--engine", kind, "--router-window", "3",
+                      "--t-elem", "0.03,0.01,0.03", "--t-rowcount", "8,46,8")
+    assert got == _reuse_free_body(bundle, fps, kind, *grid, EngineConfig(router_window=3))
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_sweep_prepares_and_routes_once_and_thresholds_once_per_t_elem(inputs, tmp_path,
+                                                                       monkeypatch, kind):
+    # Each of a default sweep's 36 runs of N snapshots goes through infer,
+    # but a snapshot is prepared and routed once and thresholded once for
+    # each of the 5 t_elem values; infer prepares each snapshot once.
+    bundle, fps = inputs
+    n = len(channel.read_fingerprints(fps))
+    engine_class = type(make_engine(kind, load_bundle(bundle)))
+    calls = collections.Counter()
+    for name in ("prepare_input", "slp_logits", "threshold", "infer"):
+        def counted(self, *args, _name=name, _method=getattr(engine_class, name), **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(engine_class, name, counted)
+    _sweep_body(bundle, fps, tmp_path / "sweep.csv", "--engine", kind)
+    assert calls == {"prepare_input": n, "slp_logits": n, "threshold": 5 * n, "infer": 36 * n}
+    calls.clear()
+    assert _infer(bundle, fps, tmp_path / "out.json", "--engine", kind) == cli.EXIT_OK
+    assert calls["prepare_input"] == calls["infer"] == n
 
 
 def test_sweep_runs_one_engine(inputs, tmp_path, capsys):
