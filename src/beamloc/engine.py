@@ -1,14 +1,16 @@
 """Float-oracle and integer-only Q8.8 inference engines.
 
-Both engines share one structural flow and differ only in seven numeric
-primitives: ``prepare_input``, ``product``, ``matmul``, ``residual_add``,
-``scale``, ``activation_op`` and ``coords_of``.  The float engine runs on
-the float bundle as given, the integer engine on its Q8.8 view.  The
-masked-execution contract lives in ``encoder_layer``: a skipped row
-contributes nothing as query, key, or value; its layer-1 output is its
-(thresholded) input row, carried through the residual path.  A layer that skips no row, such as the
-second encoder layer when a scenario has one, runs on its input as it is,
-with no gather or scatter.
+Both engines share one structural flow and differ in seven numeric
+primitives, ``prepare_input``, ``product``, ``matmul``, ``residual_add``,
+``scale``, ``activation_op`` and ``coords_of``, and in two overrides: the
+float engine's ``locate`` (``np.errstate`` and the non-finite check) and
+the integer engine's ``threshold`` (the threshold's code).  The float
+engine runs on the float bundle as given, the integer engine on its Q8.8
+view.  The masked-execution contract lives in ``encoder_layer``: a skipped
+row contributes nothing as query, key, or value; its layer-1 output is its
+(thresholded) input row, carried through the residual path.  A layer that
+skips no row, such as the second encoder layer when a scenario has one,
+runs on its input as it is, with no gather or scatter.
 
 Attention: ``attention_scores`` is the product q·kᵀ alone, not
 requantized (``product``; in the integer engine the exact q·kᵀ / 256 of
@@ -100,10 +102,11 @@ class _EngineBase:
     score scale).  Scores reach ``activation_op`` unscaled and, in the
     integer engine, unrounded, so its activation kernels apply the
     requantize and the scale themselves.  A layer whose mask skips no row
-    runs without a gather or scatter.  An integer engine quantizes the
-    float bundle it is given, once.  A float engine given a quantized
-    view, or an activation that is neither an ``ActivationKind`` nor an
-    int (not a bool) naming one, raises ValueError.
+    runs without a gather or scatter.  An integer engine quantizes the float
+    bundle it is given, once.  Building a float engine on a quantized view
+    raises ValueError, as does an activation that is neither an
+    ``ActivationKind`` nor an int (not a bool) naming one, or a scenario
+    override that names no scenario.
     """
 
     is_integer = False
@@ -119,6 +122,8 @@ class _EngineBase:
         if isinstance(kind, bool) or not isinstance(kind, int | None):
             raise ValueError(f"{kind!r} is not a valid ActivationKind")
         self.activation = bundle.activation if kind is None else ActivationKind(kind)
+        if cfg.scenario_override not in (None, *SCENARIOS):
+            raise ValueError(f"unknown scenario {cfg.scenario_override!r}")
         self.router_window = bundle.router_window if cfg.router_window is None else cfg.router_window
 
     def slp_logits(self, x):
@@ -172,11 +177,9 @@ class _EngineBase:
         return out
 
     def maxpool_flatten(self, x):
-        """Per-row zero-pad to d + p, max over width-k windows, flatten."""
+        """Per-row zero-pad to d + p, max over width-k windows, flatten (``ModelBundle`` checks k | d + p)."""
         k, p = self.bundle.pool_k, self.bundle.pool_p
         n, d = x.shape
-        if (d + p) % k != 0:
-            raise ValueError(f"(d + p) = {d + p} not divisible by pool factor {k}")
         padded = np.zeros((n, d + p), dtype=x.dtype)
         padded[:, :d] = x
         # k - 1 strided maxima; a max over a short last axis runs per window
@@ -222,8 +225,6 @@ class _EngineBase:
             if scenario is None:
                 state = RouterState.create(self.router_window) if state is None else state
                 scenario = route(state, logits)
-            elif scenario not in SCENARIOS:
-                raise ValueError(f"unknown scenario {scenario!r}")
             memo.mat, memo.scenario = mat, scenario
 
         scfg = (sparsity or {}).get(memo.scenario)

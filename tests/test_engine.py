@@ -344,10 +344,9 @@ def test_infer_layer_counts(full_bundle, s1_batch):
         assert all(a is b for a, b in zip(segments, fe.bundle.layers(scenario)))
 
 
-def test_infer_unknown_scenario_rejected(full_bundle, s1_batch):
-    fe = FloatEngine(full_bundle, EngineConfig(scenario_override="S7"))
-    with pytest.raises(ValueError):
-        fe.infer(s1_batch[0])
+def test_infer_unknown_scenario_rejected(full_bundle):
+    with pytest.raises(ValueError, match="unknown scenario 'S7'"):
+        FloatEngine(full_bundle, EngineConfig(scenario_override="S7"))
 
 
 def test_infer_routing_updates_state(full_bundle, s1_batch):
@@ -592,7 +591,9 @@ def _cli_runs(draw):
     Weight scales up to 8 and gammas of 0 and +-127 give score-scale codes
     that are negative, zero and large enough to saturate the scaled scores.
     A ``d_ff`` or ``d_h`` of 512 or more makes ``ffn2`` or the head's second
-    layer a product that ``qmatmul`` checks for headroom.
+    layer a product that ``qmatmul`` checks for headroom.  A drawn threshold
+    map, in which each scenario is present or absent, masks layer 1 at this
+    geometry with any row count.
     """
     widths = st.sampled_from([64, 512, 640])
     bundle = random_bundle(seed=draw(st.integers(0, 2**16)),
@@ -608,7 +609,10 @@ def _cli_runs(draw):
     shape = (2, bundle.n, bundle.d)
     amp = draw(st.sampled_from([1.0, 30.0]))
     fps = rng.uniform(-amp / 4, amp, shape) * (rng.random(shape) < draw(st.sampled_from([0.5, 1.0])))
-    sparsity = draw(st.sampled_from([None, DEFAULT_SPARSITY]))
+    thresholds = st.builds(SparsityConfig, t_elem=st.sampled_from([0.0, 0.006, 0.039, 0.3]),
+                           t_rowcount=st.integers(0, bundle.d))
+    maps = st.fixed_dictionaries({}, optional=dict.fromkeys(SCENARIOS, thresholds))
+    sparsity = draw(st.sampled_from([None, DEFAULT_SPARSITY]) | maps)
     cfg = EngineConfig(activation=draw(st.sampled_from(list(ActivationKind))),
                        scenario_override=draw(st.none() | st.sampled_from(SCENARIOS)))
     return bundle, fps, sparsity, cfg
