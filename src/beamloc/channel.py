@@ -9,6 +9,14 @@ The generator replaces a proprietary measurement set: LoS-like profiles
 put energy in a few beams with compact delay support, NLoS-like profiles
 spread it wider over beams and delays, and a complex-Gaussian diffuse
 floor sits under everything.  All randomness is seeded and reproducible.
+
+Fingerprints are float32 from the generator to the engine: the dtype a
+fingerprint file stores.  :func:`generate_fingerprints` rounds each
+preprocessed snapshot to float32 as it fills the batch,
+:func:`write_fingerprints` writes that batch as it is, and
+:func:`read_fingerprints` returns the file's payload as it is, a signalling
+NaN included.  Each engine's ``prepare_input`` converts one snapshot to
+float64 and rejects non-finite values before it does.
 """
 
 from __future__ import annotations
@@ -145,11 +153,14 @@ def preprocess(h: np.ndarray) -> np.ndarray:
 
 
 def generate_fingerprints(profile: ScenarioProfile, count: int) -> np.ndarray:
-    """Batch of preprocessed snapshots; snapshot i uses seed profile.seed + i."""
-    out = np.empty((count, N_BEAMS, N_SUBCARRIERS), dtype=np.float64)
+    """Float32 batch of preprocessed snapshots; snapshot i uses seed profile.seed + i.
+
+    Each snapshot is preprocessed in float64 and rounded to float32, as a
+    fingerprint file stores it, when it enters the batch.
+    """
+    out = np.empty((count, N_BEAMS, N_SUBCARRIERS), dtype=np.float32)
     for i in range(count):
-        snap = generate_channel(replace(profile, seed=profile.seed + i))
-        out[i] = preprocess(snap)
+        out[i] = preprocess(generate_channel(replace(profile, seed=profile.seed + i)))
     return out
 
 
@@ -159,21 +170,24 @@ def generate_fingerprints(profile: ScenarioProfile, count: int) -> np.ndarray:
 
 
 def write_fingerprints(path, fingerprints: np.ndarray) -> None:
-    fps = np.asarray(fingerprints, dtype=np.float32)
+    """Write a batch; a little-endian float32 batch is written with no copy."""
+    fps = np.asarray(fingerprints, dtype="<f4")
     if fps.ndim != 3 or fps.shape[1:] != (N_BEAMS, N_SUBCARRIERS):
         raise ValueError(f"expected (count, {N_BEAMS}, {N_SUBCARRIERS}), got {fps.shape}")
     with open(path, "wb") as f:
         f.write(FINGERPRINT_MAGIC)
         f.write(struct.pack("<I", fps.shape[0]))
-        f.write(fps.astype("<f4").tobytes())
+        fps.tofile(f)
 
 
 def read_fingerprints(path) -> np.ndarray:
-    """Load a fingerprint file; its size must match the header count.
+    """Load a fingerprint file as one writable float32 array; its size must match the header count.
 
     A size mismatch (a truncated file, or a forged count) raises OSError,
-    before any payload is allocated.  Non-finite values load as they are
-    (a signalling NaN as a quiet one): the engines reject them.
+    before any payload is allocated.  The payload is read straight into the
+    array, with no bytes object or float64 copy beside it.  Non-finite
+    values load as they are, a signalling NaN included: the engines reject
+    them.
     """
     with open(path, "rb") as f:
         header = f.read(8)
@@ -183,7 +197,5 @@ def read_fingerprints(path) -> np.ndarray:
         size, expected = os.fstat(f.fileno()).st_size, 8 + count * N_BEAMS * N_SUBCARRIERS * 4
         if size != expected:
             raise OSError(f"{path}: header promises {count} snapshot(s), {expected} bytes, not {size}")
-        payload = f.read(expected - 8)
-    fps = np.frombuffer(payload, dtype="<f4").reshape(count, N_BEAMS, N_SUBCARRIERS)
-    with np.errstate(invalid="ignore"):  # the cast's warning for a signalling NaN
-        return fps.astype(np.float64)
+        fps = np.fromfile(f, dtype="<f4", count=count * N_BEAMS * N_SUBCARRIERS)
+    return fps.reshape(count, N_BEAMS, N_SUBCARRIERS)

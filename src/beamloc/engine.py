@@ -44,7 +44,10 @@ dtype, float64 integers (see :mod:`beamloc.fxp`), from ``prepare_input``
 and the quantized bundle to the coordinates: the router, thresholding
 (against the threshold's code), the row mask, the encoder and the head
 convert nothing.  Only the reuse key narrows the thresholded codes to
-int16, whose bytes hash faster.  The float engine saturates nothing, so
+int16, whose bytes hash faster.  Fingerprints reach ``prepare_input``
+float32, as a fingerprint file stores them (see :mod:`beamloc.channel`):
+it converts one snapshot to float64, reals or codes, and rejects a
+non-finite value before the cast.  The float engine saturates nothing, so
 a snapshot whose coordinates overflow to inf or NaN raises ValueError
 instead of returning them.
 """
@@ -267,10 +270,9 @@ class FloatEngine(_EngineBase):
     """Float64 oracle; exact activations, unquantized constants."""
 
     def prepare_input(self, fingerprint):
-        x = np.array(fingerprint, dtype=np.float64)
-        if not np.isfinite(x).all():
+        if not np.isfinite(fingerprint).all():  # before the cast, which a signalling NaN trips
             raise ValueError("cannot run the float engine on non-finite values")
-        return x
+        return np.array(fingerprint, dtype=np.float64)
 
     def locate(self, mat, mask: RowMask, scenario: str):
         with np.errstate(over="ignore", invalid="ignore"):

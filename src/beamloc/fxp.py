@@ -79,11 +79,14 @@ def dequantize(code: int) -> float:
 def quantize_array(x: np.ndarray) -> np.ndarray:
     """Elementwise :func:`quantize` as float64 codes (np.rint rounds half to even).
 
-    Rejects NaN and inf.  A zero code is +0.0, also for inputs in [-1/512, 0].
+    Takes float32 or float64 values; float32 to float64 is exact.  Rejects
+    NaN and inf before the float64 copy, whose cast a signalling NaN trips.
+    A zero code is +0.0, also for inputs in [-1/512, 0].
     """
     if not np.isfinite(x).all():
         raise ValueError("cannot quantize non-finite values")
-    codes = np.maximum(np.asarray(x, dtype=np.float64), VALUE_MIN)
+    codes = np.array(x, dtype=np.float64)
+    np.maximum(codes, VALUE_MIN, out=codes)
     np.minimum(codes, VALUE_MAX, out=codes)  # two ufuncs cost less than np.clip on small arrays
     codes *= SCALE
     np.rint(codes, out=codes)

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -156,6 +157,39 @@ def test_fingerprint_file_roundtrip(tmp_path, rng):
     assert not (tmp_path / "bad.bdfp").exists()
 
 
+SNAPSHOT_F32 = channel.N_BEAMS * channel.N_SUBCARRIERS * 4  # one stored snapshot, in bytes
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of the memory traced while it ran (numpy reports its buffers)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_holds_one_float32_batch_and_one_float64_snapshot():
+    profile, n = channel.default_profile("S2", seed=5), 16
+    channel.generate_fingerprints(profile, 1)  # the first call's one-time allocations
+    _, working_set = _traced_peak(lambda: channel.preprocess(channel.generate_channel(profile)))
+    fps, peak = _traced_peak(lambda: channel.generate_fingerprints(profile, n))
+    assert fps.dtype == np.float32 and fps.nbytes == n * SNAPSHOT_F32
+    assert peak < fps.nbytes + working_set + SNAPSHOT_F32 / 2
+
+
+def test_write_and_read_copy_no_batch(tmp_path):
+    # Writing a float32 batch allocates less than one snapshot; reading
+    # holds the float32 payload and less than one snapshot beside it.
+    fps = np.abs(np.random.default_rng(5).standard_normal((16, 128, 46))).astype(np.float32)
+    path = tmp_path / "caps.bdfp"
+    _, peak = _traced_peak(lambda: channel.write_fingerprints(path, fps))
+    assert peak < SNAPSHOT_F32
+    back, peak = _traced_peak(lambda: channel.read_fingerprints(path))
+    assert back.dtype == np.float32 and back.flags.writeable and np.array_equal(back, fps)
+    assert peak < fps.nbytes + SNAPSHOT_F32
+
+
 def test_fingerprint_file_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -175,6 +209,7 @@ def test_fingerprint_file_loads_non_finite_values_without_a_warning(tmp_path, bi
         warnings.simplefilter("error")
         fps = channel.read_fingerprints(path)
     assert np.flatnonzero(~np.isfinite(fps)).tolist() == [100]
+    assert fps.dtype == np.float32 and fps.view(np.uint32).flat[100] == bits  # as stored
 
 
 def test_empty_fingerprint_file(tmp_path):

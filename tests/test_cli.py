@@ -8,6 +8,7 @@ import json
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,28 @@ def test_non_finite_fingerprint_is_a_contract_violation(inputs, tmp_path, capsys
                          "--out", str(tmp_path / "out")]) == cli.EXIT_CONTRACT
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["infer", "--engine", "int"], ["infer", "--engine", "float"],
+    ["sweep", "--engine", "int"], ["sweep", "--engine", "float"], ["ablate"],
+], ids=lambda command: " ".join(command))
+def test_signalling_nan_is_one_line_under_every_engine(inputs, tmp_path, capsys, command):
+    # A fingerprint file loads as float32, a signalling NaN as it is; each
+    # engine rejects it before its float64 cast, which would warn.
+    bundle, fps = inputs
+    data = bytearray(fps.read_bytes())
+    struct.pack_into("<I", data, 8 + 4 * 100, 0x7F800001)  # beam 2, delay bin 8
+    path, out = tmp_path / "snan.bdfp", tmp_path / "out"
+    path.write_bytes(bytes(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([*command, "--bundle", str(bundle), "--fingerprints", str(path),
+                         "--out", str(out)])
+    assert code == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation") and "non-finite" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [

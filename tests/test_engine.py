@@ -646,6 +646,33 @@ def test_cli_geometry_float_runs_match_the_float_oracle(run):
     _check_float_run(*run)
 
 
+def _rows_of_0_to_46_zeros():
+    """One float32 128x46 snapshot whose row i holds i % 47 exact zeros and no value below 0.25."""
+    rng = np.random.default_rng(28)
+    fp = rng.uniform(0.25, 4.0, (1, 128, 46)).astype(np.float32)
+    for i, row in enumerate(fp[0]):
+        row[rng.permutation(46)[:i % 47]] = 0.0
+    return fp
+
+
+@pytest.mark.parametrize("kind", list(ActivationKind), ids=lambda kind: kind.name)
+@pytest.mark.parametrize("heads", [1, 2, 23, 46])
+def test_cli_geometry_partly_skipped_masks_match_the_oracles(heads, kind):
+    # The drawn runs above reach a partly skipped layer-1 mask at 128x46 only
+    # now and then; this one always does.  At t_elem 0 no value is thresholded,
+    # and a t_rowcount of 23 skips the 56 rows holding 24 to 46 zeros, whose
+    # layer-1 output is their input row.
+    bundle, fps = random_bundle(seed=7, heads=heads), _rows_of_0_to_46_zeros()
+    sparsity = dict.fromkeys(SCENARIOS, SparsityConfig(t_elem=0.0, t_rowcount=23))
+    for scenario in SCENARIOS:
+        cfg = EngineConfig(activation=kind, scenario_override=scenario)
+        [(_, skip, coords)] = oracles.run_int(bundle, *_oracle_args(fps, sparsity, cfg))
+        [res] = IntEngine(bundle, cfg).run(fps, sparsity)
+        assert res.mask.n_skipped == 56 and np.array_equal(res.mask.skip, skip)
+        assert np.array_equal(res.coords, coords)
+        _check_float_run(bundle, fps, sparsity, cfg)
+
+
 @pytest.mark.parametrize("d_ff", [512, 513])
 def test_ffn2_accumulator_at_the_40_bit_edge(s1_batch, d_ff):
     # Zero ffn_w1 and an ffn_b1 of 32767 codes make every hidden unit 32767
