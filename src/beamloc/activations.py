@@ -21,13 +21,13 @@ exactly 1.0, for rows of at most 128 entries (see :func:`softmax_int`).
 The kernels take Q8.8 codes as float64 integers, the one code dtype of
 :mod:`beamloc.fxp`, and return them so; an integer array of the same
 codes gives the same result.  Both LUTs are indexed
-by code: ``SIG_BY_CODE`` holds the sigmoid LUT entry of every input code
-in [-4096, 4096], and ``EXP_BY_DISTANCE`` the exp LUT entry of every
-distance d in [0, 65535] of a code below its row max, which is exp(-16) =
-0, the clamped entry, for every d past 4096.  They are built at import
-from the 1025-entry tables and the grid-snapping rule, so a LUT lookup
-is one gather, after a clamp for the sigmoid, with no division or
-rounding per element.
+by code: a :func:`scaled_sigmoid_table` holds the sigmoid LUT entry of
+every Q8.8 code for one (scale, bias) pair, and ``EXP_BY_DISTANCE`` the
+exp LUT entry of every distance d in [0, 65535] of a code below its row
+max, which is exp(-16) = 0, the clamped entry, for every d past 4096.
+They are built from the 1025-entry tables and the grid-snapping rule,
+the sigmoid's on first use and the exp's at import, so a LUT lookup is
+one gather with no division or rounding per element.
 
 The softmax's one division per row is a float64 one: its reciprocal is
 ``rint(2**30 / S)`` of the row sum S, which the prefix sum already holds
@@ -49,11 +49,11 @@ of two scaled codes has an entry in ``EXP_BY_DISTANCE``.  A score code
 takes one of 65536 values, so ``sigmoid_lut(scores, bias, m)`` gathers
 from a table of the finished weight of every code, built on first use by
 :func:`scaled_sigmoid_table` from :func:`~beamloc.fxp.requantize_array`
-and the unscaled :func:`sigmoid_lut`; the gather's ``mode="clip"`` is the
-score's saturation.  So a sigmoid head reads its score matrix in four
-passes: a rint, an offset, a cast to indices and the gather.  A table is
-65536 float64 entries (512 KiB); at most 8 (m, bias) pairs are cached,
-4 MiB in all, and the least recently used is dropped first.
+and ``SIG_TABLE``; the gather's ``mode="clip"`` is the score's
+saturation.  So a sigmoid head reads its score matrix in four passes: a
+rint, an offset, a cast to indices and the gather.  A table is 65536
+float64 entries (512 KiB); at most 8 (m, bias) pairs are cached, 4 MiB
+in all, and the least recently used is dropped first.
 """
 
 from __future__ import annotations
@@ -87,36 +87,34 @@ _SIG_GRID = -SIG_RANGE + np.arange(SIG_SIZE) / SIG_STEPS_PER_UNIT
 SIG_TABLE = quantize_array(1.0 / (1.0 + np.exp(-_SIG_GRID)))
 
 _SIG_CODE_LIMIT = int(SIG_RANGE) * SCALE  # 4096
-# Entry c + 4096 serves input code c: the grid is 8 codes wide, and
-# c/8 + 512 rounds to even like c/8 does, because 512 is even.
-SIG_BY_CODE = SIG_TABLE[np.rint(np.arange(-_SIG_CODE_LIMIT, _SIG_CODE_LIMIT + 1) / 8
-                                 + SIG_SIZE // 2).astype(np.intp)]
 
 
-def sigmoid_lut(codes: np.ndarray, bias: int = 0, scale: int | None = None) -> np.ndarray:
-    """Elementwise LUT sigmoid of ``codes + bias``, Q8.8 codes in, float64 codes out.
+def sigmoid_lut(codes: np.ndarray, bias: int = 0, scale: int = SCALE) -> np.ndarray:
+    """Elementwise LUT sigmoid of ``requantize(code * scale) + bias``, float64 codes out.
 
-    The integer ``bias`` shifts the clamp bounds rather than every element.
-    With a ``scale`` code, ``codes`` may be any values of magnitude below
-    2**53, such as unrounded scores: each is rounded half to even and
-    saturated to the Q8.8 code range, then multiplied by ``scale`` and
-    requantized, through one gather from :func:`scaled_sigmoid_table`.
+    ``codes`` may be any values of magnitude below 2**53, such as
+    unrounded scores: each is rounded half to even and saturated to the
+    Q8.8 code range, then multiplied by the ``scale`` code and
+    requantized, through one gather from :func:`scaled_sigmoid_table`;
+    the default 256, 1.0, leaves every code as it is.
     """
-    if scale is not None:
-        idx = np.rint(codes, dtype=np.float64)
-        idx -= CODE_MIN
-        # clipping the index to the table saturates the rounded code
-        return scaled_sigmoid_table(scale, bias).take(idx.astype(np.intp), mode="clip")
-    idx = codes.clip(-_SIG_CODE_LIMIT - bias, _SIG_CODE_LIMIT - bias)
-    idx += _SIG_CODE_LIMIT + bias
-    return SIG_BY_CODE.take(idx.astype(np.intp))
+    idx = np.rint(codes, dtype=np.float64)
+    idx -= CODE_MIN
+    # clipping the index to the table saturates the rounded code
+    return scaled_sigmoid_table(scale, bias).take(idx.astype(np.intp), mode="clip")
 
 
 @functools.lru_cache(maxsize=8)
 def scaled_sigmoid_table(scale: int, bias: int) -> np.ndarray:
-    """``sigmoid_lut(requantize_array(s * scale), bias)`` at entry ``s + 32768``, every code s."""
+    """Entry ``s + 32768``: the sigmoid LUT entry of ``requantize_array(s * scale) + bias``.
+
+    The biased code c clamps to [-4096, 4096] and snaps to the 8-code grid:
+    c/8 + 512 rounds to even like c/8 does, because 512 is even.
+    """
     codes = np.arange(CODE_MIN, CODE_MAX + 1, dtype=np.float64)
-    table = sigmoid_lut(requantize_array(codes * scale), bias)
+    x = requantize_array(codes * scale) + bias
+    x.clip(-_SIG_CODE_LIMIT, _SIG_CODE_LIMIT, out=x)
+    table = SIG_TABLE[np.rint(x / 8 + SIG_SIZE // 2).astype(np.intp)]
     table.setflags(write=False)
     return table
 

@@ -21,7 +21,6 @@ float64 and rejects non-finite values before it does.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -35,46 +34,32 @@ N_SUBCARRIERS = 46
 
 FINGERPRINT_MAGIC = b"BDFP"
 
-# Delay spread (in bins) of the dominant paths and the per-beam lognormal
-# gain spread of the diffuse floor, per propagation flavor.  The spread is
-# what creates nearly-dead beams for the row-skip logic to find.
-_DELAY_SPREAD = {"S1": 5, "S2": 24, "S3": 12}
-_BEAM_GAIN_SIGMA = {"S1": 0.9, "S2": 0.5, "S3": 0.75}
-
-PROFILE_DEFAULTS = {
-    "S1": dict(dominant_beams=6, dominant_delays=2, diffuse_floor=0.35),
-    "S2": dict(dominant_beams=40, dominant_delays=8, diffuse_floor=1.10),
-    "S3": dict(dominant_beams=20, dominant_delays=5, diffuse_floor=0.50),
+# Each scenario's generator numbers: dominant beams, taps per dominant beam,
+# diffuse floor, delay spread of the taps (in bins), and the per-beam
+# lognormal gain sigma of the floor.  The gain spread is what creates
+# nearly-dead beams for the row-skip logic to find.
+_PROFILES = {
+    "S1": (6, 2, 0.35, 5, 0.9),
+    "S2": (40, 8, 1.10, 24, 0.5),
+    "S3": (20, 5, 0.50, 12, 0.75),
 }
 
 
 @dataclass(frozen=True)
 class ScenarioProfile:
     scenario: str
-    dominant_beams: int
-    dominant_delays: int
-    diffuse_floor: float
     seed: int = 0
 
     def __post_init__(self):
-        """Out-of-range settings raise ConfigError, naming the setting."""
-        if self.scenario not in PROFILE_DEFAULTS:
+        """An unknown scenario or a negative seed raises ConfigError."""
+        if self.scenario not in _PROFILES:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if not 1 <= self.dominant_beams <= N_BEAMS:
-            raise ConfigError(f"dominant_beams must be in 1..{N_BEAMS}, got {self.dominant_beams}")
-        if not 1 <= self.dominant_delays <= N_SUBCARRIERS:
-            raise ConfigError(
-                f"dominant_delays must be in 1..{N_SUBCARRIERS}, got {self.dominant_delays}")
-        if not (math.isfinite(self.diffuse_floor) and self.diffuse_floor >= 0):
-            raise ConfigError(f"diffuse_floor must be finite and >= 0, got {self.diffuse_floor}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def default_profile(scenario: str, seed: int = 0) -> ScenarioProfile:
-    if scenario not in PROFILE_DEFAULTS:
-        raise ConfigError(f"unknown scenario {scenario!r}")
-    return ScenarioProfile(scenario=scenario, seed=seed, **PROFILE_DEFAULTS[scenario])
+    return ScenarioProfile(scenario, seed)
 
 
 def generate_channel(profile: ScenarioProfile) -> np.ndarray:
@@ -84,23 +69,23 @@ def generate_channel(profile: ScenarioProfile) -> np.ndarray:
     order: the 128 lognormal beam gains, the real and then the imaginary
     128x46 standard normals of the diffuse floor, and the dominant beams
     (``choice`` without replacement).  Then, for each dominant beam in the
-    order drawn: its row gain, uniform in [0.6, 1.4); its
-    ``m = min(dominant_delays, delay spread)`` distinct taps (one
-    ``choice`` without replacement); and m (amplitude, phase) pairs,
-    amplitude first, uniform in [0.4, 1.0) and [0, 2*pi).  Each tap's term
-    is added to its row one at a time in the order drawn, so the bytes of
-    the result are fixed by the seed.
+    order drawn: its row gain, uniform in [0.6, 1.4); its m distinct taps
+    below the delay spread (one ``choice`` without replacement); and m
+    (amplitude, phase) pairs, amplitude first, uniform in [0.4, 1.0) and
+    [0, 2*pi).  Each tap's term is added to its row one at a time in the
+    order drawn, so the bytes of the result are fixed by the seed.  The
+    counts, floor, spread and gain sigma are the scenario's row of
+    ``_PROFILES``.
     """
+    n_beams, m, floor, spread, sigma = _PROFILES[profile.scenario]
     rng = np.random.default_rng(profile.seed)
-    beam_gain = rng.lognormal(0.0, _BEAM_GAIN_SIGMA[profile.scenario], size=(N_BEAMS, 1))
-    h = profile.diffuse_floor * beam_gain * (
+    beam_gain = rng.lognormal(0.0, sigma, size=(N_BEAMS, 1))
+    h = floor * beam_gain * (
         rng.standard_normal((N_BEAMS, N_SUBCARRIERS))
         + 1j * rng.standard_normal((N_BEAMS, N_SUBCARRIERS))
     ) / np.sqrt(2.0)
 
-    spread = _DELAY_SPREAD[profile.scenario]
-    m = min(profile.dominant_delays, spread)
-    beams = rng.choice(N_BEAMS, size=profile.dominant_beams, replace=False)
+    beams = rng.choice(N_BEAMS, size=n_beams, replace=False)
     # The bounded-integer draws of ``choice`` sit between the uniform ones,
     # so only the draws loop over beams.  ``rng.random`` draws the doubles u
     # that ``rng.uniform(low, high)`` would, and low + (high - low) * u is
@@ -124,15 +109,16 @@ def generate_channel(profile: ScenarioProfile) -> np.ndarray:
     return h
 
 
-def hann_window(h: np.ndarray) -> np.ndarray:
-    """Scale each subcarrier column by the symmetric Hann taper.
+# Symmetric Hann taper; the denominator is N-1, so both endpoint weights
+# are exactly 0.
+_HANN = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(N_SUBCARRIERS) / (N_SUBCARRIERS - 1)))
 
-    The denominator is N-1, so both endpoint weights are exactly 0.
-    """
+
+def hann_window(h: np.ndarray) -> np.ndarray:
+    """Scale each subcarrier column by the symmetric Hann taper."""
     if h.shape[-1] != N_SUBCARRIERS:
         raise ValueError(f"expected {N_SUBCARRIERS} subcarriers, got {h.shape[-1]}")
-    w = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(N_SUBCARRIERS) / (N_SUBCARRIERS - 1)))
-    return h * w
+    return h * _HANN
 
 
 # Direct O(N^2) inverse DFT matrix; N = 46 is small enough that this is

@@ -25,7 +25,7 @@ from beamloc.activations import (
     SIG_TABLE,
     ActivationKind,
 )
-from beamloc.channel import _BEAM_GAIN_SIGMA, _DELAY_SPREAD, N_BEAMS, N_SUBCARRIERS
+from beamloc.channel import _PROFILES, N_BEAMS, N_SUBCARRIERS
 from beamloc.fxp import ACC_BITS, ACC_MAX, ACC_MIN, AccumulatorOverflow, quantize
 from beamloc.sparsity import RowMask
 from beamloc.weights import SCENARIOS, EncoderSegment, HeadParams, random_bundle
@@ -47,19 +47,19 @@ def naive_idft_row(row):
 
 def generate_channel_loop(profile):
     """``channel.generate_channel`` as one scalar draw and one row update per tap."""
+    n_beams, taps_per_beam, floor, spread, sigma = _PROFILES[profile.scenario]
     rng = np.random.default_rng(profile.seed)
-    beam_gain = rng.lognormal(0.0, _BEAM_GAIN_SIGMA[profile.scenario], size=(N_BEAMS, 1))
-    h = profile.diffuse_floor * beam_gain * (
+    beam_gain = rng.lognormal(0.0, sigma, size=(N_BEAMS, 1))
+    h = floor * beam_gain * (
         rng.standard_normal((N_BEAMS, N_SUBCARRIERS))
         + 1j * rng.standard_normal((N_BEAMS, N_SUBCARRIERS))
     ) / np.sqrt(2.0)
 
-    spread = _DELAY_SPREAD[profile.scenario]
-    beams = rng.choice(N_BEAMS, size=profile.dominant_beams, replace=False)
+    beams = rng.choice(N_BEAMS, size=n_beams, replace=False)
     k = np.arange(N_SUBCARRIERS)
     for b in beams:
         row_gain = rng.uniform(0.6, 1.4)
-        taus = rng.choice(spread, size=min(profile.dominant_delays, spread), replace=False)
+        taus = rng.choice(spread, size=taps_per_beam, replace=False)
         for tau in taus:
             amp = row_gain * rng.uniform(0.4, 1.0)
             phase = rng.uniform(0.0, 2.0 * np.pi)

@@ -29,12 +29,12 @@ def test_sigmoid_lut_matches_int64_oracle():
 def test_code_indexed_luts_follow_the_index_rule():
     # Every int16 code, and every max-subtracted difference of int16 codes.
     codes = np.arange(-32768, 32768)
-    clamped = np.clip(codes, -4096, 4096) + 4096
-    assert np.array_equal(act.SIG_BY_CODE[clamped], act.SIG_TABLE[oracles.sigmoid_lut_index(codes)])
+    sig_by_code = act.scaled_sigmoid_table(256, 0)
+    assert np.array_equal(sig_by_code[codes + 32768], act.SIG_TABLE[oracles.sigmoid_lut_index(codes)])
     assert np.array_equal(act.sigmoid_lut(codes), act.SIG_TABLE[oracles.sigmoid_lut_index(codes)])
     dists = np.arange(65536)
     assert np.array_equal(act.EXP_BY_DISTANCE[dists], act.EXP_TABLE[oracles.exp_lut_index(-dists)])
-    assert act.SIG_BY_CODE.shape == (8193,) and act.EXP_BY_DISTANCE.shape == (65536,)
+    assert sig_by_code.shape == act.EXP_BY_DISTANCE.shape == (65536,)
 
 
 def test_sigmoid_lut_bias_shifts_the_input():

@@ -576,7 +576,7 @@ def test_generate_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("flag", ["--dominant-beams", "--dominant-delays", "--diffuse-floor"])
 def test_removed_generator_flags_are_rejected(tmp_path, capsys, flag):
-    # Each scenario's channel profile is fixed; ScenarioProfile builds others.
+    # Each scenario's channel profile is fixed.
     out = tmp_path / "caps.bdfp"
     with pytest.raises(SystemExit) as e:
         cli.main(["generate", "--count", "2", "--out", str(out), flag, "1"])
