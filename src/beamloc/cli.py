@@ -24,7 +24,7 @@ import numpy as np
 from . import channel, sparsity
 from .activations import ACTIVATIONS, ActivationKind
 from .config import ENGINES, ConfigError, RunConfig, load_config
-from .engine import EngineConfig, SnapshotMemo, make_engine
+from .engine import EngineConfig, make_engine
 # quantize_array is unused here, but the benchmark's tracer wraps cli.quantize_array.
 from .fxp import AccumulatorOverflow, quantize_array  # noqa: F401
 from .perf import pipeline_report, stage_share
@@ -121,29 +121,24 @@ def _grid(text: str, flag: str, parse) -> list:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     """One CSV row per (t_elem, t_rowcount) cell of one engine.
 
-    The baseline and every cell run through ``infer`` on one store of
-    snapshot memos, for this command only: each snapshot is prepared and
-    routed once, and thresholded, zero-counted and hashed once per ``t_elem``.
-    Each cell builds its own row masks for the statistics, and a (scenario,
-    thresholded input, row mask) already run reuses its coordinates.
+    The baseline and then every cell run in one ``engine.sweep``: each
+    snapshot is prepared and routed once, and thresholded and zero-counted
+    once per ``t_elem``.  Each cell builds its own row masks for the
+    statistics, and a snapshot's (thresholded input, row mask) already run
+    reuses its coordinates.
     """
     t_elems = _grid(args.t_elem, "--t-elem", lambda v: SparsityConfig(float(v), 0).t_elem)
     t_rowcounts = _grid(args.t_rowcount, "--t-rowcount",
                         lambda v: SparsityConfig(0.0, int(v)).t_rowcount)
     bundle, fps = _load_inputs(cfg, need_snapshots=True)
-    engine = _engine(cfg, bundle)
-    seen = {}
-    store = [SnapshotMemo(seen) for _ in fps]
-    baseline = np.array([r.coords for r in engine.run(fps, store=store)])
-    rows = []
-    for t_elem in t_elems:
-        for t_rowcount in t_rowcounts:
-            scfg = SparsityConfig(t_elem=t_elem, t_rowcount=t_rowcount)
-            results = engine.run(fps, dict.fromkeys(SCENARIOS, scfg), store)
-            coords = np.array([r.coords for r in results])
-            rows.append({"t_elem": t_elem, "t_rowcount": t_rowcount,
-                         **sparsity.sparsity_stats([r.mask for r in results], fps.shape[-1]),
-                         "output_deviation": output_deviation(coords, baseline)})
+    cells = [SparsityConfig(t_elem, t_rowcount) for t_elem in t_elems for t_rowcount in t_rowcounts]
+    baseline, *runs = _engine(cfg, bundle).sweep(
+        fps, [None, *(dict.fromkeys(SCENARIOS, cell) for cell in cells)])
+    baseline = np.array([r.coords for r in baseline])
+    rows = [{"t_elem": cell.t_elem, "t_rowcount": cell.t_rowcount,
+             **sparsity.sparsity_stats([r.mask for r in results], fps.shape[-1]),
+             "output_deviation": output_deviation(np.array([r.coords for r in results]), baseline)}
+            for cell, results in zip(cells, runs)]
     with open(args.out, "w", newline="") as f:
         f.write("# config: " + json.dumps(_settings(cfg, args), sort_keys=True) + "\n")
         writer = csv.writer(f)

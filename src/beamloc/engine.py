@@ -22,17 +22,22 @@ multiply into one gather per head, and
 :func:`~beamloc.activations.softmax_int` requantizes the scaled scores itself.
 
 Reuse: a snapshot's coordinates depend only on its scenario, thresholded
-input and layer-1 row mask.  ``sweep`` runs the same snapshots, on one
-engine, from a fresh router state, once per cell, so it passes ``run`` a
-store of one ``SnapshotMemo`` per snapshot position.  A memo keeps the
-snapshot's prepared input and scenario (routing precedes thresholding, so a
-routed scenario is the same in every run), and its input thresholded at the
-last ``t_elem`` asked for, with that input's zero counts and digest: the
-store holds the prepared codes plus one thresholded copy per snapshot.  So
-a sweep prepares and routes each snapshot once, and thresholds, counts and
-hashes it once per ``t_elem`` (again if the grid returns to one).  Each
-cell's ``infer`` still builds and returns its own ``RowMask``, and runs the
-encoder and head once per distinct (scenario, thresholded input, row mask).
+input and layer-1 row mask.  ``sweep`` runs the same snapshots once per
+sparsity map, each run from a fresh router state, and keeps one private
+memo per snapshot position: its prepared input and scenario (routing
+precedes thresholding, so a routed scenario is the same in every run), its
+input thresholded at the last ``t_elem`` asked for, with that input's zero
+counts, and its coordinates by (zeros in the thresholded input, skip-mask
+bytes).  A snapshot's thresholded inputs nest: a larger threshold zeroes a
+superset of what a smaller one zeroes, and the unthresholded input, keyed
+by its own zeros, sits below them all.  So the zero total names the input,
+up to the sign of a float zero: thresholding makes -0.0 +0.0, and no op
+after it divides by a value that may be zero, so equal values in give
+equal values out.  A sweep therefore prepares and routes each snapshot
+once, thresholds and counts it once per ``t_elem`` (again if the grid
+returns to one), and runs the encoder and head once per distinct
+(thresholded input, row mask) of that snapshot.  Each ``infer`` still
+builds and returns its own ``RowMask``.
 
 The integer engine requantizes once per matrix product (round-to-nearest-
 even, saturating), the score product inside the activation kernels, and
@@ -43,20 +48,18 @@ slope's Q8.8 code and a requantize.  The engine holds Q8.8 codes in one
 dtype, float64 integers (see :mod:`beamloc.fxp`), from ``prepare_input``
 and the quantized bundle to the coordinates: the router, thresholding
 (against the threshold's code), the row mask, the encoder and the head
-convert nothing.  Only the reuse key narrows the thresholded codes to
-int16, whose bytes hash faster.  Fingerprints reach ``prepare_input``
-float32, as a fingerprint file stores them (see :mod:`beamloc.channel`):
-it converts one snapshot to float64, reals or codes, and rejects a
-non-finite value before the cast.  The float engine saturates nothing, so
-a snapshot whose coordinates overflow to inf or NaN raises ValueError
-instead of returning them.
+convert nothing.  Fingerprints reach ``prepare_input`` float32, as a
+fingerprint file stores them (see :mod:`beamloc.channel`): it converts one
+snapshot to float64, reals or codes, and rejects a non-finite value before
+the cast.  The float engine saturates nothing, so a snapshot whose
+coordinates overflow to inf or NaN raises ValueError instead of returning
+them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,15 +86,14 @@ class InferResult:
 
 
 @dataclass
-class SnapshotMemo:
-    """What ``infer`` did for one snapshot before its row mask (see "Reuse" above)."""
-    seen: dict | None = None        # reuse key -> coordinates, shared by a store's memos
+class _Memo:
+    """What ``infer`` did for one snapshot in the runs of a sweep (see "Reuse" above)."""
     mat: np.ndarray | None = None   # the prepared input
     scenario: str = ""              # routed, or the override
     t_elem: float | None = None     # x's threshold; None: x is mat
     x: np.ndarray | None = None
     zero_counts: np.ndarray | None = None  # x's exact zeros per row
-    digest: bytes = b""             # x's hash, made only in a store
+    coords: dict = field(default_factory=dict)  # (zeros in x, skip-mask bytes) -> coordinates
 
 
 class _EngineBase:
@@ -208,19 +210,18 @@ class _EngineBase:
         return self.coords_of(self.fcnn(self.maxpool_flatten(mat), self.bundle.fcnn[scenario]))
 
     def infer(self, fingerprint, state: RouterState | None = None,
-              sparsity: dict | None = None, memo: SnapshotMemo | None = None) -> InferResult:
+              sparsity: dict | None = None, memo: _Memo | None = None) -> InferResult:
         """Route, threshold/mask, run the folded encoder, pool, and regress.
 
         ``sparsity`` maps scenarios to thresholds; one it omits keeps all rows.
         The row mask gates layer-1 computation only.  With a scenario
         override the router is bypassed: logits are still produced but the
-        voting state is untouched.  A ``memo`` of an earlier run of this
-        snapshot on this engine gives its prepared input and scenario, and,
-        if ``t_elem`` is unchanged, its thresholded input, zero counts and
-        digest; ``infer`` fills in the rest.  With a ``seen`` dict, the memo's
-        reuse key (scenario, skip mask, digest) gives coordinates once run.
+        voting state is untouched.  ``memo`` is ``sweep``'s record of this
+        snapshot's earlier runs on this engine: it gives the prepared input
+        and scenario, the thresholded input and zero counts if ``t_elem`` is
+        unchanged, and coordinates already run; ``infer`` fills in the rest.
         """
-        memo = SnapshotMemo() if memo is None else memo
+        memo = _Memo() if memo is None else memo
         if memo.mat is None:
             mat = self.prepare_input(fingerprint)
             logits = self.slp_logits(mat[:, self.bundle.delay_bin])
@@ -235,35 +236,36 @@ class _EngineBase:
         if memo.x is None or memo.t_elem != t_elem:
             x = memo.mat if scfg is None else self.threshold(memo.mat, t_elem)
             memo.t_elem, memo.x, memo.zero_counts = t_elem, x, None
-            if memo.seen is not None:
-                codes = x.astype(np.int16) if self.is_integer else x  # int16 bytes hash faster
-                memo.digest = hashlib.sha256(codes.tobytes()).digest()
         if scfg is None:
             mask = RowMask.keep_all(memo.x.shape[0])
+            zeros = np.count_nonzero(memo.x == 0)
         else:
             mask = build_row_mask(memo.x, scfg, memo.zero_counts)
             memo.zero_counts = mask.zero_counts
+            zeros = mask.zero_counts.sum()
 
-        if memo.seen is None:
-            coords = self.locate(memo.x, mask, memo.scenario)
-        else:
-            key = (memo.scenario, mask.skip.tobytes(), memo.digest)
-            if key not in memo.seen:
-                memo.seen[key] = self.locate(memo.x, mask, memo.scenario)
-            coords = memo.seen[key]
-        return InferResult(scenario=memo.scenario, coords=coords, mask=mask)
+        key = (int(zeros), mask.skip.tobytes())
+        if key not in memo.coords:
+            memo.coords[key] = self.locate(memo.x, mask, memo.scenario)
+        return InferResult(scenario=memo.scenario, coords=memo.coords[key], mask=mask)
 
-    def run(self, fps, sparsity: dict | None = None,
-            store: list[SnapshotMemo] | None = None) -> list[InferResult]:
-        """``infer`` over the snapshots in order; routing is stateful across them.
-
-        ``store[i]`` is snapshot i's memo, the memos sharing one ``seen`` dict.
-        A store is for runs of the same snapshots on this engine: each starts
-        from a fresh router state, so a memoized scenario is the one it routes.
-        """
+    def run(self, fps, sparsity: dict | None = None) -> list[InferResult]:
+        """``infer`` over the snapshots in order; routing is stateful across them."""
         state = RouterState.create(self.router_window)
-        memos = [None] * len(fps) if store is None else store
-        return [self.infer(fp, state, sparsity, memo) for fp, memo in zip(fps, memos, strict=True)]
+        return [self.infer(fp, state, sparsity) for fp in fps]
+
+    def sweep(self, fps, maps) -> list[list[InferResult]]:
+        """``[run(fps, m) for m in maps]``, where ``None`` in ``maps`` thresholds nothing.
+
+        The runs go in map order, sharing one memo per snapshot position (see
+        "Reuse" above): the first run prepares and routes every snapshot.
+        """
+        memos = [_Memo() for _ in fps]
+        runs = []
+        for sparsity in maps:
+            state = RouterState.create(self.router_window)
+            runs.append([self.infer(fp, state, sparsity, memo) for fp, memo in zip(fps, memos)])
+        return runs
 
 
 class FloatEngine(_EngineBase):

@@ -489,6 +489,56 @@ def test_router_reads_the_bundles_delay_bin(s1_batch, kind):
     assert np.array_equal(columns[0], engine.prepare_input(s1_batch[0])[:, 5])
 
 
+@st.composite
+def _sweeps(draw):
+    """A 46-wide bundle, snapshots that may repeat, a threshold grid's maps and engine settings.
+
+    The grid's ``t_elem`` may repeat, return (0.03, 0.01, 0.03), or zero
+    nothing: 0.001 and 0.003 are codes 0 and 1, and an input may hold no
+    value below 0.004.  Inputs may hold negative values, and -0.0, which
+    thresholding turns into +0.0.
+    """
+    bundle = random_bundle(seed=draw(st.integers(0, 2**16)), scale=draw(st.sampled_from([0.25, 1.0])),
+                           n=draw(st.integers(1, 16)), heads=draw(st.sampled_from([1, 2, 23])),
+                           activation=draw(st.sampled_from(list(ActivationKind))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shape = (draw(st.integers(1, 3)), bundle.n, bundle.d)
+    amp = draw(st.sampled_from([0.05, 0.2, 1.0]))
+    low = draw(st.sampled_from([-amp / 4, 0.0, 0.004]))
+    base = rng.uniform(low, amp, shape) * (rng.random(shape) < draw(st.sampled_from([0.5, 1.0])))
+    base[rng.random(shape) < draw(st.sampled_from([0.0, 0.1]))] = -0.0
+    fps = base[draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=5))]
+    t_elems = draw(st.lists(st.sampled_from([0.001, 0.003, 0.01, 0.03, 0.1]), min_size=1, max_size=3)
+                   | st.just([0.03, 0.01, 0.03]))
+    t_rowcounts = draw(st.lists(st.integers(0, 46), min_size=1, max_size=3))
+    cells = [dict.fromkeys(SCENARIOS, SparsityConfig(t, c)) for t in t_elems for c in t_rowcounts]
+    maps = draw(st.permutations([None, *cells]))
+    cfg = EngineConfig(scenario_override=draw(st.none() | st.sampled_from(SCENARIOS)),
+                       router_window=draw(st.integers(1, 5)))
+    return bundle, fps, maps, cfg
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+@given(sweep=_sweeps())
+@settings(max_examples=60, deadline=None)
+def test_sweep_equals_fresh_runs(kind, sweep):
+    # Masks and scenarios are equal, integer coordinates bit-equal.  A float
+    # cell that thresholds only -0.0 away reuses coordinates run on -0.0:
+    # equal values in give equal values out, so they are equal in value.
+    bundle, fps, maps, cfg = sweep
+    got = make_engine(kind, bundle, cfg).sweep(fps, maps)
+    expect = [make_engine(kind, bundle, cfg).run(fps, m) for m in maps]
+    for got_run, expect_run in zip(got, expect, strict=True):
+        for a, b in zip(got_run, expect_run, strict=True):
+            assert a.scenario == b.scenario
+            assert np.array_equal(a.mask.skip, b.mask.skip)
+            assert np.array_equal(a.mask.zero_counts, b.mask.zero_counts)
+            if kind == "int":
+                assert a.coords.tobytes() == b.coords.tobytes()
+            else:
+                assert np.array_equal(a.coords, b.coords)
+
+
 def test_make_engine(full_bundle):
     assert isinstance(make_engine("float", full_bundle), FloatEngine)
     assert isinstance(make_engine("int", full_bundle), IntEngine)
