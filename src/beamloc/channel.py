@@ -12,11 +12,13 @@ floor sits under everything.  All randomness is seeded and reproducible.
 
 Fingerprints are float32 from the generator to the engine: the dtype a
 fingerprint file stores.  :func:`generate_fingerprints` rounds each
-preprocessed snapshot to float32 as it fills the batch,
-:func:`write_fingerprints` writes that batch as it is, and
-:func:`read_fingerprints` returns the file's payload as it is, a signalling
-NaN included.  Each engine's ``prepare_input`` converts one snapshot to
-float64 and rejects non-finite values before it does.
+preprocessed snapshot to float32 as it fills the batch, and
+:func:`write_fingerprints` writes that batch as it is.  A file is read
+either whole, by :func:`read_fingerprints`, or one snapshot at a time, by
+:func:`iter_fingerprints`; both check its header first and give the
+payload as it is, a signalling NaN included.  Each engine's
+``prepare_input`` converts one snapshot to float64 and rejects non-finite
+values before it does.
 """
 
 from __future__ import annotations
@@ -166,22 +168,49 @@ def write_fingerprints(path, fingerprints: np.ndarray) -> None:
         fps.tofile(f)
 
 
+def _snapshot_count(f, path) -> int:
+    """The header's snapshot count of an open fingerprint file, checked against the file's size.
+
+    The wrong magic raises ValueError and a size mismatch (a truncated file,
+    or a forged count) OSError; ``f`` is left at the first snapshot.
+    """
+    header = f.read(8)
+    if header[:4] != FINGERPRINT_MAGIC:
+        raise ValueError(f"{path}: not a fingerprint file (magic {header[:4]!r})")
+    count = int.from_bytes(header[4:], "little")  # a short header fails the size check
+    size, expected = os.fstat(f.fileno()).st_size, 8 + count * N_BEAMS * N_SUBCARRIERS * 4
+    if size != expected:
+        raise OSError(f"{path}: header promises {count} snapshot(s), {expected} bytes, not {size}")
+    return count
+
+
 def read_fingerprints(path) -> np.ndarray:
     """Load a fingerprint file as one writable float32 array; its size must match the header count.
 
-    A size mismatch (a truncated file, or a forged count) raises OSError,
-    before any payload is allocated.  The payload is read straight into the
-    array, with no bytes object or float64 copy beside it.  Non-finite
-    values load as they are, a signalling NaN included: the engines reject
-    them.
+    The header is checked before any payload is allocated.  The payload is
+    read straight into the array, with no bytes object or float64 copy
+    beside it.  Non-finite values load as they are, a signalling NaN
+    included: the engines reject them.
     """
     with open(path, "rb") as f:
-        header = f.read(8)
-        if header[:4] != FINGERPRINT_MAGIC:
-            raise ValueError(f"{path}: not a fingerprint file (magic {header[:4]!r})")
-        count = int.from_bytes(header[4:], "little")  # a short header fails the size check
-        size, expected = os.fstat(f.fileno()).st_size, 8 + count * N_BEAMS * N_SUBCARRIERS * 4
-        if size != expected:
-            raise OSError(f"{path}: header promises {count} snapshot(s), {expected} bytes, not {size}")
+        count = _snapshot_count(f, path)
         fps = np.fromfile(f, dtype="<f4", count=count * N_BEAMS * N_SUBCARRIERS)
     return fps.reshape(count, N_BEAMS, N_SUBCARRIERS)
+
+
+def iter_fingerprints(f, path):
+    """Check the header of ``f``, open at its start, now; return an iterator over its snapshots.
+
+    Each snapshot is read into a fresh 128x46 float32 array when it is asked
+    for, so ``f`` must stay open until the iterator is exhausted.
+    """
+    count = _snapshot_count(f, path)
+
+    def snapshots():
+        for i in range(count):
+            fp = np.empty((N_BEAMS, N_SUBCARRIERS), dtype="<f4")
+            if f.readinto(fp) != fp.nbytes:  # the file shrank after its size was checked
+                raise OSError(f"{path}: snapshot {i} of {count} is cut short")
+            yield fp
+
+    return snapshots()

@@ -59,15 +59,26 @@ def _cycle_reports(results, activation, perf_cfg) -> list:
     return [report(r.scenario, r.mask.n_kept) for r in results]
 
 
-def _load_inputs(cfg: RunConfig, need_snapshots: bool = False):
+def _load_bundle(cfg: RunConfig):
     if cfg.bundle is None or cfg.fingerprints is None:
         raise ConfigError("this command requires --bundle and --fingerprints")
-    bundle = load_bundle(cfg.bundle)
-    fps = channel.read_fingerprints(cfg.fingerprints)
-    if fps.shape[1:] != (bundle.n, bundle.d):
+    return load_bundle(cfg.bundle)
+
+
+def _check_geometry(cfg: RunConfig, bundle) -> None:
+    """A fingerprint file holds 128x46 snapshots; the bundle must take them."""
+    if (bundle.n, bundle.d) != (channel.N_BEAMS, channel.N_SUBCARRIERS):
         raise ValueError(f"bundle {cfg.bundle} takes {bundle.n}x{bundle.d} snapshots, but "
-                         f"fingerprint file {cfg.fingerprints} holds {fps.shape[1]}x{fps.shape[2]}")
-    if need_snapshots and len(fps) == 0:
+                         f"fingerprint file {cfg.fingerprints} holds "
+                         f"{channel.N_BEAMS}x{channel.N_SUBCARRIERS}")
+
+
+def _load_inputs(cfg: RunConfig):
+    """The float bundle and the whole fingerprint file, for commands that run it more than once."""
+    bundle = _load_bundle(cfg)
+    fps = channel.read_fingerprints(cfg.fingerprints)
+    _check_geometry(cfg, bundle)
+    if len(fps) == 0:
         raise ValueError(f"fingerprint file {cfg.fingerprints} holds no snapshots")
     return bundle, fps
 
@@ -86,11 +97,17 @@ def cmd_generate(cfg: RunConfig, args) -> int:
 
 
 def cmd_infer(cfg: RunConfig, args) -> int:
-    bundle, fps = _load_inputs(cfg)
-    engine = _engine(cfg, bundle)
-    perf_cfg = cfg.perf_config(bundle)
-    results = engine.run(fps, cfg.sparsity)
-    reports = _cycle_reports(results, engine.activation, perf_cfg)
+    """Position each snapshot as it is read from the file, after the header and geometry checks.
+
+    The engine is built first, so an integer engine's float bundle is gone
+    once quantized, and one float32 snapshot is in memory at a time.
+    """
+    engine = _engine(cfg, _load_bundle(cfg))
+    with open(cfg.fingerprints, "rb") as f:
+        snapshots = channel.iter_fingerprints(f, cfg.fingerprints)
+        _check_geometry(cfg, engine.bundle)
+        results = engine.run(snapshots, cfg.sparsity)
+    reports = _cycle_reports(results, engine.activation, cfg.perf_config(engine.bundle))
     rows = []
     for i, (res, report) in enumerate(zip(results, reports)):
         rows.append({
@@ -130,9 +147,11 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     t_elems = _grid(args.t_elem, "--t-elem", lambda v: SparsityConfig(float(v), 0).t_elem)
     t_rowcounts = _grid(args.t_rowcount, "--t-rowcount",
                         lambda v: SparsityConfig(0.0, int(v)).t_rowcount)
-    bundle, fps = _load_inputs(cfg, need_snapshots=True)
+    bundle, fps = _load_inputs(cfg)
+    engine = _engine(cfg, bundle)
+    del bundle  # an integer engine runs on its Q8.8 view alone
     cells = [SparsityConfig(t_elem, t_rowcount) for t_elem in t_elems for t_rowcount in t_rowcounts]
-    baseline, *runs = _engine(cfg, bundle).sweep(
+    baseline, *runs = engine.sweep(
         fps, [None, *(dict.fromkeys(SCENARIOS, cell) for cell in cells)])
     baseline = np.array([r.coords for r in baseline])
     rows = [{"t_elem": cell.t_elem, "t_rowcount": cell.t_rowcount,
@@ -158,7 +177,7 @@ ABLATION_LADDER = (
 
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
-    bundle, fps = _load_inputs(cfg, need_snapshots=True)
+    bundle, fps = _load_inputs(cfg)
     rungs = []
     prev_coords = None
     perf_cfg = cfg.perf_config(bundle)

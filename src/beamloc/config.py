@@ -85,8 +85,8 @@ class RunConfig:
         """
         if bundle is None:
             return PerfConfig()
-        return PerfConfig(n=bundle.n, d=bundle.d, d_ff=bundle.d_ff, d_h=bundle.d_h,
-                          pool_k=bundle.pool_k, pool_p=bundle.pool_p)
+        return PerfConfig(n=bundle.n, d=bundle.d, heads=bundle.heads, d_ff=bundle.d_ff,
+                          d_h=bundle.d_h, pool_k=bundle.pool_k, pool_p=bundle.pool_p)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -250,7 +250,11 @@ class _EngineBase:
         return InferResult(scenario=memo.scenario, coords=memo.coords[key], mask=mask)
 
     def run(self, fps, sparsity: dict | None = None) -> list[InferResult]:
-        """``infer`` over the snapshots in order; routing is stateful across them."""
+        """``infer`` over the snapshots in order; routing is stateful across them.
+
+        ``fps`` may be any iterable, such as ``channel.iter_fingerprints``: it
+        is read once, and no snapshot is kept after its ``infer`` returns.
+        """
         state = RouterState.create(self.router_window)
         return [self.infer(fp, state, sparsity) for fp in fps]
 

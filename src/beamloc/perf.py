@@ -37,6 +37,7 @@ STAGES = (
 # their lanes: 32 for the router SLP, 64 for the coordinate head.
 SLP_WIDTH = 32
 HEAD_WIDTH = 64
+SCORE_WIDTH = 23     # the score engine's dot length
 DIV_LATENCY = 16     # integer divider latency per row division
 PIPELINE_FILL = 6    # multiplier stage + log2(46)-deep adder tree
 CLOCK_HZ = 1e8
@@ -50,6 +51,7 @@ class PerfConfig:
     """The geometry a report prices: a bundle's sizes; the defaults are the benchmark bundle's."""
     n: int = 128
     d: int = 46
+    heads: int = 2
     d_ff: int = 64
     d_h: int = 64
     pool_k: int = 4
@@ -88,11 +90,14 @@ def _layer(n: int, kind: ActivationKind, cfg: PerfConfig) -> dict:
     # Softmax makes two buffered passes per row plus one division per row;
     # the element-wise sigmoid overlaps with streaming and pays only the fill.
     serial = 2 * n * n + DIV_LATENCY * n if kind == ActivationKind.SOFTMAX_INT else 0
+    # heads * n^2 score dots of length d_k = d / heads, each taking
+    # ceil(d_k / SCORE_WIDTH) cycles; the head products are priced alike.
+    attention = cfg.heads * n * n * -(-cfg.d // (cfg.heads * SCORE_WIDTH))
     return {
         "qkv": _filled(3 * n * cfg.d),
-        "scores": _filled(2 * n * n),
+        "scores": _filled(attention),
         "activation": serial + PIPELINE_FILL if n else 0,
-        "headmul": _filled(2 * n * n),
+        "headmul": _filled(attention),
         "wo": _filled(n * cfg.d),
         "ffn1": _filled(n * cfg.d_ff),
         "ffn2": _filled(n * cfg.d),

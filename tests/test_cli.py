@@ -6,9 +6,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,24 +45,71 @@ def _infer(bundle, fps, out, *flags):
                      "--out", str(out), *flags])
 
 
-def test_truncated_fingerprint_file_is_an_io_error(inputs, tmp_path, capsys):
+def _count_infers(monkeypatch) -> list:
+    """A list that grows by one per engine ``infer`` call from here on."""
+    calls = []
+    infer = _EngineBase.infer
+    monkeypatch.setattr(_EngineBase, "infer",
+                        lambda self, *args, **kwargs: calls.append(1) or infer(self, *args, **kwargs))
+    return calls
+
+
+def test_truncated_fingerprint_file_is_an_io_error(inputs, tmp_path, capsys, monkeypatch):
+    # infer streams its snapshots, but checks the file's size before the first
     bundle, fps = inputs
     assert _infer(bundle, fps, tmp_path / "ok.json") == cli.EXIT_OK
     cut = tmp_path / "cut.bdfp"
     cut.write_bytes(fps.read_bytes()[:-100])
+    calls = _count_infers(monkeypatch)
     assert _infer(bundle, cut, tmp_path / "out.json") == cli.EXIT_IO
     assert "i/o error" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+    assert calls == []
 
 
-def test_forged_snapshot_count_is_an_io_error(inputs, tmp_path, capsys):
+def test_forged_snapshot_count_is_an_io_error(inputs, tmp_path, capsys, monkeypatch):
     bundle, fps = inputs
     forged = bytearray(fps.read_bytes())
     forged[4:8] = struct.pack("<I", 2**32 - 1)
     path = tmp_path / "forged.bdfp"
     path.write_bytes(bytes(forged))
+    calls = _count_infers(monkeypatch)
     assert _infer(bundle, path, tmp_path / "out.json") == cli.EXIT_IO
     assert "promises 4294967295 snapshot(s)" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+    assert calls == []
+
+
+# Runs the command in its argv and prints its peak RSS in KiB.  RUSAGE_CHILDREN
+# is the maximum over every child a process has waited for, so each
+# measurement needs a wrapper process of its own.
+_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("engine", ["int", "float"])
+def test_infer_memory_does_not_grow_with_its_input(inputs, tmp_path, engine):
+    # infer reads one snapshot at a time, so 1000 snapshots (23.5 MB on file)
+    # may peak at most 8 MB above 10: their result rows take about 2 MB.
+    bundle, _ = inputs
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    rng = np.random.default_rng(5)
+    peaks = {}
+    for count in (10, 1000):
+        fps = tmp_path / f"random{count}.bdfp"
+        channel.write_fingerprints(fps, rng.random((count, 128, 46), dtype=np.float32))
+        wrapper = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "beamloc.cli", "infer",
+             "--bundle", str(bundle), "--fingerprints", str(fps), "--engine", engine,
+             "--out", str(tmp_path / f"out{count}.json")],
+            env=env, capture_output=True, text=True, check=True)
+        peaks[count] = int(wrapper.stdout) / 1024
+        assert len(json.loads((tmp_path / f"out{count}.json").read_text())["results"]) == count
+    assert peaks[1000] - peaks[10] <= 8, peaks
 
 
 def test_router_window_zero_is_a_config_error(inputs, tmp_path, capsys):
@@ -771,17 +822,20 @@ def test_a_command_without_its_inputs_is_a_config_error(inputs, tmp_path, capsys
 
 
 @pytest.mark.parametrize("command", ["infer", "sweep", "ablate"])
-def test_bundle_and_fingerprint_geometry_must_agree(inputs, toy_bundle, tmp_path, capsys, command):
+def test_bundle_and_fingerprint_geometry_must_agree(inputs, toy_bundle, tmp_path, capsys,
+                                                    monkeypatch, command):
     _, fps = inputs
     toy = tmp_path / "toy.axlw"
     save_bundle(toy, toy_bundle)
     out = tmp_path / "out"
+    calls = _count_infers(monkeypatch)
     assert cli.main([command, "--bundle", str(toy), "--fingerprints", str(fps),
                      "--out", str(out)]) == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
     assert err.startswith(f"contract violation: bundle {toy} takes 8x4 snapshots, "
                           f"but fingerprint file {fps} holds 128x46")
     assert not out.exists()
+    assert calls == []
 
 
 @pytest.mark.parametrize("content", [

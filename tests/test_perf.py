@@ -118,9 +118,23 @@ def test_reports_are_pinned_stage_by_stage(toy_bundle, monkeypatch, case):
 
 def test_perf_config_is_the_geometry():
     assert [f.name for f in dataclasses.fields(PerfConfig)] == [
-        "n", "d", "d_ff", "d_h", "pool_k", "pool_p"]
+        "n", "d", "heads", "d_ff", "d_h", "pool_k", "pool_p"]
     # perf without --bundle prices the benchmark bundle's geometry
     assert RunConfig().perf_config() == RunConfig().perf_config(random_bundle())
+
+
+@pytest.mark.parametrize("heads, dots", [(1, 2), (2, 2), (23, 23), (46, 46)])
+def test_scores_and_headmul_price_every_head(heads, dots):
+    # heads * n^2 dots of length d_k = 46 / heads, each ceil(d_k / 23) cycles:
+    # one head's 46-long dots take two cycles, so 1 and 2 heads both cost 2 n^2.
+    cfg = RunConfig().perf_config(random_bundle(heads=heads))
+    assert cfg.heads == heads
+    for n_eff in (1, 37, cfg.n):
+        for scenario in SCENARIOS:
+            stages = pipeline_report(n_eff, scenario, ActivationKind.SIGMOID_BIAS_LUT, cfg).stages
+            layers = [n_eff] + [cfg.n] * (len(perf.SEGMENTS_PER_SCENARIO[scenario]) - 1)
+            expected = sum(dots * n * n + perf.PIPELINE_FILL for n in layers)
+            assert stages["scores"] == stages["headmul"] == expected, (scenario, n_eff)
 
 
 # The hardware and calibration values are module constants, not fields:
