@@ -19,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from beamloc import channel, cli
 from beamloc.activations import ACTIVATIONS, ActivationKind
 from beamloc.config import DEFAULT_SPARSITY, ConfigError, RunConfig
 from beamloc.engine import EngineConfig, _EngineBase, make_engine
-from beamloc.fxp import quantize, quantize_array
+from beamloc.fxp import ACC_MAX, quantize, quantize_array
 from beamloc.perf import pipeline_report
 from beamloc.sparsity import SparsityConfig, output_deviation, sparsity_stats
 from beamloc.weights import SCENARIOS, ModelBundle, load_bundle, random_bundle, save_bundle
@@ -90,26 +91,49 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
+def _peak_rss_mb(*argv) -> float:
+    """The peak RSS in MB of ``python -m beamloc.cli *argv`` run in a wrapper of its own."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    wrapper = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "beamloc.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, check=True)
+    return int(wrapper.stdout) / 1024
+
+
 @pytest.mark.parametrize("engine", ["int", "float"])
 def test_infer_memory_does_not_grow_with_its_input(inputs, tmp_path, engine):
     # infer reads one snapshot at a time, so 1000 snapshots (23.5 MB on file)
     # may peak at most 8 MB above 10: their result rows take about 2 MB.
     bundle, _ = inputs
-    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     rng = np.random.default_rng(5)
     peaks = {}
     for count in (10, 1000):
-        fps = tmp_path / f"random{count}.bdfp"
+        fps, out = tmp_path / f"random{count}.bdfp", tmp_path / f"out{count}.json"
         channel.write_fingerprints(fps, rng.random((count, 128, 46), dtype=np.float32))
-        wrapper = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "beamloc.cli", "infer",
-             "--bundle", str(bundle), "--fingerprints", str(fps), "--engine", engine,
-             "--out", str(tmp_path / f"out{count}.json")],
-            env=env, capture_output=True, text=True, check=True)
-        peaks[count] = int(wrapper.stdout) / 1024
-        assert len(json.loads((tmp_path / f"out{count}.json").read_text())["results"]) == count
+        peaks[count] = _peak_rss_mb("infer", "--bundle", bundle, "--fingerprints", fps,
+                                    "--engine", engine, "--out", out)
+        assert len(json.loads(out.read_text())["results"]) == count
     assert peaks[1000] - peaks[10] <= 8, peaks
+
+
+def test_generate_and_infer_of_4000_snapshots_keep_their_memory_bounds(inputs, tmp_path):
+    """Fingerprints stay float32 until one snapshot enters an engine, and infer reads one at a time.
+
+    ``generate --count 4000`` (94 MB as float32) peaked at about 127 MB: a
+    34 MB base plus the float32 batch, where a float64 batch and three copies
+    on write peaked at about 487 MB.  The int engine keeps only the bundle's
+    Q8.8 view, so int ``infer`` of that file peaked at about 45 MB, where
+    loading the whole file peaked at about 137 MB.
+    """
+    bundle, _ = inputs
+    fps, out = tmp_path / "many.bdfp", tmp_path / "many.json"
+    peak = _peak_rss_mb("generate", "--scenario", "S1", "--count", "4000", "--out", fps)
+    assert peak <= 250, f"generate --count 4000 peaked at {peak:.0f} MB"
+    peak = _peak_rss_mb("infer", "--bundle", bundle, "--fingerprints", fps, "--engine", "int",
+                        "--out", out)
+    fps.unlink()
+    assert peak < 90, f"infer --engine int of 4000 snapshots peaked at {peak:.0f} MB"
 
 
 def test_router_window_zero_is_a_config_error(inputs, tmp_path, capsys):
@@ -938,3 +962,79 @@ def test_cli_geometry_bundles_run_through_every_command(inputs, tmp_path_factory
             assert all(math.isfinite(float(v)) for row in rows for v in row.values())
         else:
             _strict_json(out.read_text())
+
+
+@pytest.fixture(scope="module")
+def caps(tmp_path_factory):
+    """The snapshots of ``generate --scenario S2 --count 4 --seed 1``."""
+    path = tmp_path_factory.mktemp("caps") / "caps.bdfp"
+    channel.write_fingerprints(
+        path, channel.generate_fingerprints(channel.default_profile("S2", seed=1), 4))
+    return path
+
+
+def test_a_bundle_that_saturates_its_scores_runs_under_both_activations(caps, tmp_path):
+    """An int run of a bundle with weights up to 8 saturates its scaled attention scores.
+
+    Under both activations ``infer`` exits 0 with strict JSON, so both scaled
+    score tables run.  A softmax ``sweep`` writes its config line, the header
+    and the default grid's 35 rows, so the sweep's per-snapshot reuse runs
+    over saturated scores too.
+    """
+    bundle, out = tmp_path / "scale8.axlw", tmp_path / "out"
+    save_bundle(bundle, random_bundle(seed=7, scale=8))
+    for activation in ("sigmoid-bias", "softmax-int"):
+        assert _infer(bundle, caps, out, "--engine", "int", "--activation", activation) == cli.EXIT_OK
+        _strict_json(out.read_text())
+    assert cli.main(["sweep", "--bundle", str(bundle), "--fingerprints", str(caps), "--engine", "int",
+                     "--activation", "softmax-int", "--out", str(out)]) == cli.EXIT_OK
+    assert len(out.read_text().splitlines()) == 37
+
+
+@pytest.mark.parametrize("command", [
+    ["infer", "--engine", "int", "--no-sparsity"], ["sweep", "--engine", "int"],
+    ["ablate", "--no-sparsity"],
+], ids=lambda command: " ".join(command))
+def test_an_accumulator_overflow_exits_4_under_every_command(caps, tmp_path, capsys, command):
+    """A run whose first head accumulator lands one past ``ACC_MAX`` exits 4 and writes nothing.
+
+    Only products of 512 terms or more are headroom-checked, so the coordinate
+    head's 1536-term layer is the one checked product.  A run that lands on
+    ``ACC_MAX`` itself exits 0 with its output.
+    """
+    for acc, code in ((ACC_MAX + 1, cli.EXIT_CONTRACT), (ACC_MAX, cli.EXIT_OK)):
+        bundle, out = tmp_path / f"edge{acc}.axlw", tmp_path / f"out{acc}"
+        save_bundle(bundle, oracles.fcnn_edge_bundle(acc))
+        assert cli.main([*command, "--scenario", "S1", "--bundle", str(bundle),
+                         "--fingerprints", str(caps), "--out", str(out)]) == code
+        assert out.exists() == (code == cli.EXIT_OK)
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation: accumulator") and err.count("\n") == 1
+
+
+def test_perf_without_a_bundle_prices_the_seed_7_bundle(inputs, tmp_path):
+    """``perf`` without a bundle prices the seed-7 bundle's geometry and activation.
+
+    So its reports equal ``perf --bundle``'s, and every report echoes the
+    cycle model's calibration constants.
+    """
+    bundle, _ = inputs
+    reports = []
+    for flags in ([], ["--bundle", str(bundle)]):
+        assert cli.main(["perf", *flags, "--out", str(tmp_path / "perf.json")]) == cli.EXIT_OK
+        reports.append(json.loads((tmp_path / "perf.json").read_text())["reports"])
+    assert reports[0] == reports[1]
+    assert [r["calibration"] for r in reports[0]] == \
+        [{"c_overhead": 1.0, "layer_overhead": 25000}] * len(reports[0])
+
+
+def test_ablate_deviations_of_huge_finite_coordinates_are_json_numbers(caps, tmp_path):
+    """Weights of 1e30 on S2 snapshots run as S1 give huge but finite coordinates.
+
+    Their deviations must still be JSON numbers in ablate's artifact.
+    """
+    bundle, out = tmp_path / "big.axlw", tmp_path / "ablate.json"
+    save_bundle(bundle, random_bundle(seed=7, scale=1e30))
+    assert cli.main(["ablate", "--bundle", str(bundle), "--fingerprints", str(caps),
+                     "--scenario", "S1", "--out", str(out)]) == cli.EXIT_OK
+    _strict_json(out.read_text())

@@ -49,3 +49,9 @@ def test_the_check_finds_an_unused_import_and_honours_its_exemptions():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_package_root_re_exports_nothing():
+    # Modules are imported by name, and pyproject.toml holds the only version string.
+    tree = ast.parse((ROOT / "src/beamloc/__init__.py").read_text())
+    assert ast.get_docstring(tree) is not None and len(tree.body) == 1
