@@ -13,12 +13,12 @@ floor sits under everything.  All randomness is seeded and reproducible.
 Fingerprints are float32 from the generator to the engine: the dtype a
 fingerprint file stores.  :func:`generate_fingerprints` rounds each
 preprocessed snapshot to float32 as it fills the batch, and
-:func:`write_fingerprints` writes that batch as it is.  A file is read
-either whole, by :func:`read_fingerprints`, or one snapshot at a time, by
-:func:`iter_fingerprints`; both check its header first and give the
-payload as it is, a signalling NaN included.  Each engine's
-``prepare_input`` converts one snapshot to float64 and rejects non-finite
-values before it does.
+:func:`write_fingerprints` writes that batch as it is.  The CLI reads a
+file one snapshot at a time, by :func:`iter_fingerprints`;
+:func:`read_fingerprints` reads it whole, for the benchmark's setup and the
+tests.  Both check the header first and give the payload as it is, a
+signalling NaN included.  Each engine's ``prepare_input`` converts one
+snapshot to float64 and rejects non-finite values before it does.
 """
 
 from __future__ import annotations

@@ -65,22 +65,25 @@ def _load_bundle(cfg: RunConfig):
     return load_bundle(cfg.bundle)
 
 
-def _check_geometry(cfg: RunConfig, bundle) -> None:
-    """A fingerprint file holds 128x46 snapshots; the bundle must take them."""
-    if (bundle.n, bundle.d) != (channel.N_BEAMS, channel.N_SUBCARRIERS):
-        raise ValueError(f"bundle {cfg.bundle} takes {bundle.n}x{bundle.d} snapshots, but "
-                         f"fingerprint file {cfg.fingerprints} holds "
-                         f"{channel.N_BEAMS}x{channel.N_SUBCARRIERS}")
+def _sweep_file(cfg: RunConfig, engine, maps) -> list:
+    """``engine.sweep`` of the fingerprint file, read one snapshot at a time.
+
+    The header is checked first, then that the bundle takes the file's 128x46 snapshots.
+    """
+    bundle = engine.bundle
+    with open(cfg.fingerprints, "rb") as f:
+        snapshots = channel.iter_fingerprints(f, cfg.fingerprints)
+        if (bundle.n, bundle.d) != (channel.N_BEAMS, channel.N_SUBCARRIERS):
+            raise ValueError(f"bundle {cfg.bundle} takes {bundle.n}x{bundle.d} snapshots, but "
+                             f"fingerprint file {cfg.fingerprints} holds "
+                             f"{channel.N_BEAMS}x{channel.N_SUBCARRIERS}")
+        return engine.sweep(snapshots, maps)
 
 
-def _load_inputs(cfg: RunConfig):
-    """The float bundle and the whole fingerprint file, for commands that run it more than once."""
-    bundle = _load_bundle(cfg)
-    fps = channel.read_fingerprints(cfg.fingerprints)
-    _check_geometry(cfg, bundle)
-    if len(fps) == 0:
+def _need_snapshots(cfg: RunConfig, results: list) -> None:
+    """Batch statistics need a snapshot: an empty file is a contract violation."""
+    if not results:
         raise ValueError(f"fingerprint file {cfg.fingerprints} holds no snapshots")
-    return bundle, fps
 
 
 # --------------------------------------------------------------------------
@@ -97,16 +100,9 @@ def cmd_generate(cfg: RunConfig, args) -> int:
 
 
 def cmd_infer(cfg: RunConfig, args) -> int:
-    """Position each snapshot as it is read from the file, after the header and geometry checks.
-
-    The engine is built first, so an integer engine's float bundle is gone
-    once quantized, and one float32 snapshot is in memory at a time.
-    """
+    """One row per snapshot; the engine is built first, so an int engine keeps no float bundle."""
     engine = _engine(cfg, _load_bundle(cfg))
-    with open(cfg.fingerprints, "rb") as f:
-        snapshots = channel.iter_fingerprints(f, cfg.fingerprints)
-        _check_geometry(cfg, engine.bundle)
-        results = engine.run(snapshots, cfg.sparsity)
+    [results] = _sweep_file(cfg, engine, [cfg.sparsity])
     reports = _cycle_reports(results, engine.activation, cfg.perf_config(engine.bundle))
     rows = []
     for i, (res, report) in enumerate(zip(results, reports)):
@@ -138,24 +134,23 @@ def _grid(text: str, flag: str, parse) -> list:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     """One CSV row per (t_elem, t_rowcount) cell of one engine.
 
-    The baseline and then every cell run in one ``engine.sweep``: each
-    snapshot is prepared and routed once, and thresholded and zero-counted
-    once per ``t_elem``.  Each cell builds its own row masks for the
-    statistics, and a snapshot's (thresholded input, row mask) already run
-    reuses its coordinates.
+    The baseline and then every cell run in one ``engine.sweep``, which reads
+    the file once: each snapshot is prepared and routed once, and thresholded
+    and zero-counted once per ``t_elem``.  Each cell builds its own row masks
+    for the statistics, and a snapshot's (thresholded input, row mask)
+    already run reuses its coordinates.
     """
     t_elems = _grid(args.t_elem, "--t-elem", lambda v: SparsityConfig(float(v), 0).t_elem)
     t_rowcounts = _grid(args.t_rowcount, "--t-rowcount",
                         lambda v: SparsityConfig(0.0, int(v)).t_rowcount)
-    bundle, fps = _load_inputs(cfg)
-    engine = _engine(cfg, bundle)
-    del bundle  # an integer engine runs on its Q8.8 view alone
+    engine = _engine(cfg, _load_bundle(cfg))
     cells = [SparsityConfig(t_elem, t_rowcount) for t_elem in t_elems for t_rowcount in t_rowcounts]
-    baseline, *runs = engine.sweep(
-        fps, [None, *(dict.fromkeys(SCENARIOS, cell) for cell in cells)])
+    baseline, *runs = _sweep_file(
+        cfg, engine, [None, *(dict.fromkeys(SCENARIOS, cell) for cell in cells)])
+    _need_snapshots(cfg, baseline)
     baseline = np.array([r.coords for r in baseline])
     rows = [{"t_elem": cell.t_elem, "t_rowcount": cell.t_rowcount,
-             **sparsity.sparsity_stats([r.mask for r in results], fps.shape[-1]),
+             **sparsity.sparsity_stats([r.mask for r in results], engine.bundle.d),
              "output_deviation": output_deviation(np.array([r.coords for r in results]), baseline)}
             for cell, results in zip(cells, runs)]
     with open(args.out, "w", newline="") as f:
@@ -177,14 +172,17 @@ ABLATION_LADDER = (
 
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
-    bundle, fps = _load_inputs(cfg)
+    """The ladder's rungs in order, each reading the file once; the int rungs share one engine."""
+    bundle = _load_bundle(cfg)
+    engine_for = functools.cache(lambda kind, activation: _engine(
+        dataclasses.replace(cfg, engine=kind, activation=activation), bundle))
     rungs = []
     prev_coords = None
     perf_cfg = cfg.perf_config(bundle)
     for rung in ABLATION_LADDER:
-        engine = _engine(dataclasses.replace(cfg, engine=rung["engine"],
-                                             activation=rung["activation"]), bundle)
-        results = engine.run(fps, cfg.sparsity if rung["sparsity"] else None)
+        engine = engine_for(rung["engine"], rung["activation"])
+        [results] = _sweep_file(cfg, engine, [cfg.sparsity if rung["sparsity"] else None])
+        _need_snapshots(cfg, results)
         coords = np.array([r.coords for r in results])
         cycles = [report.total_cycles for report in _cycle_reports(results, engine.activation, perf_cfg)]
         entry = {

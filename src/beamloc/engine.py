@@ -23,21 +23,22 @@ multiply into one gather per head, and
 
 Reuse: a snapshot's coordinates depend only on its scenario, thresholded
 input and layer-1 row mask.  ``sweep`` runs the same snapshots once per
-sparsity map, each run from a fresh router state, and keeps one private
-memo per snapshot position: its prepared input and scenario (routing
-precedes thresholding, so a routed scenario is the same in every run), its
-input thresholded at the last ``t_elem`` asked for, with that input's zero
-counts, and its coordinates by (zeros in the thresholded input, skip-mask
-bytes).  A snapshot's thresholded inputs nest: a larger threshold zeroes a
-superset of what a smaller one zeroes, and the unthresholded input, keyed
-by its own zeros, sits below them all.  So the zero total names the input,
-up to the sign of a float zero: thresholding makes -0.0 +0.0, and no op
-after it divides by a value that may be zero, so equal values in give
-equal values out.  A sweep therefore prepares and routes each snapshot
-once, thresholds and counts it once per ``t_elem`` (again if the grid
-returns to one), and runs the encoder and head once per distinct
-(thresholded input, row mask) of that snapshot.  Each ``infer`` still
-builds and returns its own ``RowMask``.
+sparsity map, each run with its own router state.  It reads the snapshots
+once, in order, and runs each under every map in map order with one private
+memo, dropped before the next snapshot is read.  The memo holds the prepared
+input and scenario (routing precedes thresholding, so a routed scenario is
+the same in every run), the input thresholded at the last ``t_elem`` asked
+for, with its zero counts, and coordinates by (zeros in the thresholded
+input, skip-mask bytes).  A snapshot's thresholded inputs nest: a larger
+threshold zeroes a superset of what a smaller one zeroes, and the
+unthresholded input, keyed by its own zeros, sits below them all.  So the
+zero total names the input, up to the sign of a float zero: thresholding
+makes -0.0 +0.0, and no op after it divides by a value that may be zero,
+so equal values in give equal values out.  A sweep therefore prepares and
+routes each snapshot once, thresholds and counts it once per ``t_elem``
+(again if the grid returns to one), and runs the encoder and head once per
+distinct (thresholded input, row mask) of that snapshot.  Each ``infer``
+still builds and returns its own ``RowMask``.
 
 The integer engine requantizes once per matrix product (round-to-nearest-
 even, saturating), the score product inside the activation kernels, and
@@ -250,25 +251,24 @@ class _EngineBase:
         return InferResult(scenario=memo.scenario, coords=memo.coords[key], mask=mask)
 
     def run(self, fps, sparsity: dict | None = None) -> list[InferResult]:
-        """``infer`` over the snapshots in order; routing is stateful across them.
-
-        ``fps`` may be any iterable, such as ``channel.iter_fingerprints``: it
-        is read once, and no snapshot is kept after its ``infer`` returns.
-        """
-        state = RouterState.create(self.router_window)
-        return [self.infer(fp, state, sparsity) for fp in fps]
+        """``sweep(fps, [sparsity])[0]``: ``infer`` over ``fps`` in order, routing statefully."""
+        return self.sweep(fps, [sparsity])[0]
 
     def sweep(self, fps, maps) -> list[list[InferResult]]:
-        """``[run(fps, m) for m in maps]``, where ``None`` in ``maps`` thresholds nothing.
+        """One run of ``fps`` per map in ``maps``, where ``None`` thresholds nothing.
 
-        The runs go in map order, sharing one memo per snapshot position (see
-        "Reuse" above): the first run prepares and routes every snapshot.
+        ``fps`` may be any iterable, such as ``channel.iter_fingerprints``, and
+        is read once, in order; each snapshot runs under the maps in map order
+        with one memo (see "Reuse" above), so one memo is alive at a time and
+        the first map's run routes the snapshot.
         """
-        memos = [_Memo() for _ in fps]
-        runs = []
-        for sparsity in maps:
-            state = RouterState.create(self.router_window)
-            runs.append([self.infer(fp, state, sparsity, memo) for fp, memo in zip(fps, memos)])
+        states = [RouterState.create(self.router_window) for _ in maps]
+        runs = [[] for _ in maps]
+        for fp in fps:
+            memo = _Memo()
+            for sparsity, state, results in zip(maps, states, runs):
+                results.append(self.infer(fp, state, sparsity, memo))
+            del memo  # not kept while the next snapshot is read
         return runs
 
 

@@ -101,19 +101,26 @@ def _peak_rss_mb(*argv) -> float:
     return int(wrapper.stdout) / 1024
 
 
-@pytest.mark.parametrize("engine", ["int", "float"])
-def test_infer_memory_does_not_grow_with_its_input(inputs, tmp_path, engine):
-    # infer reads one snapshot at a time, so 1000 snapshots (23.5 MB on file)
-    # may peak at most 8 MB above 10: their result rows take about 2 MB.
+@pytest.mark.parametrize("command", [
+    pytest.param(["infer", "--engine", "int"], id="int"),
+    pytest.param(["infer", "--engine", "float"], id="float"),
+    pytest.param(["sweep", "--t-elem", "0.01", "--t-rowcount", "8"], id="sweep"),
+    pytest.param(["ablate"], id="ablate"),
+])
+def test_infer_memory_does_not_grow_with_its_input(inputs, tmp_path, command):
+    # infer, sweep and ablate read one snapshot at a time, so 1000 snapshots
+    # (23.5 MB on file) may peak at most 8 MB above 10: their results take
+    # about 2 MB.
     bundle, _ = inputs
     rng = np.random.default_rng(5)
     peaks = {}
     for count in (10, 1000):
-        fps, out = tmp_path / f"random{count}.bdfp", tmp_path / f"out{count}.json"
+        fps, out = tmp_path / f"random{count}.bdfp", tmp_path / f"out{count}"
         channel.write_fingerprints(fps, rng.random((count, 128, 46), dtype=np.float32))
-        peaks[count] = _peak_rss_mb("infer", "--bundle", bundle, "--fingerprints", fps,
-                                    "--engine", engine, "--out", out)
-        assert len(json.loads(out.read_text())["results"]) == count
+        peaks[count] = _peak_rss_mb(*command, "--bundle", bundle, "--fingerprints", fps,
+                                    "--out", out)
+        if command[0] == "infer":
+            assert len(json.loads(out.read_text())["results"]) == count
     assert peaks[1000] - peaks[10] <= 8, peaks
 
 
@@ -358,6 +365,19 @@ def test_sweep_quantizes_the_bundle_once(inputs, tmp_path, monkeypatch):
     bundle, fps = inputs
     assert cli.main(["sweep", "--engine", "int", "--bundle", str(bundle), "--fingerprints",
                      str(fps), "--out", str(tmp_path / "sweep.csv")]) == cli.EXIT_OK
+    assert len(calls) == 1
+
+
+def test_ablate_quantizes_the_bundle_once(inputs, tmp_path, monkeypatch):
+    # Both integer rungs run sigmoid-bias: they share one engine and one
+    # quantized view of the bundle.
+    calls = []
+    quantized = ModelBundle.quantized
+    monkeypatch.setattr(ModelBundle, "quantized",
+                        lambda self: calls.append(self) or quantized(self))
+    bundle, fps = inputs
+    assert cli.main(["ablate", "--bundle", str(bundle), "--fingerprints", str(fps),
+                     "--out", str(tmp_path / "ablate.json")]) == cli.EXIT_OK
     assert len(calls) == 1
 
 

@@ -525,18 +525,25 @@ def test_sweep_equals_fresh_runs(kind, sweep):
     # Masks and scenarios are equal, integer coordinates bit-equal.  A float
     # cell that thresholds only -0.0 away reuses coordinates run on -0.0:
     # equal values in give equal values out, so they are equal in value.
+    # The reference calls infer per snapshot, with no memo: run is a sweep.
+    # A sweep of a one-shot iterator must read it once.
     bundle, fps, maps, cfg = sweep
-    got = make_engine(kind, bundle, cfg).sweep(fps, maps)
-    expect = [make_engine(kind, bundle, cfg).run(fps, m) for m in maps]
-    for got_run, expect_run in zip(got, expect, strict=True):
-        for a, b in zip(got_run, expect_run, strict=True):
-            assert a.scenario == b.scenario
-            assert np.array_equal(a.mask.skip, b.mask.skip)
-            assert np.array_equal(a.mask.zero_counts, b.mask.zero_counts)
-            if kind == "int":
-                assert a.coords.tobytes() == b.coords.tobytes()
-            else:
-                assert np.array_equal(a.coords, b.coords)
+    expect = []
+    for m in maps:
+        engine = make_engine(kind, bundle, cfg)
+        state = RouterState.create(engine.router_window)
+        expect.append([engine.infer(fp, state, m) for fp in fps])
+    for snapshots in (fps, iter(fps)):
+        got = make_engine(kind, bundle, cfg).sweep(snapshots, maps)
+        for got_run, expect_run in zip(got, expect, strict=True):
+            for a, b in zip(got_run, expect_run, strict=True):
+                assert a.scenario == b.scenario
+                assert np.array_equal(a.mask.skip, b.mask.skip)
+                assert np.array_equal(a.mask.zero_counts, b.mask.zero_counts)
+                if kind == "int":
+                    assert a.coords.tobytes() == b.coords.tobytes()
+                else:
+                    assert np.array_equal(a.coords, b.coords)
 
 
 def test_make_engine(full_bundle):
