@@ -14,11 +14,12 @@ Fingerprints are float32 from the generator to the engine: the dtype a
 fingerprint file stores.  :func:`generate_fingerprints` rounds each
 preprocessed snapshot to float32 as it fills the batch, and
 :func:`write_fingerprints` writes that batch as it is.  The CLI reads a
-file one snapshot at a time, by :func:`iter_fingerprints`;
-:func:`read_fingerprints` reads it whole, for the benchmark's setup and the
-tests.  Both check the header first and give the payload as it is, a
-signalling NaN included.  Each engine's ``prepare_input`` converts one
-snapshot to float64 and rejects non-finite values before it does.
+file one snapshot at a time, by :func:`iter_fingerprints`, which reads
+each snapshot with :func:`read_fingerprints`; the benchmark's setup and the
+tests read a file whole with it.  Either way the header is checked first
+and the payload comes as it is, a signalling NaN included.  Each engine's
+``prepare_input`` converts one snapshot to float64 and rejects non-finite
+values before it does.
 """
 
 from __future__ import annotations
@@ -184,33 +185,31 @@ def _snapshot_count(f, path) -> int:
     return count
 
 
-def read_fingerprints(path) -> np.ndarray:
-    """Load a fingerprint file as one writable float32 array; its size must match the header count.
+def read_fingerprints(path, f=None, count: int | None = None) -> np.ndarray:
+    """The file at ``path`` whole, header checked first, or with ``f`` open at a snapshot, its next ``count``.
 
-    The header is checked before any payload is allocated.  The payload is
-    read straight into the array, with no bytes object or float64 copy
-    beside it.  Non-finite values load as they are, a signalling NaN
-    included: the engines reject them.
+    One writable (count, 128, 46) float32 array, read straight in: no bytes
+    object or float64 copy beside it, and a signalling NaN as it is.
     """
-    with open(path, "rb") as f:
-        count = _snapshot_count(f, path)
-        fps = np.fromfile(f, dtype="<f4", count=count * N_BEAMS * N_SUBCARRIERS)
-    return fps.reshape(count, N_BEAMS, N_SUBCARRIERS)
+    if f is None:
+        with open(path, "rb") as f:
+            return read_fingerprints(path, f, _snapshot_count(f, path))
+    fps = np.empty((count, N_BEAMS, N_SUBCARRIERS), dtype="<f4")
+    if f.readinto(fps) != fps.nbytes:  # the file shrank after its size was checked
+        raise OSError(f"{path}: cut short before {count} more snapshot(s)")
+    return fps
 
 
 def iter_fingerprints(f, path):
     """Check the header of ``f``, open at its start, now; return an iterator over its snapshots.
 
-    Each snapshot is read into a fresh 128x46 float32 array when it is asked
-    for, so ``f`` must stay open until the iterator is exhausted.
+    Each is read by :func:`read_fingerprints` when asked for, so ``f`` must
+    stay open until the iterator is exhausted.
     """
     count = _snapshot_count(f, path)
 
     def snapshots():
-        for i in range(count):
-            fp = np.empty((N_BEAMS, N_SUBCARRIERS), dtype="<f4")
-            if f.readinto(fp) != fp.nbytes:  # the file shrank after its size was checked
-                raise OSError(f"{path}: snapshot {i} of {count} is cut short")
-            yield fp
+        for _ in range(count):
+            yield read_fingerprints(path, f, 1)[0]
 
     return snapshots()

@@ -110,7 +110,10 @@ def _peak_rss_mb(*argv) -> float:
 def test_infer_memory_does_not_grow_with_its_input(inputs, tmp_path, command):
     # infer, sweep and ablate read one snapshot at a time, so 1000 snapshots
     # (23.5 MB on file) may peak at most 8 MB above 10: their results take
-    # about 2 MB.
+    # about 2 MB.  The bound covers the one-cell sweep run here.  A sweep
+    # still keeps every cell's results until its statistics, so a
+    # default-grid sweep grows by O(cells x snapshots), about 25 KB a
+    # snapshot (ROADMAP item 11).
     bundle, _ = inputs
     rng = np.random.default_rng(5)
     peaks = {}
