@@ -8,7 +8,11 @@ non-negative 128x46 beam-delay fingerprint.
 The generator replaces a proprietary measurement set: LoS-like profiles
 put energy in a few beams with compact delay support, NLoS-like profiles
 spread it wider over beams and delays, and a complex-Gaussian diffuse
-floor sits under everything.  All randomness is seeded and reproducible.
+floor sits under everything.  All randomness is seeded and reproducible:
+:func:`generate_channel` pins the order of its draws.  That order fixes
+which PCG64 words are consumed, not how they are read: the per-beam draws
+are decoded from one block of raw words (:func:`_beam_draws`, which names
+the numpy facts it reads), with the bytes of numpy's own calls.
 
 Fingerprints are float32 from the generator to the engine: the dtype a
 fingerprint file stores.  :func:`generate_fingerprints` rounds each
@@ -24,6 +28,7 @@ values before it does.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -65,23 +70,119 @@ def default_profile(scenario: str, seed: int = 0) -> ScenarioProfile:
     return ScenarioProfile(scenario, seed)
 
 
+def _beam_draws_loop(rng, n_beams, m, spread):
+    """Row gain uniforms (n_beams,), taps (n_beams, m), pair uniforms (n_beams, m, 2): numpy's calls.
+
+    ``rng.random`` draws the doubles u that ``rng.uniform(low, high)`` would.
+    :func:`_beam_draws` rewinds to this loop on a Lemire rejection.
+    """
+    u_gain = np.empty(n_beams)
+    taus = np.empty((n_beams, m), dtype=np.int64)
+    u = np.empty((n_beams, m, 2))
+    for i in range(n_beams):
+        u_gain[i] = rng.random()
+        taus[i] = rng.choice(spread, size=m, replace=False)
+        rng.random(out=u[i])
+    return u_gain, taus, u
+
+
+@functools.cache  # one entry per profile row and buffered-half state
+def _draw_plan(n_beams, m, spread, buffered):
+    """Where :func:`_beam_draws_loop`'s draws sit in a block of PCG64 words.
+
+    Word 0's high half is the generator's buffered half; words 1.. are the
+    raw words in the loop's order.  Per beam: one row gain word, 2m-1
+    bounded draws (m Floyd steps, m-1 Fisher-Yates swaps) on 32-bit halves,
+    a buffered half first and then low before high, and 2m pair words.
+    Also the number of raw words, the buffered flag and ``uinteger`` half
+    the loop leaves, and each bounded draw's range and Lemire threshold.
+    """
+    gain, halves, pairs = [], [], []
+    word, held, last = 1, 0 if buffered else None, 0
+    for _ in range(n_beams):
+        gain.append(word)
+        word += 1
+        for _ in range(2 * m - 1):
+            if held is None:
+                halves.append(2 * word)
+                held = last = word
+                word += 1
+            else:
+                halves.append(2 * held + 1)
+                held = None
+        pairs.append(range(word, word + 2 * m))
+        word += 2 * m
+    bound = np.array([*range(spread - m + 1, spread + 1), *range(m, 1, -1)], dtype=np.uint64)
+    return (np.array(gain), np.array(halves).reshape(n_beams, 2 * m - 1),
+            np.array(pairs).reshape(n_beams, m, 2), word - 1, int(held is not None),
+            2 * last + 1, bound, 2**32 % bound)
+
+
+def _beam_draws(rng, n_beams, m, spread):
+    """:func:`_beam_draws_loop`'s arrays and generator state, decoded from one block of raw words.
+
+    It relies on these facts of numpy's PCG64 ``Generator``, for
+    ``1 <= m < spread < 2**32`` with ``spread <= 10000`` or ``m <= spread // 50``:
+    ``random()`` is ``(word >> 11) * 2**-53`` of one word and leaves the
+    buffered 32-bit half alone; ``choice(spread, m, replace=False)`` is
+    Floyd's algorithm, each of whose m steps draws, then a Fisher-Yates
+    shuffle of the m picks; each of its indices below ``bound`` is Lemire's
+    ``(half * bound) >> 32`` on the next 32-bit half, the buffered one
+    first, rejected while the product's low 32 bits are below
+    ``2**32 % bound``.  If any decoded index would be rejected, the
+    generator is rewound and the loop draws instead.
+    """
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    gain, halves, pairs, n_words, held, uinteger, bound, threshold = _draw_plan(
+        n_beams, m, spread, state["has_uint32"])
+    block = np.empty(n_words + 1, dtype="<u8")
+    block[0] = state["uinteger"] << 32
+    block[1:] = bit_generator.random_raw(n_words)
+    product = block.view("<u4")[halves].astype(np.uint64) * bound
+    if ((product & 0xFFFFFFFF) < threshold).any():
+        bit_generator.state = state
+        return _beam_draws_loop(rng, n_beams, m, spread)
+    draws = (product >> 32).astype(np.int64)
+    # Floyd: step c draws below j + 1 = spread - m + c + 1 and picks j if the draw is already taken.
+    taus = np.empty((n_beams, m), dtype=np.int64)
+    for c in range(m):
+        taken = (taus[:, :c] == draws[:, c, None]).any(axis=1)
+        taus[:, c] = np.where(taken, spread - m + c, draws[:, c])
+    # Fisher-Yates: column i, from m - 1 down to 1, swaps with the draw below i + 1.
+    rows = np.arange(n_beams)
+    for c, i in enumerate(range(m - 1, 0, -1), start=m):
+        picked = taus[rows, draws[:, c]]
+        taus[rows, draws[:, c]] = taus[:, i]
+        taus[:, i] = picked
+    u = (block >> 11) * 2.0**-53
+    state = bit_generator.state
+    state["has_uint32"], state["uinteger"] = held, int(block.view("<u4")[uinteger])
+    bit_generator.state = state
+    return u[gain], taus, u[pairs]
+
+
 def generate_channel(profile: ScenarioProfile) -> np.ndarray:
     """One 128x46 complex frequency-domain snapshot, deterministic per seed.
 
-    The draws from ``np.random.default_rng(profile.seed)`` come in a fixed
-    order: the 128 lognormal beam gains, the real and then the imaginary
-    128x46 standard normals of the diffuse floor, and the dominant beams
-    (``choice`` without replacement).  Then, for each dominant beam in the
-    order drawn: its row gain, uniform in [0.6, 1.4); its m distinct taps
-    below the delay spread (one ``choice`` without replacement); and m
+    The draws from ``np.random.Generator(np.random.PCG64(profile.seed))``,
+    whose bytes are ``np.random.default_rng(profile.seed)``'s, come in a
+    fixed order: the 128 lognormal beam gains, the real and then the
+    imaginary 128x46 standard normals of the diffuse floor, and the dominant
+    beams (``choice`` without replacement).  Then, for each dominant beam in
+    the order drawn: its row gain, uniform in [0.6, 1.4); its m distinct
+    taps below the delay spread (one ``choice`` without replacement); and m
     (amplitude, phase) pairs, amplitude first, uniform in [0.4, 1.0) and
-    [0, 2*pi).  Each tap's term is added to its row one at a time in the
-    order drawn, so the bytes of the result are fixed by the seed.  The
-    counts, floor, spread and gain sigma are the scenario's row of
-    ``_PROFILES``.
+    [0, 2*pi).  The per-beam draws are decoded from one block of the
+    generator's raw words (:func:`_beam_draws`), which leaves the words,
+    values and generator state of those calls; a Lemire rejection (about
+    7e-7 per S2 snapshot) rewinds and makes the calls themselves.  Each
+    tap's term is added to its row one at a time in the order drawn, so the
+    bytes of the result are fixed by the seed.  The counts, floor, spread
+    and gain sigma are the scenario's row of ``_PROFILES``.
     """
     n_beams, m, floor, spread, sigma = _PROFILES[profile.scenario]
-    rng = np.random.default_rng(profile.seed)
+    rng = np.random.Generator(np.random.PCG64(profile.seed))
     beam_gain = rng.lognormal(0.0, sigma, size=(N_BEAMS, 1))
     h = floor * beam_gain * (
         rng.standard_normal((N_BEAMS, N_SUBCARRIERS))
@@ -89,26 +190,20 @@ def generate_channel(profile: ScenarioProfile) -> np.ndarray:
     ) / np.sqrt(2.0)
 
     beams = rng.choice(N_BEAMS, size=n_beams, replace=False)
-    # The bounded-integer draws of ``choice`` sit between the uniform ones,
-    # so only the draws loop over beams.  ``rng.random`` draws the doubles u
-    # that ``rng.uniform(low, high)`` would, and low + (high - low) * u is
-    # what ``uniform`` computes from them (for the phase, low = 0 adds nothing).
-    u_gain = np.empty(beams.size)
-    taus = np.empty((beams.size, m, 1), dtype=np.int64)
-    u = np.empty((beams.size, m, 2))
-    for i in range(beams.size):
-        u_gain[i] = rng.random()
-        taus[i, :, 0] = rng.choice(spread, size=m, replace=False)
-        rng.random(out=u[i])
+    u_gain, taus, u = _beam_draws(rng, beams.size, m, spread)
+    # low + (high - low) * u is what ``uniform`` computes (for the phase, low = 0 adds nothing).
     amp = (0.6 + (1.4 - 0.6) * u_gain)[:, None] * (0.4 + (1.0 - 0.4) * u[..., 0])
     phase = 2.0 * np.pi * u[..., 1:]
     k = np.arange(N_SUBCARRIERS)
-    terms = 1j * (phase - 2.0 * np.pi * k * taus / N_SUBCARRIERS)
+    terms = 1j * (phase - 2.0 * np.pi * k * taus[..., None] / N_SUBCARRIERS)
     np.exp(terms, out=terms)
     terms *= amp[..., None]
     # Tap by tap, not terms.sum(axis=1): pairwise summation changes the bits.
+    # The beams are distinct, so the rows are gathered and scattered once.
+    rows = h[beams]
     for j in range(m):
-        h[beams] += terms[:, j]
+        rows += terms[:, j]
+    h[beams] = rows
     return h
 
 

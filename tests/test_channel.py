@@ -44,6 +44,54 @@ def test_generate_channel_matches_loop_bytes(scenario, seed):
     assert channel.generate_channel(p).tobytes() == generate_channel_loop(p).tobytes()
 
 
+def test_profiles_are_inside_the_decoders_domain():
+    # There numpy's choice(spread, m, replace=False) is Floyd's algorithm and
+    # every Floyd step draws, which is what channel._beam_draws decodes.
+    for n_beams, m, _, spread, _ in channel._PROFILES.values():
+        assert 1 <= n_beams <= channel.N_BEAMS
+        assert 1 <= m < spread <= 10000
+
+
+def _draws_and_state(draws, n_beams, m, spread, seed, prior):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(prior):  # an odd count leaves a buffered 32-bit half
+        rng.integers(0, 7, dtype=np.uint32)
+    return draws(rng, n_beams, m, spread), rng.bit_generator.state
+
+
+def _assert_decoder_matches_loop(n_beams, m, spread, seed, prior):
+    (got, got_state), (want, want_state) = (
+        _draws_and_state(f, n_beams, m, spread, seed, prior)
+        for f in (channel._beam_draws, channel._beam_draws_loop))
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    assert got_state == want_state
+
+
+@st.composite
+def _draw_shapes(draw):
+    # Near 2**31 Lemire rejects about half the draws, so the rewind runs too.
+    spread = draw(st.one_of(st.integers(2, 64), st.integers(2**31 + 1, 2**31 + 64)))
+    return draw(st.integers(1, 64)), draw(st.integers(1, min(spread - 1, 64))), spread
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=_draw_shapes(), seed=st.integers(0, 2**64), prior=st.integers(0, 2))
+def test_beam_draws_decoder_matches_numpys_calls(shape, seed, prior):
+    _assert_decoder_matches_loop(*shape, seed, prior)
+
+
+@pytest.mark.parametrize("prior", [0, 1])
+def test_beam_draws_decoder_rewinds_on_a_lemire_rejection(monkeypatch, prior):
+    loop_calls = []
+    loop = channel._beam_draws_loop
+    monkeypatch.setattr(channel, "_beam_draws_loop",
+                        lambda *args: loop_calls.append(args[1:]) or loop(*args))
+    _assert_decoder_matches_loop(4, 3, 2**31 + 1, 0, prior)
+    # One call from the rejected decode and one from the reference.
+    assert loop_calls == [(4, 3, 2**31 + 1)] * 2
+
+
 # SHA-256 of the fingerprint file of three snapshots from seed 4242.  The
 # loop oracle reads the generator's own profile table, so these pins are
 # what catches a changed table number, window or transform.
