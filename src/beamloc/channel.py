@@ -12,7 +12,10 @@ floor sits under everything.  All randomness is seeded and reproducible:
 :func:`generate_channel` pins the order of its draws.  That order fixes
 which PCG64 words are consumed, not how they are read: the per-beam draws
 are decoded from one block of raw words (:func:`_beam_draws`, which names
-the numpy facts it reads), with the bytes of numpy's own calls.
+the numpy facts it reads), with the bytes of numpy's own calls.  Likewise
+the diffuse floor and the tap phases are written as real products on the
+real and imaginary parts, with the bytes of numpy's complex multiply,
+divide and ``exp`` (:func:`generate_channel` names those facts).
 
 Fingerprints are float32 from the generator to the engine: the dtype a
 fingerprint file stores.  :func:`generate_fingerprints` rounds each
@@ -41,6 +44,9 @@ N_BEAMS = 128
 N_SUBCARRIERS = 46
 
 FINGERPRINT_MAGIC = b"BDFP"
+
+# The reciprocal numpy's complex division by np.sqrt(2.0) multiplies by.
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 # Each scenario's generator numbers: dominant beams, taps per dominant beam,
 # diffuse floor, delay spread of the taps (in bins), and the per-beam
@@ -180,14 +186,25 @@ def generate_channel(profile: ScenarioProfile) -> np.ndarray:
     tap's term is added to its row one at a time in the order drawn, so the
     bytes of the result are fixed by the seed.  The counts, floor, spread
     and gain sigma are the scenario's row of ``_PROFILES``.
+
+    The floor and the tap phases are built on the real and imaginary parts,
+    with the bytes of ``floor * gain * (re + 1j * im) / np.sqrt(2.0)`` and
+    ``np.exp(1j * t)``.  A real times a complex multiplies each part and adds
+    a zero product, which leaves a nonzero part as it is.  numpy's complex
+    division by ``np.sqrt(2.0)`` (Smith's method) multiplies each part by
+    the rounded reciprocal, so the floor multiplies by ``_INV_SQRT2``: a real
+    divide rounds once, and its bits differ in about one draw in eight.  And
+    ``exp(0 + it)`` equals ``exp(-0 + it)``, so the phases go into the
+    imaginary part of a zeroed array.
     """
     n_beams, m, floor, spread, sigma = _PROFILES[profile.scenario]
     rng = np.random.Generator(np.random.PCG64(profile.seed))
-    beam_gain = rng.lognormal(0.0, sigma, size=(N_BEAMS, 1))
-    h = floor * beam_gain * (
-        rng.standard_normal((N_BEAMS, N_SUBCARRIERS))
-        + 1j * rng.standard_normal((N_BEAMS, N_SUBCARRIERS))
-    ) / np.sqrt(2.0)
+    floor_gain = floor * rng.lognormal(0.0, sigma, size=(N_BEAMS, 1))
+    normals = rng.standard_normal((2, N_BEAMS, N_SUBCARRIERS))  # the real part's, then the imaginary's
+    h = np.empty((N_BEAMS, N_SUBCARRIERS), dtype=np.complex128)
+    for part, x in zip((h.real, h.imag), normals):
+        np.multiply(x, floor_gain, out=part)
+        part *= _INV_SQRT2
 
     beams = rng.choice(N_BEAMS, size=n_beams, replace=False)
     u_gain, taus, u = _beam_draws(rng, beams.size, m, spread)
@@ -195,7 +212,8 @@ def generate_channel(profile: ScenarioProfile) -> np.ndarray:
     amp = (0.6 + (1.4 - 0.6) * u_gain)[:, None] * (0.4 + (1.0 - 0.4) * u[..., 0])
     phase = 2.0 * np.pi * u[..., 1:]
     k = np.arange(N_SUBCARRIERS)
-    terms = 1j * (phase - 2.0 * np.pi * k * taus[..., None] / N_SUBCARRIERS)
+    terms = np.zeros((beams.size, m, N_SUBCARRIERS), dtype=np.complex128)
+    np.subtract(phase, 2.0 * np.pi * k * taus[..., None] / N_SUBCARRIERS, out=terms.imag)
     np.exp(terms, out=terms)
     terms *= amp[..., None]
     # Tap by tap, not terms.sum(axis=1): pairwise summation changes the bits.

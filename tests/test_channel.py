@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beamloc import channel
 from beamloc.config import ConfigError
@@ -118,6 +119,64 @@ def test_fingerprint_file_matches_loop_bytes(tmp_path, scenario):
             for i in range(3)]
     channel.write_fingerprints(tmp_path / "loop.bdfp", np.array(loop))
     assert (tmp_path / "fast.bdfp").read_bytes() == (tmp_path / "loop.bdfp").read_bytes()
+
+
+# channel.generate_channel builds its diffuse floor and its tap phases on the
+# real and imaginary parts, where the loop oracle writes complex expressions.
+# These are the numpy facts that make the two give the same bytes.
+def _finite(shape):
+    return arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
+_SHAPES = st.tuples(st.integers(1, 8), st.integers(1, 64))
+
+
+def _assert_bits_where_nonzero(got, want):
+    # Where a product is zero, the complex kernel may give the other signed zero.
+    nonzero = want != 0
+    assert np.array_equal(got[nonzero].view(np.uint64), want[nonzero].view(np.uint64))
+    assert (got[~nonzero] == 0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=_SHAPES)
+def test_real_times_complex_is_the_real_products_on_the_parts(data, shape):
+    a = data.draw(_finite((shape[0], 1)))
+    x, y = data.draw(_finite(shape)), data.draw(_finite(shape))
+    with np.errstate(over="ignore"):  # an overflowing product is inf both ways
+        z, ax, ay = a * (x + 1j * y), a * x, a * y
+    _assert_bits_where_nonzero(z.real, ax)
+    _assert_bits_where_nonzero(z.imag, ay)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=_SHAPES)
+def test_complex_divide_by_sqrt2_multiplies_the_parts_by_its_rounded_reciprocal(data, shape):
+    x, y = data.draw(_finite(shape)), data.draw(_finite(shape))
+    z = (x + 1j * y) / np.sqrt(2.0)
+    _assert_bits_where_nonzero(z.real, x * channel._INV_SQRT2)
+    _assert_bits_where_nonzero(z.imag, y * channel._INV_SQRT2)
+
+
+def test_real_divide_by_sqrt2_is_not_the_reciprocal_multiply():
+    # The trap the floor avoids: a real divide rounds once, the multiply by
+    # the rounded reciprocal twice, and 7.0 is one value where they differ.
+    x = np.array([7.0])
+    assert (x / np.sqrt(2.0))[0] == 4.949747468305833
+    assert (x * channel._INV_SQRT2)[0] == 4.949747468305832
+    assert ((x + 1j * x) / np.sqrt(2.0)).real[0] == 4.949747468305832
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=_SHAPES)
+def test_exp_of_1j_times_t_is_exp_of_t_in_a_zeroed_imaginary_part(data, shape):
+    # 1j * -0.0 has imaginary part +0.0, so adding 0.0 turns -0.0 into +0.0.
+    # The tap phase is a nonnegative phase minus a nonnegative delay term, never -0.0.
+    t = data.draw(_finite(shape)) + 0.0
+    terms = np.zeros(shape, dtype=np.complex128)
+    terms.imag = t
+    np.exp(terms, out=terms)
+    assert terms.tobytes() == np.exp(1j * t).tobytes()
 
 
 def test_hann_window_shape():
