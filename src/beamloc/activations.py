@@ -29,6 +29,15 @@ They are built from the 1025-entry tables and the grid-snapping rule,
 the sigmoid's on first use and the exp's at import, so a LUT lookup is
 one gather with no division or rounding per element.
 
+The softmax's row prefix sums are two float64 GEMMs: one with an
+upper-triangular 16x16 matrix of ones sums within each block of 16
+columns, and one of the block sums with a strictly upper-triangular matrix
+adds the earlier blocks' sums.  Rows are padded to a multiple of 16 with
+distance 65535, whose exp entry is 0.  An exp entry is an integer of at
+most 2**15, so a row of up to 256 entries sums to at most 2**23, far below
+2**53: every product and partial sum is an exact float64 integer in any
+BLAS summation order, FMA use or thread count, as in ``fxp.qmatmul``.
+
 The softmax's one division per row is a float64 one: its reciprocal is
 ``rint(2**30 / S)`` of the row sum S, which the prefix sum already holds
 in its last column.  This equals the round-half-even integer quotient:
@@ -137,6 +146,17 @@ EXP_BY_DISTANCE = np.full(CODE_MAX - CODE_MIN + 1, EXP_TABLE[0])
 EXP_BY_DISTANCE[:_EXP_CODE_LIMIT + 1] = EXP_TABLE[
     np.rint(np.arange(0, -_EXP_CODE_LIMIT - 1, -1) / 4 + (EXP_SIZE - 1)).astype(np.intp)]
 _RECIP_BITS = 30
+_BLOCK = 16  # softmax_int's prefix-sum block width, in columns
+_IN_BLOCK = np.triu(np.ones((_BLOCK, _BLOCK)))
+_PAD_DISTANCE = CODE_MAX - CODE_MIN  # 65535
+
+
+@functools.cache
+def _earlier_blocks(nb: int) -> np.ndarray:
+    """Entry (i, j) is 1 for i < j: a row of block sums times it gives each block's offset."""
+    ones = np.triu(np.ones((nb, nb)), 1)
+    ones.setflags(write=False)
+    return ones
 
 
 def softmax_int(scores: np.ndarray, scale: int = SCALE) -> np.ndarray:
@@ -157,6 +177,10 @@ def softmax_int(scores: np.ndarray, scale: int = SCALE) -> np.ndarray:
     rounded cumulative sum at i and i-1, so a row's codes sum to 256 while
     its exp sum is at most 2**22, as in every row of at most 128 entries.
     Longer rows can drift: all-zero rows of 384 and 1000 entries sum to 255 and 258.
+
+    The running sums are the module docstring's two GEMMs, on rows padded
+    to a multiple of 16 columns with a distance whose exp entry is 0; they
+    are exact while a row sum stays below 2**53.
     """
     if scores.size == 0:
         return np.zeros(scores.shape)
@@ -166,8 +190,17 @@ def softmax_int(scores: np.ndarray, scale: int = SCALE) -> np.ndarray:
     np.rint(codes, out=codes)
     dist = codes.clip(float(CODE_MIN), float(CODE_MAX), out=codes).astype(np.intp)
     np.subtract(dist.max(axis=1, keepdims=True), dist, out=dist)
+    n, m = dist.shape
+    nb = -(-m // _BLOCK)
+    if m % _BLOCK:
+        padded = np.full((n, nb * _BLOCK), _PAD_DISTANCE, dtype=np.intp)
+        padded[:, :m] = dist
+        dist = padded
     e = EXP_BY_DISTANCE.take(dist)
-    steps = np.cumsum(e, axis=1)
+    steps = e.reshape(-1, _BLOCK) @ _IN_BLOCK
+    blocks = steps.reshape(n, nb, _BLOCK)
+    blocks += (blocks[:, :, -1] @ _earlier_blocks(nb))[:, :, None]
+    steps = steps.reshape(n, -1)
     # the row sum S is the prefix sum's last column; rint(2**30 / S) rounds half to even
     recip = np.rint((1 << _RECIP_BITS) / steps[:, -1:])
     recip *= 2.0 ** (8 - _RECIP_BITS)
@@ -177,7 +210,7 @@ def softmax_int(scores: np.ndarray, scale: int = SCALE) -> np.ndarray:
     flat = steps.reshape(-1)
     np.subtract(flat[1:], flat[:-1], out=e.reshape(-1)[1:])
     e[:, 0] = steps[:, 0]
-    return e
+    return e[:, :m]
 
 
 @functools.cache

@@ -251,10 +251,6 @@ class _EngineBase:
             memo.coords[key] = self.locate(memo.x, mask, memo.scenario)
         return InferResult(scenario=memo.scenario, coords=memo.coords[key], mask=mask)
 
-    def run(self, fps, sparsity: dict | None = None) -> list[InferResult]:
-        """``sweep(fps, [sparsity])[0]``: ``infer`` over ``fps`` in order, routing statefully."""
-        return self.sweep(fps, [sparsity])[0]
-
     def sweep(self, fps, maps) -> list[list[InferResult]]:
         """One run of ``fps`` per map in ``maps``, where ``None`` thresholds nothing.
 

@@ -170,7 +170,7 @@ def test_integer_row_kernels_match_int64_oracles():
         assert np.array_equal(act.softmax_int(rows), oracles.softmax_int(rows))
 
 
-_ROWS = st.tuples(st.integers(1, 4), st.integers(1, 130))
+_ROWS = st.tuples(st.integers(1, 40), st.integers(1, 130))
 
 
 @given(arrays(np.int16, _ROWS, elements=st.integers(-32768, 32767) | st.integers(-16, 16)))
@@ -188,6 +188,31 @@ def test_softmax_int_edge_shapes_match_int64_oracle(dtype):
                  np.full((3, 7), -32768), np.full((1, 1), -32768), np.array([[-28673]]),
                  np.array([[-28673, -32768, -28672]])):
         assert np.array_equal(act.softmax_int(rows.astype(dtype)), oracles.softmax_int(rows))
+
+
+def test_softmax_int_every_width_matches_int64_oracle():
+    # Every width 1..130: each residue mod the kernel's 16-column block, the
+    # padded widths and the unpadded ones, at the default scale and dense's -10.
+    # The last row's entries are all row maxima: at width 128 its exp sum is
+    # 128 * 2**15 = 2**22, the largest a 128-entry row reaches.
+    rng = np.random.default_rng(38)
+    for width in range(1, 131):
+        rows = np.concatenate([rng.integers(-32768, 32768, (3, width)),
+                               rng.integers(-600, 600, (3, width)), np.full((1, width), 9)])
+        for m in (256, -10):
+            scores = rows.astype(np.float64)
+            out = act.softmax_int(scores, m)
+            assert out.dtype == np.float64 and out.shape == rows.shape
+            assert np.array_equal(scores, rows)
+            assert np.array_equal(out, oracles.softmax_int(oracles.requantize_int64(rows * m)))
+            assert width > 128 or out[-1].sum() == 256
+            assert width != 128 or np.all(out[-1] == 2)
+
+
+def test_softmax_int_long_rows_drift_as_documented():
+    # softmax_int's docstring: rows of at most 128 entries sum to 256, longer ones can drift.
+    sums = [act.softmax_int(np.zeros((1, width))).sum() for width in (128, 129, 384, 1000)]
+    assert sums == [256, 256, 255, 258]
 
 
 def test_softmax_float_matches_highprec(rng):

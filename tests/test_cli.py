@@ -419,12 +419,12 @@ def _sweep_body(bundle, fps, out, *flags):
 def _reuse_free_body(bundle, fps, kind, t_elems, t_rowcounts, ecfg):
     """The sweep CSV body, built with a fresh engine and no shared state per cell."""
     bundle, snapshots = load_bundle(bundle), channel.read_fingerprints(fps)
-    baseline = np.array([r.coords for r in make_engine(kind, bundle, ecfg).run(snapshots)])
+    baseline = np.array([r.coords for r in make_engine(kind, bundle, ecfg).sweep(snapshots, [None])[0]])
     lines = ["t_elem,t_rowcount,element_sparsity,row_sparsity,max_row_sparsity,output_deviation"]
     for t_elem in t_elems:
         for t_rowcount in t_rowcounts:
             cell = dict.fromkeys(SCENARIOS, SparsityConfig(t_elem=t_elem, t_rowcount=t_rowcount))
-            results = make_engine(kind, bundle, ecfg).run(snapshots, cell)
+            results = make_engine(kind, bundle, ecfg).sweep(snapshots, [cell])[0]
             stats = sparsity_stats([r.mask for r in results], snapshots.shape[-1])
             dev = output_deviation(np.array([r.coords for r in results]), baseline)
             lines.append(",".join(repr(v) for v in (t_elem, t_rowcount, *stats.values(), dev)))
@@ -441,7 +441,7 @@ def test_routed_sweep_equals_reuse_free_runs(inputs, tmp_path, kind):
         channel.generate_fingerprints(channel.default_profile(sc, seed=9), 2)
         for sc in ("S1", "S3", "S1")]))
     ecfg = EngineConfig(router_window=3)
-    routed = make_engine(kind, load_bundle(bundle), ecfg).run(channel.read_fingerprints(fps))
+    routed = make_engine(kind, load_bundle(bundle), ecfg).sweep(channel.read_fingerprints(fps), [None])[0]
     assert len({r.scenario for r in routed}) > 1
     got = _sweep_body(bundle, fps, tmp_path / "sweep.csv", "--engine", kind, "--router-window", "3")
     assert got == _reuse_free_body(bundle, fps, kind, DEFAULT_T_ELEMS, DEFAULT_T_ROWCOUNTS, ecfg)

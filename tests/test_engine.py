@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from beamloc import activations as act
 from beamloc.activations import ActivationKind, sigmoid_bias_code
 from beamloc.channel import default_profile, generate_fingerprints
 from beamloc.config import DEFAULT_SPARSITY
@@ -453,7 +454,7 @@ def test_run_is_one_routed_pass(full_bundle, window):
     ie = IntEngine(full_bundle, EngineConfig(router_window=window))
     state = RouterState.create(full_bundle.router_window if window is None else window)
     expect = [ie.infer(fp, state) for fp in fps]
-    got = ie.run(fps)
+    got = ie.sweep(fps, [None])[0]
     assert [r.scenario for r in got] == [r.scenario for r in expect]
     for a, b in zip(got, expect):
         assert np.array_equal(a.coords, b.coords) and np.array_equal(a.mask.skip, b.mask.skip)
@@ -468,9 +469,9 @@ def test_run_thresholds_are_a_run_setting(full_bundle, kind):
     a = dict.fromkeys(("S1", "S2", "S3"), SparsityConfig(t_elem=0.1, t_rowcount=8))
     b = dict(DEFAULT_SPARSITY)
     engine = make_engine(kind, full_bundle)
-    engine.run(fps, a)
-    got = engine.run(fps, b)
-    expect = make_engine(kind, full_bundle).run(fps, b)
+    engine.sweep(fps, [a])
+    got = engine.sweep(fps, [b])[0]
+    expect = make_engine(kind, full_bundle).sweep(fps, [b])[0]
     assert [r.scenario for r in got] == [r.scenario for r in expect]
     assert len({r.scenario for r in got}) > 1
     assert sum(r.mask.n_skipped for r in got) > 0
@@ -577,6 +578,24 @@ def test_softmax_rows_sum_inside_engine(full_bundle, s1_batch):
     assert np.max(np.abs(sums - 1.0)) <= 2**-8
 
 
+def test_dense_locate_calls_the_softmax_kernel_by_its_module_name(full_bundle, monkeypatch):
+    # The benchmark's traced run times the kernel through a wrapper on the
+    # module attribute, so the engine must look it up there on every call.
+    shapes = []
+    kernel = act.softmax_int
+
+    def counting(scores, scale):
+        shapes.append(scores.shape)
+        return kernel(scores, scale)
+
+    monkeypatch.setattr(act, "softmax_int", counting)
+    ie = IntEngine(full_bundle, EngineConfig(activation=ActivationKind.SOFTMAX_INT,
+                                             scenario_override="S2"))
+    fp = generate_fingerprints(default_profile("S2", seed=0), 1)[0]
+    ie.locate(ie.prepare_input(fp), RowMask.keep_all(full_bundle.n), "S2")
+    assert shapes == [(128, 128)] * 4  # 2 layers x 2 heads
+
+
 # --- whole runs against the pipeline oracles --------------------------------
 
 
@@ -619,9 +638,9 @@ def test_runs_match_the_pipeline_oracles(run):
         expect = oracles.run_int(bundle, *_oracle_args(fps, sparsity, cfg))
     except AccumulatorOverflow:
         with pytest.raises(AccumulatorOverflow):
-            IntEngine(bundle, cfg).run(fps, sparsity)
+            IntEngine(bundle, cfg).sweep(fps, [sparsity])[0]
         return
-    got = IntEngine(bundle, cfg).run(fps, sparsity)
+    got = IntEngine(bundle, cfg).sweep(fps, [sparsity])[0]
     for res, (scenario, skip, coords) in zip(got, expect, strict=True):
         assert res.scenario == scenario
         assert np.array_equal(res.mask.skip, skip)
@@ -633,7 +652,7 @@ def _check_float_run(bundle, fps, sparsity, cfg):
     # The float twin sums in another order: routing and masks compare exactly,
     # coordinates to 1e-9 of the largest coordinate of the run (at least 1).
     expect = oracles.run_float(bundle, *_oracle_args(fps, sparsity, cfg))
-    got = FloatEngine(bundle, cfg).run(fps, sparsity)
+    got = FloatEngine(bundle, cfg).sweep(fps, [sparsity])[0]
     tol = 1e-9 * max(1.0, *(np.abs(coords).max(initial=0.0) for *_, coords in expect))
     for res, (scenario, skip, coords) in zip(got, expect, strict=True):
         assert res.scenario == scenario
@@ -687,9 +706,9 @@ def test_cli_geometry_runs_match_the_int_oracle(run):
         expect = oracles.run_int(bundle, *_oracle_args(fps, sparsity, cfg))
     except AccumulatorOverflow:
         with pytest.raises(AccumulatorOverflow):
-            IntEngine(bundle, cfg).run(fps, sparsity)
+            IntEngine(bundle, cfg).sweep(fps, [sparsity])[0]
         return
-    got = IntEngine(bundle, cfg).run(fps, sparsity)
+    got = IntEngine(bundle, cfg).sweep(fps, [sparsity])[0]
     for res, (scenario, skip, coords) in zip(got, expect, strict=True):
         assert res.scenario == scenario
         assert np.array_equal(res.mask.skip, skip)
@@ -724,7 +743,7 @@ def test_cli_geometry_partly_skipped_masks_match_the_oracles(heads, kind):
     for scenario in SCENARIOS:
         cfg = EngineConfig(activation=kind, scenario_override=scenario)
         [(_, skip, coords)] = oracles.run_int(bundle, *_oracle_args(fps, sparsity, cfg))
-        [res] = IntEngine(bundle, cfg).run(fps, sparsity)
+        [res] = IntEngine(bundle, cfg).sweep(fps, [sparsity])[0]
         assert res.mask.n_skipped == 56 and np.array_equal(res.mask.skip, skip)
         assert np.array_equal(res.coords, coords)
         _check_float_run(bundle, fps, sparsity, cfg)
