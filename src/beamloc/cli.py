@@ -4,7 +4,9 @@ Every command is a pure function of (config, input files, seeds): rerunning
 with identical inputs produces byte-identical outputs.  A command has flags
 for exactly the ``RunConfig`` settings it reads (``SETTING_FLAGS``), and its
 artifact embeds those settings and no others.  A ``--config`` file may hold
-any setting, so one file serves every command.
+any setting, so one file serves every command.  ``infer``, ``sweep`` and
+``ablate`` reduce each snapshot's results as they are run, so each holds
+only its output rows and the per-snapshot values they are computed from.
 
 Exit codes: 0 success, 2 config error, 3 I/O error or out of memory, 4
 contract violation.
@@ -18,6 +20,7 @@ import dataclasses
 import functools
 import json
 import sys
+from array import array
 
 import numpy as np
 
@@ -52,11 +55,11 @@ def _engine(cfg: RunConfig, bundle):
     ))
 
 
-def _cycle_reports(results, activation, perf_cfg) -> list:
-    """Each result's cycle report, priced once per (scenario, kept-row count), all it reads."""
+def _cycle_pricer(activation, perf_cfg):
+    """A result's cycle report, priced once per (scenario, kept-row count), all it reads."""
     report = functools.cache(lambda scenario, n_kept: pipeline_report(n_kept, scenario, activation,
                                                                        perf_cfg))
-    return [report(r.scenario, r.mask.n_kept) for r in results]
+    return lambda result: report(result.scenario, result.mask.n_kept)
 
 
 def _load_bundle(cfg: RunConfig):
@@ -65,10 +68,10 @@ def _load_bundle(cfg: RunConfig):
     return load_bundle(cfg.bundle)
 
 
-def _sweep_file(cfg: RunConfig, engine, maps) -> list:
-    """``engine.sweep`` of the fingerprint file, read one snapshot at a time.
+def _sweep_file(cfg: RunConfig, engine, maps):
+    """``engine.sweep`` of the fingerprint file: each snapshot's results, read and run one at a time.
 
-    The header is checked first, then that the bundle takes the file's 128x46 snapshots.
+    The first iteration checks the header, then that the bundle takes 128x46 snapshots.
     """
     bundle = engine.bundle
     with open(cfg.fingerprints, "rb") as f:
@@ -77,12 +80,12 @@ def _sweep_file(cfg: RunConfig, engine, maps) -> list:
             raise ValueError(f"bundle {cfg.bundle} takes {bundle.n}x{bundle.d} snapshots, but "
                              f"fingerprint file {cfg.fingerprints} holds "
                              f"{channel.N_BEAMS}x{channel.N_SUBCARRIERS}")
-        return engine.sweep(snapshots, maps)
+        yield from engine.sweep(snapshots, maps)
 
 
-def _need_snapshots(cfg: RunConfig, results: list) -> None:
+def _need_snapshots(cfg: RunConfig, per_snapshot) -> None:
     """Batch statistics need a snapshot: an empty file is a contract violation."""
-    if not results:
+    if not per_snapshot:
         raise ValueError(f"fingerprint file {cfg.fingerprints} holds no snapshots")
 
 
@@ -102,10 +105,10 @@ def cmd_generate(cfg: RunConfig, args) -> int:
 def cmd_infer(cfg: RunConfig, args) -> int:
     """One row per snapshot; the engine is built first, so an int engine keeps no float bundle."""
     engine = _engine(cfg, _load_bundle(cfg))
-    [results] = _sweep_file(cfg, engine, [cfg.sparsity])
-    reports = _cycle_reports(results, engine.activation, cfg.perf_config(engine.bundle))
+    price = _cycle_pricer(engine.activation, cfg.perf_config(engine.bundle))
     rows = []
-    for i, (res, report) in enumerate(zip(results, reports)):
+    for i, [res] in enumerate(_sweep_file(cfg, engine, [cfg.sparsity])):
+        report = price(res)
         rows.append({
             "index": i,
             "scenario": res.scenario,
@@ -136,23 +139,30 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
     The baseline and then every cell run in one ``engine.sweep``, which reads
     the file once: each snapshot is prepared and routed once, and thresholded
-    and zero-counted once per ``t_elem``.  Each cell builds its own row masks
-    for the statistics, and a snapshot's (thresholded input, row mask)
-    already run reuses its coordinates.
+    and zero-counted once per ``t_elem``; a (thresholded input, row mask)
+    already run reuses its coordinates.  Each cell keeps, for its statistics,
+    an exact zero total and its skip fractions and flat coordinates in order.
     """
     t_elems = _grid(args.t_elem, "--t-elem", lambda v: SparsityConfig(float(v), 0).t_elem)
     t_rowcounts = _grid(args.t_rowcount, "--t-rowcount",
                         lambda v: SparsityConfig(0.0, int(v)).t_rowcount)
     engine = _engine(cfg, _load_bundle(cfg))
     cells = [SparsityConfig(t_elem, t_rowcount) for t_elem in t_elems for t_rowcount in t_rowcounts]
-    baseline, *runs = _sweep_file(
-        cfg, engine, [None, *(dict.fromkeys(SCENARIOS, cell) for cell in cells)])
+    baseline, zeros = array("d"), [0] * len(cells)
+    skips, coords = [array("d") for _ in cells], [array("d") for _ in cells]
+    for base, *results in _sweep_file(
+            cfg, engine, [None, *(dict.fromkeys(SCENARIOS, cell) for cell in cells)]):
+        baseline.extend(base.coords)
+        for i, res in enumerate(results):
+            zeros[i] += int(res.mask.zero_counts.sum())
+            skips[i].append(res.mask.skip_fraction)
+            coords[i].extend(res.coords)
     _need_snapshots(cfg, baseline)
-    baseline = np.array([r.coords for r in baseline])
+    baseline = np.reshape(baseline, (-1, 2))
     rows = [{"t_elem": cell.t_elem, "t_rowcount": cell.t_rowcount,
-             **sparsity.sparsity_stats([r.mask for r in results], engine.bundle.d),
-             "output_deviation": output_deviation(np.array([r.coords for r in results]), baseline)}
-            for cell, results in zip(cells, runs)]
+             **sparsity.sparsity_stats(zeros[i], skips[i], engine.bundle.n, engine.bundle.d),
+             "output_deviation": output_deviation(np.reshape(coords[i], (-1, 2)), baseline)}
+            for i, cell in enumerate(cells)]
     with open(args.out, "w", newline="") as f:
         f.write("# config: " + json.dumps(_settings(cfg, args), sort_keys=True) + "\n")
         writer = csv.writer(f)
@@ -181,17 +191,21 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     perf_cfg = cfg.perf_config(bundle)
     for rung in ABLATION_LADDER:
         engine = engine_for(rung["engine"], rung["activation"])
-        [results] = _sweep_file(cfg, engine, [cfg.sparsity if rung["sparsity"] else None])
-        _need_snapshots(cfg, results)
-        coords = np.array([r.coords for r in results])
-        cycles = [report.total_cycles for report in _cycle_reports(results, engine.activation, perf_cfg)]
+        price = _cycle_pricer(engine.activation, perf_cfg)
+        coords, cycles, skips = array("d"), [], array("d")
+        for [res] in _sweep_file(cfg, engine, [cfg.sparsity if rung["sparsity"] else None]):
+            coords.extend(res.coords)
+            cycles.append(price(res).total_cycles)
+            skips.append(res.mask.skip_fraction)
+        _need_snapshots(cfg, cycles)
+        coords = np.reshape(coords, (-1, 2))
         entry = {
             "engine": rung["engine"],
             "activation": rung["activation"],
             "sparsity": rung["sparsity"],
             "mean_cycles": float(np.mean(cycles)),
             "cycles": cycles,
-            "mean_row_sparsity": float(np.mean([r.mask.skip_fraction for r in results])),
+            "mean_row_sparsity": float(np.mean(skips)),
         }
         if prev_coords is not None:
             entry["deviation_vs_previous"] = output_deviation(coords, prev_coords)

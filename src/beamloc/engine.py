@@ -23,23 +23,23 @@ multiply into one gather per head, and
 
 Reuse: a snapshot's coordinates depend only on its scenario, thresholded
 input and layer-1 row mask.  ``sweep`` runs the same snapshots once per
-sparsity map.  It reads the snapshots once, in order, and runs each under
-every map in map order with one private memo, dropped before the next
-snapshot is read.  The memo holds the prepared input and scenario (routing
-precedes thresholding, so the first map's run routes the snapshot, with the
-sweep's one router state, and every map sees that scenario), the input
-thresholded at the last ``t_elem`` asked for, with its zero counts, and
-coordinates by (zeros in the thresholded input, skip-mask bytes).  A
-snapshot's thresholded inputs nest: a larger threshold zeroes a superset of
-what a smaller one zeroes, and the unthresholded input, keyed by its own
-zeros, sits below them all.  So the zero total names the input, up to the
-sign of a float zero: thresholding makes -0.0 +0.0, and no op after it
-divides by a value that may be zero, so equal values in give equal values
-out.  A sweep therefore prepares and routes each snapshot once, thresholds
-and counts it once per ``t_elem`` (again if the grid returns to one), and
-runs the encoder and head once per distinct (thresholded input, row mask)
-of that snapshot.  Each ``infer`` still builds and returns its own
-``RowMask``.
+sparsity map.  It reads the snapshots once, in order, runs each under
+every map in map order with one private memo, and yields that snapshot's
+results, its memo dropped, before it reads the next.  The memo holds the
+prepared input and scenario (routing precedes thresholding, so the first
+map's run routes the snapshot, with the sweep's one router state, and
+every map sees that scenario), the input thresholded at the last
+``t_elem`` asked for, with its zero counts, and coordinates by (zeros in
+the thresholded input, skip-mask bytes).  A snapshot's thresholded inputs
+nest: a larger threshold zeroes a superset of what a smaller one zeroes,
+and the unthresholded input, keyed by its own zeros, sits below them all.
+So the zero total names the input, up to the sign of a float zero:
+thresholding makes -0.0 +0.0, and no op after it divides by a value that
+may be zero, so equal values in give equal values out.  A sweep therefore
+prepares and routes each snapshot once, thresholds and counts it once per
+``t_elem`` (again if the grid returns to one), and runs the encoder and
+head once per distinct (thresholded input, row mask) of that snapshot.
+Each ``infer`` still builds and returns its own ``RowMask``.
 
 The integer engine requantizes once per matrix product (round-to-nearest-
 even, saturating), the score product inside the activation kernels, and
@@ -207,7 +207,7 @@ class _EngineBase:
 
     def locate(self, mat, mask: RowMask, scenario: str):
         """The folded encoder, pooling and coordinate head over a masked input."""
-        for i, seg in enumerate(self.bundle.layers(scenario)):
+        for i, seg in enumerate(self.bundle.segments[scenario]):
             mat = self.encoder_layer(mat, seg, mask if i == 0 else None)
         return self.coords_of(self.fcnn(self.maxpool_flatten(mat), self.bundle.fcnn[scenario]))
 
@@ -251,23 +251,21 @@ class _EngineBase:
             memo.coords[key] = self.locate(memo.x, mask, memo.scenario)
         return InferResult(scenario=memo.scenario, coords=memo.coords[key], mask=mask)
 
-    def sweep(self, fps, maps) -> list[list[InferResult]]:
-        """One run of ``fps`` per map in ``maps``, where ``None`` thresholds nothing.
+    def sweep(self, fps, maps):
+        """Yield each snapshot's results, one per map in ``maps`` (``None`` thresholds nothing).
 
-        ``fps`` may be any iterable, such as ``channel.iter_fingerprints``, and
-        is read once, in order; each snapshot runs under the maps in map order
-        with one memo (see "Reuse" above), so one memo is alive at a time.
-        The first map's run routes the snapshot with the sweep's one router
-        state; the other maps take its scenario from the memo.
+        ``fps`` may be any iterable, such as ``channel.iter_fingerprints``; it
+        is read once, in order, one snapshot per yielded list, each run under
+        the maps in map order with one memo (see "Reuse" above).  The first
+        map's run routes the snapshot with the sweep's one router state; the
+        other maps take its scenario from the memo.
         """
         state = RouterState.create(self.router_window)
-        runs = [[] for _ in maps]
         for fp in fps:
             memo = _Memo()
-            for sparsity, results in zip(maps, runs):
-                results.append(self.infer(fp, state, sparsity, memo))
+            results = [self.infer(fp, state, sparsity, memo) for sparsity in maps]
             del memo  # not kept while the next snapshot is read
-        return runs
+            yield results
 
 
 class FloatEngine(_EngineBase):

@@ -94,18 +94,18 @@ def build_row_mask(x: np.ndarray, cfg: SparsityConfig,
     return RowMask(skip=zero_counts > cfg.t_rowcount, zero_counts=zero_counts)
 
 
-def sparsity_stats(masks: Sequence[RowMask], width: int) -> dict:
-    """Element and row sparsity of a batch, read from the row masks it ran with.
+def sparsity_stats(zeros: int, skip_fractions: Sequence[float], n_rows: int, width: int) -> dict:
+    """Element and row sparsity of a batch, from what its row masks counted.
 
-    A mask's zero counts are the exact zeros of its thresholded rows, each
-    ``width`` long, in the domain the engine thresholded: codes or reals.
+    ``zeros`` is the batch's total of exact zeros in its thresholded
+    snapshots, each ``n_rows`` by ``width``, in the domain the engine
+    thresholded: codes or reals.  ``skip_fractions`` holds each snapshot's
+    fraction of skipped rows, in snapshot order.
     """
-    if len(masks) == 0:
-        raise ValueError("need at least one mask")
-    zeros = sum(int(m.zero_counts.sum()) for m in masks)
-    skip_fractions = [m.skip_fraction for m in masks]
+    if len(skip_fractions) == 0:
+        raise ValueError("need at least one snapshot")
     return {
-        "element_sparsity": zeros / (sum(m.n_rows for m in masks) * width),
+        "element_sparsity": zeros / (len(skip_fractions) * n_rows * width),
         "row_sparsity": float(np.mean(skip_fractions)),
         "max_row_sparsity": float(np.max(skip_fractions)),
     }

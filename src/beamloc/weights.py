@@ -100,9 +100,6 @@ class ModelBundle:
     def d_k(self) -> int:
         return self.d // self.heads
 
-    def layers(self, scenario: str):
-        return self.segments[scenario]
-
     def quantized(self) -> "ModelBundle":
         """Q8.8 view of a float bundle (identity on a quantized view).
 

@@ -390,7 +390,7 @@ def _run(bundle, fps, sparsity, window, scenario, snapshot):
 
 
 def run_int(bundle, fps, sparsity=None, window=None, activation=None, scenario=None):
-    """The integer engine's ``run`` over a float bundle, from scalar and int64 oracles.
+    """The integer engine's one-map ``sweep`` over a float bundle, from scalar and int64 oracles.
 
     ``sparsity`` maps scenarios to ``SparsityConfig``; ``window``,
     ``activation`` and ``scenario`` override the bundle's router window and

@@ -359,7 +359,10 @@ def test_scenario_element_sparsity_ordering():
     cfg = SparsityConfig(t_elem=0.02, t_rowcount=28)
     s1 = channel.generate_fingerprints(channel.default_profile("S1", seed=3), 6)
     s3 = channel.generate_fingerprints(channel.default_profile("S3", seed=3), 6)
-    st1, st3 = (
-        sparsity_stats([build_row_mask(threshold_elements(s, cfg.t_elem), cfg) for s in snaps], 46)
-        for snaps in (s1, s3))
+    stats = []
+    for snaps in (s1, s3):
+        masks = [build_row_mask(threshold_elements(s, cfg.t_elem), cfg) for s in snaps]
+        stats.append(sparsity_stats(sum(int(m.zero_counts.sum()) for m in masks),
+                                    [m.skip_fraction for m in masks], 128, 46))
+    st1, st3 = stats
     assert st1["element_sparsity"] > st3["element_sparsity"]

@@ -41,9 +41,13 @@ def inputs(tmp_path_factory):
     return bundle, fps
 
 
-def _infer(bundle, fps, out, *flags):
-    return cli.main(["infer", "--bundle", str(bundle), "--fingerprints", str(fps),
+def _run(command, bundle, fps, out, *flags):
+    return cli.main([command, "--bundle", str(bundle), "--fingerprints", str(fps),
                      "--out", str(out), *flags])
+
+
+def _infer(bundle, fps, out, *flags):
+    return _run("infer", bundle, fps, out, *flags)
 
 
 def _count_infers(monkeypatch) -> list:
@@ -55,29 +59,32 @@ def _count_infers(monkeypatch) -> list:
     return calls
 
 
-def test_truncated_fingerprint_file_is_an_io_error(inputs, tmp_path, capsys, monkeypatch):
-    # infer streams its snapshots, but checks the file's size before the first
+@pytest.mark.parametrize("command", ["infer", "sweep", "ablate"])
+def test_truncated_fingerprint_file_is_an_io_error(inputs, tmp_path, capsys, monkeypatch, command):
+    # Each command streams its snapshots, but the first iteration of its
+    # sweep checks the file's size before the first snapshot is read.
     bundle, fps = inputs
-    assert _infer(bundle, fps, tmp_path / "ok.json") == cli.EXIT_OK
+    assert _run(command, bundle, fps, tmp_path / "ok") == cli.EXIT_OK
     cut = tmp_path / "cut.bdfp"
     cut.write_bytes(fps.read_bytes()[:-100])
     calls = _count_infers(monkeypatch)
-    assert _infer(bundle, cut, tmp_path / "out.json") == cli.EXIT_IO
+    assert _run(command, bundle, cut, tmp_path / "out") == cli.EXIT_IO
     assert "i/o error" in capsys.readouterr().err
-    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "out").exists()
     assert calls == []
 
 
-def test_forged_snapshot_count_is_an_io_error(inputs, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["infer", "sweep", "ablate"])
+def test_forged_snapshot_count_is_an_io_error(inputs, tmp_path, capsys, monkeypatch, command):
     bundle, fps = inputs
     forged = bytearray(fps.read_bytes())
     forged[4:8] = struct.pack("<I", 2**32 - 1)
     path = tmp_path / "forged.bdfp"
     path.write_bytes(bytes(forged))
     calls = _count_infers(monkeypatch)
-    assert _infer(bundle, path, tmp_path / "out.json") == cli.EXIT_IO
+    assert _run(command, bundle, path, tmp_path / "out") == cli.EXIT_IO
     assert "promises 4294967295 snapshot(s)" in capsys.readouterr().err
-    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "out").exists()
     assert calls == []
 
 
@@ -105,15 +112,17 @@ def _peak_rss_mb(*argv) -> float:
     pytest.param(["infer", "--engine", "int"], id="int"),
     pytest.param(["infer", "--engine", "float"], id="float"),
     pytest.param(["sweep", "--t-elem", "0.01", "--t-rowcount", "8"], id="sweep"),
+    pytest.param(["sweep"], id="sweep-default-grid"),
     pytest.param(["ablate"], id="ablate"),
 ])
 def test_infer_memory_does_not_grow_with_its_input(inputs, tmp_path, command):
-    # infer, sweep and ablate read one snapshot at a time, so 1000 snapshots
-    # (23.5 MB on file) may peak at most 8 MB above 10: their results take
-    # about 2 MB.  The bound covers the one-cell sweep run here.  A sweep
-    # still keeps every cell's results until its statistics, so a
-    # default-grid sweep grows by O(cells x snapshots), about 25 KB a
-    # snapshot (ROADMAP item 11).
+    # infer, sweep and ablate read one snapshot at a time and reduce each
+    # snapshot's results as they arrive, so 1000 snapshots (23.5 MB on file)
+    # may peak at most 8 MB above 10.  What grows is the output: infer's rows,
+    # and a sweep cell's or ablate rung's coordinates and skip fractions,
+    # 24 bytes a snapshot, about 0.9 MB over the default grid's 35 cells.
+    # Holding every result until the statistics grew a default-grid sweep
+    # by about 23 MB here.
     bundle, _ = inputs
     rng = np.random.default_rng(5)
     peaks = {}
@@ -419,13 +428,14 @@ def _sweep_body(bundle, fps, out, *flags):
 def _reuse_free_body(bundle, fps, kind, t_elems, t_rowcounts, ecfg):
     """The sweep CSV body, built with a fresh engine and no shared state per cell."""
     bundle, snapshots = load_bundle(bundle), channel.read_fingerprints(fps)
-    baseline = np.array([r.coords for r in make_engine(kind, bundle, ecfg).sweep(snapshots, [None])[0]])
+    baseline = np.array([r.coords for [r] in make_engine(kind, bundle, ecfg).sweep(snapshots, [None])])
     lines = ["t_elem,t_rowcount,element_sparsity,row_sparsity,max_row_sparsity,output_deviation"]
     for t_elem in t_elems:
         for t_rowcount in t_rowcounts:
             cell = dict.fromkeys(SCENARIOS, SparsityConfig(t_elem=t_elem, t_rowcount=t_rowcount))
-            results = make_engine(kind, bundle, ecfg).sweep(snapshots, [cell])[0]
-            stats = sparsity_stats([r.mask for r in results], snapshots.shape[-1])
+            results = [r for [r] in make_engine(kind, bundle, ecfg).sweep(snapshots, [cell])]
+            stats = sparsity_stats(sum(int(r.mask.zero_counts.sum()) for r in results),
+                                   [r.mask.skip_fraction for r in results], *snapshots.shape[1:])
             dev = output_deviation(np.array([r.coords for r in results]), baseline)
             lines.append(",".join(repr(v) for v in (t_elem, t_rowcount, *stats.values(), dev)))
     return lines
@@ -441,7 +451,8 @@ def test_routed_sweep_equals_reuse_free_runs(inputs, tmp_path, kind):
         channel.generate_fingerprints(channel.default_profile(sc, seed=9), 2)
         for sc in ("S1", "S3", "S1")]))
     ecfg = EngineConfig(router_window=3)
-    routed = make_engine(kind, load_bundle(bundle), ecfg).sweep(channel.read_fingerprints(fps), [None])[0]
+    routed = [r for [r] in make_engine(kind, load_bundle(bundle), ecfg).sweep(
+        channel.read_fingerprints(fps), [None])]
     assert len({r.scenario for r in routed}) > 1
     got = _sweep_body(bundle, fps, tmp_path / "sweep.csv", "--engine", kind, "--router-window", "3")
     assert got == _reuse_free_body(bundle, fps, kind, DEFAULT_T_ELEMS, DEFAULT_T_ROWCOUNTS, ecfg)

@@ -342,7 +342,7 @@ def test_infer_layer_counts(full_bundle, s1_batch):
         fe.encoder_layer = lambda x, seg, mask=None: segments.append(seg) or layer(x, seg, mask)
         fe.infer(s1_batch[0])
         assert len(segments) == layers
-        assert all(a is b for a, b in zip(segments, fe.bundle.layers(scenario)))
+        assert all(a is b for a, b in zip(segments, fe.bundle.segments[scenario]))
 
 
 def test_infer_unknown_scenario_rejected(full_bundle):
@@ -405,7 +405,7 @@ def test_engine_agreement_without_sparsity(full_bundle, s1_batch):
 
 def _check_against_masked_dense(ie, x, scenario, mask):
     # The scenario's first layer on float64 codes; the oracle takes them as int16.
-    seg = ie.bundle.layers(scenario)[0]
+    seg = ie.bundle.segments[scenario][0]
     ref = masked_dense_layer_int(
         x.astype(np.int16), seg, mask, kind=ie.activation, bias_code=sigmoid_bias_code(ie.bundle.n),
         m_code=quantize(seg.gamma / math.sqrt(ie.bundle.d_k)), heads=ie.bundle.heads,
@@ -454,7 +454,7 @@ def test_run_is_one_routed_pass(full_bundle, window):
     ie = IntEngine(full_bundle, EngineConfig(router_window=window))
     state = RouterState.create(full_bundle.router_window if window is None else window)
     expect = [ie.infer(fp, state) for fp in fps]
-    got = ie.sweep(fps, [None])[0]
+    got = [r for [r] in ie.sweep(fps, [None])]
     assert [r.scenario for r in got] == [r.scenario for r in expect]
     for a, b in zip(got, expect):
         assert np.array_equal(a.coords, b.coords) and np.array_equal(a.mask.skip, b.mask.skip)
@@ -469,9 +469,9 @@ def test_run_thresholds_are_a_run_setting(full_bundle, kind):
     a = dict.fromkeys(("S1", "S2", "S3"), SparsityConfig(t_elem=0.1, t_rowcount=8))
     b = dict(DEFAULT_SPARSITY)
     engine = make_engine(kind, full_bundle)
-    engine.sweep(fps, [a])
-    got = engine.sweep(fps, [b])[0]
-    expect = make_engine(kind, full_bundle).sweep(fps, [b])[0]
+    list(engine.sweep(fps, [a]))
+    got = [r for [r] in engine.sweep(fps, [b])]
+    expect = [r for [r] in make_engine(kind, full_bundle).sweep(fps, [b])]
     assert [r.scenario for r in got] == [r.scenario for r in expect]
     assert len({r.scenario for r in got}) > 1
     assert sum(r.mask.n_skipped for r in got) > 0
@@ -536,8 +536,8 @@ def test_sweep_equals_fresh_runs(kind, sweep):
         expect.append([engine.infer(fp, state, m) for fp in fps])
     for snapshots in (fps, iter(fps)):
         got = make_engine(kind, bundle, cfg).sweep(snapshots, maps)
-        for got_run, expect_run in zip(got, expect, strict=True):
-            for a, b in zip(got_run, expect_run, strict=True):
+        for got_snapshot, expect_snapshot in zip(got, zip(*expect), strict=True):
+            for a, b in zip(got_snapshot, expect_snapshot, strict=True):
                 assert a.scenario == b.scenario
                 assert np.array_equal(a.mask.skip, b.mask.skip)
                 assert np.array_equal(a.mask.zero_counts, b.mask.zero_counts)
@@ -545,6 +545,29 @@ def test_sweep_equals_fresh_runs(kind, sweep):
                     assert a.coords.tobytes() == b.coords.tobytes()
                 else:
                     assert np.array_equal(a.coords, b.coords)
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_sweep_reads_one_snapshot_per_yielded_list(full_bundle, s1_batch, kind):
+    # The sweep is lazy: it reads nothing until asked, and after each yielded
+    # list, one per snapshot with one result per map, exactly as many
+    # snapshots have been read as lists have been yielded.
+    reads = []
+
+    def snapshots():
+        for fp in s1_batch[:3]:
+            reads.append(fp)
+            yield fp
+
+    maps = [None, dict(DEFAULT_SPARSITY)]
+    sweep = make_engine(kind, full_bundle).sweep(snapshots(), maps)
+    assert reads == []
+    yielded = 0
+    for results in sweep:
+        yielded += 1
+        assert len(reads) == yielded and len(results) == len(maps)
+        assert all(r.scenario == results[0].scenario for r in results)
+    assert yielded == 3
 
 
 def test_make_engine(full_bundle):
@@ -638,9 +661,9 @@ def test_runs_match_the_pipeline_oracles(run):
         expect = oracles.run_int(bundle, *_oracle_args(fps, sparsity, cfg))
     except AccumulatorOverflow:
         with pytest.raises(AccumulatorOverflow):
-            IntEngine(bundle, cfg).sweep(fps, [sparsity])[0]
+            list(IntEngine(bundle, cfg).sweep(fps, [sparsity]))
         return
-    got = IntEngine(bundle, cfg).sweep(fps, [sparsity])[0]
+    got = [r for [r] in IntEngine(bundle, cfg).sweep(fps, [sparsity])]
     for res, (scenario, skip, coords) in zip(got, expect, strict=True):
         assert res.scenario == scenario
         assert np.array_equal(res.mask.skip, skip)
@@ -652,7 +675,7 @@ def _check_float_run(bundle, fps, sparsity, cfg):
     # The float twin sums in another order: routing and masks compare exactly,
     # coordinates to 1e-9 of the largest coordinate of the run (at least 1).
     expect = oracles.run_float(bundle, *_oracle_args(fps, sparsity, cfg))
-    got = FloatEngine(bundle, cfg).sweep(fps, [sparsity])[0]
+    got = [r for [r] in FloatEngine(bundle, cfg).sweep(fps, [sparsity])]
     tol = 1e-9 * max(1.0, *(np.abs(coords).max(initial=0.0) for *_, coords in expect))
     for res, (scenario, skip, coords) in zip(got, expect, strict=True):
         assert res.scenario == scenario
@@ -706,9 +729,9 @@ def test_cli_geometry_runs_match_the_int_oracle(run):
         expect = oracles.run_int(bundle, *_oracle_args(fps, sparsity, cfg))
     except AccumulatorOverflow:
         with pytest.raises(AccumulatorOverflow):
-            IntEngine(bundle, cfg).sweep(fps, [sparsity])[0]
+            list(IntEngine(bundle, cfg).sweep(fps, [sparsity]))
         return
-    got = IntEngine(bundle, cfg).sweep(fps, [sparsity])[0]
+    got = [r for [r] in IntEngine(bundle, cfg).sweep(fps, [sparsity])]
     for res, (scenario, skip, coords) in zip(got, expect, strict=True):
         assert res.scenario == scenario
         assert np.array_equal(res.mask.skip, skip)
@@ -743,7 +766,7 @@ def test_cli_geometry_partly_skipped_masks_match_the_oracles(heads, kind):
     for scenario in SCENARIOS:
         cfg = EngineConfig(activation=kind, scenario_override=scenario)
         [(_, skip, coords)] = oracles.run_int(bundle, *_oracle_args(fps, sparsity, cfg))
-        [res] = IntEngine(bundle, cfg).sweep(fps, [sparsity])[0]
+        [[res]] = IntEngine(bundle, cfg).sweep(fps, [sparsity])
         assert res.mask.n_skipped == 56 and np.array_equal(res.mask.skip, skip)
         assert np.array_equal(res.coords, coords)
         _check_float_run(bundle, fps, sparsity, cfg)

@@ -119,16 +119,22 @@ def _masks(snapshots, cfg):
     return [build_row_mask(threshold_elements(s, cfg.t_elem), cfg) for s in snapshots]
 
 
+def _stats(masks, width=46):
+    """``sparsity_stats`` of what the masks counted: their zero total and skip fractions."""
+    return sparsity_stats(sum(int(m.zero_counts.sum()) for m in masks),
+                          [m.skip_fraction for m in masks], masks[0].n_rows, width)
+
+
 def test_stats_half_zero_rows():
     snap = np.concatenate([np.zeros((64, 46)), np.ones((64, 46))])
-    stats = sparsity_stats(_masks([snap], SparsityConfig(0.0, 0)), 46)
+    stats = _stats(_masks([snap], SparsityConfig(0.0, 0)))
     assert stats["row_sparsity"] == 0.5
     assert stats["element_sparsity"] == 0.5
     assert stats["max_row_sparsity"] == 0.5
 
 
 def test_stats_zero_matrix():
-    stats = sparsity_stats(_masks([np.zeros((128, 46))], SparsityConfig(0.0, 0)), 46)
+    stats = _stats(_masks([np.zeros((128, 46))], SparsityConfig(0.0, 0)))
     assert stats["element_sparsity"] == 1.0
     assert stats["row_sparsity"] == 1.0
 
@@ -136,7 +142,7 @@ def test_stats_zero_matrix():
 def test_stats_against_recount(rng):
     snaps = [np.abs(rng.standard_normal((128, 46))) for _ in range(4)]
     cfg = SparsityConfig(0.5, 20)
-    stats = sparsity_stats(_masks(snaps, cfg), 46)
+    stats = _stats(_masks(snaps, cfg))
     zeros = sum(int((s < 0.5).sum()) for s in snaps)
     assert stats["element_sparsity"] == pytest.approx(zeros / (4 * 128 * 46))
     fractions = []
@@ -149,7 +155,7 @@ def test_stats_against_recount(rng):
 
 def test_stats_empty_input_rejected():
     with pytest.raises(ValueError):
-        sparsity_stats([], 46)
+        sparsity_stats(0, [], 128, 46)
 
 
 def test_config_validation():

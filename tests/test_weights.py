@@ -103,7 +103,7 @@ def test_seed7_bundle_bytes_are_pinned(tmp_path, full_bundle, s1_batch):
     save_bundle(again, back)
     assert again.read_bytes() == data
     # The integer engine quantizes the loaded weights as it does the generated ones.
-    coords = [[r.coords for r in IntEngine(b).sweep(s1_batch, [None])[0]] for b in (full_bundle, back)]
+    coords = [[r.coords for [r] in IntEngine(b).sweep(s1_batch, [None])] for b in (full_bundle, back)]
     assert np.array_equal(coords[0], coords[1])
 
 
